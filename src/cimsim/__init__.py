@@ -15,8 +15,9 @@ from .arrays import (ArrayKind, GeometrySpec, SPEED_OF_LIGHT,
 from .channel import (ChannelConfig, ChannelRealization, PathRecord,
                       assemble_matrix, path_loss, sample_realization)
 from .codebook import (CimCodebook, FpsBank, best_effective_path,
-                       build_codebook, compose_switch_vector, quantize_phase,
-                       quantize_weights, realized_phase)
+                       build_codebook, compose_switch_vector,
+                       quantize_codebook, quantize_phase, quantize_weights,
+                       realized_phase)
 from .link import (DetectionResult, LinkConfig, TxSymbols, array_gain_db,
                    bit_errors, dbm_to_watt, ml_detect, psk_constellation,
                    transmit_and_receive)

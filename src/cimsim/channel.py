@@ -80,7 +80,8 @@ class PathRecord:
 
 @dataclass
 class ChannelRealization:
-    """One channel drop: per-path geometry/gains plus the assembled matrix."""
+    """One channel drop: per-path geometry/gains, their steering matrices
+    and the assembled matrix."""
 
     matrix: np.ndarray            # (N_r, N_t) complex
     gains: np.ndarray             # (C, L) complex
@@ -95,8 +96,8 @@ class ChannelRealization:
     shadow_db: float
     gain_variance: float          # linear, 10**(-0.1 * PL)
     wavelength: float
-    tx_positions: np.ndarray = field(repr=False, default=None)
-    rx_positions: np.ndarray = field(repr=False, default=None)
+    a_t: np.ndarray = field(repr=False)   # (N_t, C*L) path steering columns
+    a_r: np.ndarray = field(repr=False)   # (N_r, C*L), path c*L + l
 
     @property
     def n_clusters(self) -> int:
@@ -133,12 +134,16 @@ def assemble_matrix(gains: np.ndarray, aod_az: np.ndarray, aod_el: np.ndarray,
                     tx_positions: np.ndarray, rx_positions: np.ndarray,
                     wavelength: float) -> np.ndarray:
     """Channel matrix from per-path gains and angles."""
+    return _combine_paths(
+        gains, steering_matrix(tx_positions, aod_az, aod_el, wavelength),
+        steering_matrix(rx_positions, aoa_az, aoa_el, wavelength))
+
+
+def _combine_paths(gains: np.ndarray, a_t: np.ndarray,
+                   a_r: np.ndarray) -> np.ndarray:
+    """sqrt(N_t N_r / (C L)) * sum of gain * a_r a_t^H over the path columns."""
     c_count, l_count = gains.shape
-    n_t = tx_positions.shape[0]
-    n_r = rx_positions.shape[0]
-    a_t = steering_matrix(tx_positions, aod_az, aod_el, wavelength)
-    a_r = steering_matrix(rx_positions, aoa_az, aoa_el, wavelength)
-    scale = np.sqrt(n_t * n_r / (c_count * l_count))
+    scale = np.sqrt(a_t.shape[0] * a_r.shape[0] / (c_count * l_count))
     return scale * (a_r * gains.ravel()) @ a_t.conj().T
 
 
@@ -155,7 +160,9 @@ def sample_realization(cfg: ChannelConfig, tx_positions: np.ndarray,
 
     Sub-streams for angles, gains and shadowing are spawned
     deterministically from the seed, so every field is reproducible
-    bit-for-bit for a fixed seed.
+    bit-for-bit for a fixed seed.  The per-path steering matrices the
+    channel matrix is assembled from are kept as ``a_t`` / ``a_r``, so
+    the codebook reuses them instead of rebuilding them.
     """
     ss = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
@@ -185,16 +192,15 @@ def sample_realization(cfg: ChannelConfig, tx_positions: np.ndarray,
     gains = gain_rng.normal(0.0, sigma, (c_count, l_count)) \
         + 1j * gain_rng.normal(0.0, sigma, (c_count, l_count))
 
-    matrix = assemble_matrix(gains, aod_az, aod_el, aoa_az, aoa_el,
-                             np.asarray(tx_positions), np.asarray(rx_positions),
-                             cfg.wavelength)
+    a_t = steering_matrix(np.asarray(tx_positions), aod_az, aod_el,
+                          cfg.wavelength)
+    a_r = steering_matrix(np.asarray(rx_positions), aoa_az, aoa_el,
+                          cfg.wavelength)
     return ChannelRealization(
-        matrix=matrix, gains=gains,
+        matrix=_combine_paths(gains, a_t, a_r), gains=gains,
         aod_az=aod_az, aod_el=aod_el, aoa_az=aoa_az, aoa_el=aoa_el,
         mean_aod_az=mean_aod_az, mean_aod_el=mean_aod_el,
         mean_aoa_az=mean_aoa_az, mean_aoa_el=mean_aoa_el,
         shadow_db=shadow_db, gain_variance=variance,
-        wavelength=cfg.wavelength,
-        tx_positions=np.asarray(tx_positions),
-        rx_positions=np.asarray(rx_positions),
+        wavelength=cfg.wavelength, a_t=a_t, a_r=a_r,
     )

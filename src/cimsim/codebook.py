@@ -11,11 +11,11 @@ switches, which floors every phase to a 2*pi / 2**(n_shifters-1) grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelRealization, steering_matrix
+from .channel import ChannelRealization
 
 TWO_PI = 2.0 * np.pi
 
@@ -29,6 +29,13 @@ class FpsBank:
     def __post_init__(self) -> None:
         if self.n_shifters < 2:
             raise ValueError("need at least two fixed phase shifters")
+        # a finer step than the float spacing at 2*pi cannot be realized
+        resolution = np.spacing(TWO_PI)
+        if self.phase_step < resolution:
+            raise ValueError(
+                f"{self.n_shifters} fixed phase shifters give a phase step "
+                f"of {self.phase_step:.3g} rad, below the {resolution:.3g} rad"
+                " resolution of a wrapped phase")
 
     @property
     def phases(self) -> np.ndarray:
@@ -105,13 +112,10 @@ class CimCodebook:
 
 
 def _per_path_gains(realization: ChannelRealization) -> np.ndarray:
-    """|w^H H f|^2 for every path, shape (C, L)."""
-    h = realization.matrix
-    a_t = steering_matrix(realization.tx_positions, realization.aod_az,
-                          realization.aod_el, realization.wavelength)
-    a_r = steering_matrix(realization.rx_positions, realization.aoa_az,
-                          realization.aoa_el, realization.wavelength)
-    eff = np.einsum("np,nm,mp->p", a_r.conj(), h, a_t)
+    """|w^H H f|^2 for every path, shape (C, L): one matmul and a row sum
+    over the realization's steering matrices."""
+    eff = ((realization.a_r.conj().T @ realization.matrix)
+           * realization.a_t.T).sum(axis=1)
     return np.abs(eff).reshape(realization.gains.shape) ** 2
 
 
@@ -130,9 +134,10 @@ def build_codebook(realization: ChannelRealization, order: int,
                    bank: FpsBank | None = None) -> CimCodebook:
     """Greedy gain-descending codebook of ``order`` clusters.
 
-    Selection always uses the ideal (continuous-phase) steering vectors;
-    when ``bank`` is given the stored beamformers and combiners are
-    quantized to the bank's phase grid afterwards.
+    Selection always uses the ideal (continuous-phase) steering vectors,
+    and the codewords are the selected paths' columns of the
+    realization's steering matrices.  With ``bank`` the result is
+    ``quantize_codebook`` of the ideal codebook.
     """
     c_count = realization.n_clusters
     if order > c_count:
@@ -151,20 +156,16 @@ def build_codebook(realization: ChannelRealization, order: int,
         selected.append(best)
         remaining.remove(best)
 
-    lam = realization.wavelength
-    beamformers = steering_matrix(
-        realization.tx_positions,
-        realization.aod_az[selected, best_paths[selected]],
-        realization.aod_el[selected, best_paths[selected]], lam)
-    combiners = steering_matrix(
-        realization.rx_positions,
-        realization.aoa_az[selected, best_paths[selected]],
-        realization.aoa_el[selected, best_paths[selected]], lam)
-    if bank is not None:
-        beamformers = quantize_weights(beamformers, bank)
-        combiners = quantize_weights(combiners, bank)
+    columns = np.asarray(selected) * realization.n_paths + best_paths[selected]
+    cb = CimCodebook(order=order, clusters=tuple(selected),
+                     beamformers=realization.a_t[:, columns],
+                     combiners=realization.a_r[:, columns],
+                     best_paths=best_paths,
+                     effective_gains=cluster_gains[selected])
+    return cb if bank is None else quantize_codebook(cb, bank)
 
-    return CimCodebook(order=order, clusters=tuple(selected),
-                       beamformers=beamformers, combiners=combiners,
-                       best_paths=best_paths,
-                       effective_gains=cluster_gains[selected])
+
+def quantize_codebook(cb: CimCodebook, bank: FpsBank) -> CimCodebook:
+    """The same selection with its weights floored to the bank's phase grid."""
+    return replace(cb, beamformers=quantize_weights(cb.beamformers, bank),
+                   combiners=quantize_weights(cb.combiners, bank))

@@ -1,11 +1,18 @@
 """Monte Carlo BER sweeps over (geometry, signaling, hardware, power).
 
+One task covers one (geometry, signaling) pair: every hardware model
+and every power point of it.  Each realization of a task is drawn once
+(channel, steering matrices, codebook selection, payload bits, noise and
+the detector's hypothesis values) and feeds the transmit path of every
+hardware model, so hardware models and power points share channel
+realizations, payload bits and noise (common random numbers).  Early
+stopping stays per (hardware, power) point.
+
 Seeding is position-based: the channel and payload streams of trial r of
 a (geometry, signaling) pair depend only on the master seed and the grid
 position, never on the worker schedule, the hardware model or the power
-point.  Power points and hardware models therefore share channel
-realizations, payload bits and noise (common random numbers), and runs
-are bit-reproducible for any worker count.
+point, so runs are bit-reproducible for any worker count and for any
+subset of the hardware models.
 
 The hardware-efficient (HE) model applies the quantized weights in the
 signal path while detection keeps the ideal-hardware hypothesis values,
@@ -24,9 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .arrays import ArrayKind, element_positions, scenario_geometry
+from .arrays import element_positions, scenario_geometry
 from .channel import ChannelConfig, sample_realization
-from .codebook import FpsBank, build_codebook
+from .codebook import FpsBank, build_codebook, quantize_codebook
 from .link import (LinkConfig, array_gain_db, branch_amplitudes, db_to_linear,
                    dbm_to_watt, psk_constellation)
 
@@ -43,8 +50,11 @@ class HardwareSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("OP", "HE"):
             raise ValueError("hardware kind must be OP or HE")
-        if self.kind == "HE" and self.n_shifters < 2:
-            raise ValueError("HE hardware needs at least 2 phase shifters")
+        if self.kind == "HE":
+            try:
+                FpsBank(self.n_shifters)
+            except ValueError as exc:
+                raise ValueError(f"hardware {self.label}: {exc}") from None
 
     @staticmethod
     def parse(token: str) -> "HardwareSpec":
@@ -58,6 +68,10 @@ class HardwareSpec:
     @property
     def label(self) -> str:
         return "OP" if self.kind == "OP" else f"HE{self.n_shifters}"
+
+    @property
+    def bank(self) -> FpsBank | None:
+        return FpsBank(self.n_shifters) if self.kind == "HE" else None
 
 
 @dataclass(frozen=True)
@@ -81,7 +95,11 @@ class SimConfig:
         if not self.powers_dbm:
             raise ValueError("power sweep must be nonempty")
         for g in self.geometries:
-            ArrayKind(g)
+            try:
+                scenario_geometry(g, self.channel.wavelength, self.n_elements)
+            except ValueError as exc:
+                raise ValueError(f"geometry {g} with n_elements="
+                                 f"{self.n_elements}: {exc}") from None
         for token in self.hardware:
             HardwareSpec.parse(token)
         for order, constellation in self.signalings:
@@ -100,6 +118,13 @@ class SimConfig:
 
 @dataclass
 class BerResult:
+    """One (geometry, signaling, hardware, power) point of a sweep.
+
+    ``elapsed_s`` is the wall time of the task that produced the point
+    split evenly over that task's hardware x power points, so summing it
+    over a sweep gives the summed task time.
+    """
+
     geometry: str
     order: int
     constellation: int
@@ -128,14 +153,15 @@ class BerResult:
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 
 
-def _run_curve(cfg: SimConfig, geometry_index: int,
-               signaling_index: int, hardware_index: int) -> list[BerResult]:
-    """All power points of one (geometry, signaling, hardware) curve."""
+def _run_task(cfg: SimConfig, geometry_index: int,
+              signaling_index: int) -> list[BerResult]:
+    """Every hardware and power point of one (geometry, signaling) pair,
+    ordered hardware-major."""
     started = time.perf_counter()
     geometry = cfg.geometries[geometry_index]
     order, constellation = cfg.signalings[signaling_index]
-    hardware = HardwareSpec.parse(cfg.hardware[hardware_index])
-    bank = FpsBank(hardware.n_shifters) if hardware.kind == "HE" else None
+    hardware = [HardwareSpec.parse(token) for token in cfg.hardware]
+    banks = [hw.bank for hw in hardware]
 
     spec = scenario_geometry(geometry, cfg.channel.wavelength, cfg.n_elements)
     positions = element_positions(spec)
@@ -150,22 +176,20 @@ def _run_curve(cfg: SimConfig, geometry_index: int,
                            for p in cfg.powers_dbm])
 
     n_powers = len(cfg.powers_dbm)
-    errors = np.zeros(n_powers, dtype=np.int64)
-    used = np.zeros(n_powers, dtype=np.int64)
+    errors = np.zeros((len(hardware), n_powers), dtype=np.int64)
+    used = np.zeros_like(errors)
     t_symbols = cfg.symbols_per_realization
     sigma = np.sqrt(noise_w / 2.0)
 
     for r in range(cfg.realizations):
-        active = np.flatnonzero(errors < cfg.error_limit)
-        if active.size == 0:
+        live = errors < cfg.error_limit
+        if not live.any():
             break
         channel_seed = np.random.SeedSequence(
             [cfg.seed, geometry_index, signaling_index, r, 0])
         realization = sample_realization(cfg.channel, positions, positions,
                                          channel_seed)
         cb_detect = build_codebook(realization, order)
-        cb_tx = cb_detect if bank is None \
-            else build_codebook(realization, order, bank)
 
         payload_rng = np.random.default_rng(np.random.SeedSequence(
             [cfg.seed, geometry_index, signaling_index, r, 1]))
@@ -173,53 +197,59 @@ def _run_curve(cfg: SimConfig, geometry_index: int,
         x1 = payload_rng.integers(0, constellation, t_symbols)
         noise = payload_rng.normal(0.0, sigma, (t_symbols, n)) \
             + 1j * payload_rng.normal(0.0, sigma, (t_symbols, n))
-
-        # z = amp * (W^H H f) s + W^H n, for all symbols at once
-        v_tx = cb_tx.combiners.conj().T @ realization.matrix @ cb_tx.beamformers
-        signal = v_tx[:, x0].T * points[x1][:, None]            # (T, B)
-        combined_noise = noise @ cb_tx.combiners.conj()         # (T, B)
         hyp = branch_amplitudes(cb_detect, realization.matrix)  # (B,)
 
-        for i in active:
-            z = amplitudes[i] * signal + combined_noise
-            ref = amplitudes[i] * hyp[:, None] * points[None, :]
-            metric = np.abs(z[:, :, None] - ref[None, :, :]) ** 2
-            flat = metric.reshape(t_symbols, -1).argmin(axis=1)
-            c_hat = flat // constellation
-            s_hat = flat % constellation
-            errors[i] += _POPCOUNT[np.bitwise_xor(x0, c_hat)].sum()
-            errors[i] += _POPCOUNT[np.bitwise_xor(x1, s_hat)].sum()
-            used[i] += 1
+        for h, bank in enumerate(banks):
+            active = np.flatnonzero(live[h])
+            if active.size == 0:
+                continue
+            cb_tx = cb_detect if bank is None \
+                else quantize_codebook(cb_detect, bank)
+            # z = amp * (W^H H f) s + W^H n, for all symbols at once
+            v_tx = (cb_tx.combiners.conj().T @ realization.matrix
+                    @ cb_tx.beamformers)
+            signal = v_tx[:, x0].T * points[x1][:, None]            # (T, B)
+            combined_noise = noise @ cb_tx.combiners.conj()         # (T, B)
 
-    elapsed = time.perf_counter() - started
+            for i in active:
+                z = amplitudes[i] * signal + combined_noise
+                ref = amplitudes[i] * hyp[:, None] * points[None, :]
+                metric = np.abs(z[:, :, None] - ref[None, :, :]) ** 2
+                flat = metric.reshape(t_symbols, -1).argmin(axis=1)
+                c_hat = flat // constellation
+                s_hat = flat % constellation
+                errors[h, i] += _POPCOUNT[np.bitwise_xor(x0, c_hat)].sum()
+                errors[h, i] += _POPCOUNT[np.bitwise_xor(x1, s_hat)].sum()
+                used[h, i] += 1
+
+    elapsed_s = (time.perf_counter() - started) / errors.size
     return [BerResult(geometry=geometry, order=order,
-                      constellation=constellation, hardware=hardware.label,
-                      n_shifters=hardware.n_shifters,
+                      constellation=constellation, hardware=hw.label,
+                      n_shifters=hw.n_shifters,
                       power_dbm=float(cfg.powers_dbm[i]),
-                      bit_errors=int(errors[i]),
-                      bits_total=int(used[i]) * t_symbols * bits_per_use,
-                      seed=cfg.seed, realizations_used=int(used[i]),
-                      elapsed_s=elapsed / n_powers)
-            for i in range(n_powers)]
+                      bit_errors=int(errors[h, i]),
+                      bits_total=int(used[h, i]) * t_symbols * bits_per_use,
+                      seed=cfg.seed, realizations_used=int(used[h, i]),
+                      elapsed_s=elapsed_s)
+            for h, hw in enumerate(hardware) for i in range(n_powers)]
 
 
 def run_sweep(cfg: SimConfig, workers: int = 1) -> list[BerResult]:
-    """Full grid sweep; results ordered geometry-major, power-minor."""
-    tasks = [(gi, si, hi)
+    """Full grid sweep; results ordered geometry-major, then signaling,
+    then hardware, power-minor."""
+    tasks = [(gi, si)
              for gi in range(len(cfg.geometries))
-             for si in range(len(cfg.signalings))
-             for hi in range(len(cfg.hardware))]
+             for si in range(len(cfg.signalings))]
     if workers <= 1 or len(tasks) == 1:
-        curves = [_run_curve(cfg, *task) for task in tasks]
+        results = [_run_task(cfg, *task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            curves = list(pool.map(_curve_task, [(cfg, *task) for task in tasks]))
-    return [result for curve in curves for result in curve]
+            results = list(pool.map(_pool_task, [(cfg, *task) for task in tasks]))
+    return [result for task in results for result in task]
 
 
-def _curve_task(payload: tuple) -> list[BerResult]:
-    cfg, gi, si, hi = payload
-    return _run_curve(cfg, gi, si, hi)
+def _pool_task(payload: tuple) -> list[BerResult]:
+    return _run_task(*payload)
 
 
 CSV_HEADER = ("geometry,B,M,hardware,N_F,P_dBm,bits_total,bit_errors,"
@@ -290,7 +320,12 @@ def _parse_powers(text: str) -> tuple[float, ...]:
     text = text.strip()
     if ":" in text:
         lo, hi, step = (float(v) for v in text.split(":"))
-        return tuple(np.arange(lo, hi + step / 2.0, step).tolist())
+        if step == 0:
+            raise ValueError(f"range {text!r} has a zero step")
+        powers = tuple(np.arange(lo, hi + step / 2.0, step).tolist())
+        if not powers:
+            raise ValueError(f"range {text!r} is empty")
+        return powers
     return tuple(float(v) for v in text.split(","))
 
 
@@ -315,23 +350,34 @@ def load_config(path: "str | Path") -> SimConfig:
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.strip()
-        if key in _SIM_KEYS:
-            sim_kwargs[key] = _SIM_KEYS[key](value)
-        elif key in _CHANNEL_KEYS:
-            chan_kwargs[key] = _CHANNEL_KEYS[key](value)
-        elif key == "geometries":
-            sim_kwargs["geometries"] = tuple(v.strip().upper()
-                                             for v in value.split(","))
-        elif key == "signalings":
-            sim_kwargs["signalings"] = _parse_signalings(value)
-        elif key == "hardware":
-            sim_kwargs["hardware"] = tuple(v.strip() for v in value.split(","))
-        elif key == "powers_dbm":
-            sim_kwargs["powers_dbm"] = _parse_powers(value)
-        elif key == "angular_spread_deg":
-            chan_kwargs["angular_spread_rad"] = float(np.deg2rad(float(value)))
-        elif key in ("tx_position", "rx_position"):
-            chan_kwargs[key] = tuple(float(v) for v in value.split(","))
-        else:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            _parse_entry(key, value, sim_kwargs, chan_kwargs)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return SimConfig(channel=ChannelConfig(**chan_kwargs), **sim_kwargs)
+
+
+def _parse_entry(key: str, value: str, sim_kwargs: dict,
+                 chan_kwargs: dict) -> None:
+    """Store one config entry in the SimConfig or ChannelConfig kwargs."""
+    if key in _SIM_KEYS:
+        sim_kwargs[key] = _SIM_KEYS[key](value)
+    elif key in _CHANNEL_KEYS:
+        chan_kwargs[key] = _CHANNEL_KEYS[key](value)
+    elif key == "geometries":
+        sim_kwargs["geometries"] = tuple(v.strip().upper()
+                                         for v in value.split(","))
+    elif key == "signalings":
+        sim_kwargs["signalings"] = _parse_signalings(value)
+    elif key == "hardware":
+        sim_kwargs["hardware"] = tuple(v.strip() for v in value.split(","))
+        for token in sim_kwargs["hardware"]:
+            HardwareSpec.parse(token)
+    elif key == "powers_dbm":
+        sim_kwargs["powers_dbm"] = _parse_powers(value)
+    elif key == "angular_spread_deg":
+        chan_kwargs["angular_spread_rad"] = float(np.deg2rad(float(value)))
+    elif key in ("tx_position", "rx_position"):
+        chan_kwargs[key] = tuple(float(v) for v in value.split(","))
+    else:
+        raise ValueError("unknown key")

@@ -121,7 +121,7 @@ def transmit_and_receive(cb: CimCodebook, h: np.ndarray, tx: TxSymbols,
 
 def branch_amplitudes(cb: CimCodebook, h: np.ndarray) -> np.ndarray:
     """Per-branch channel projections w_c^H H f_c, shape (B,)."""
-    return np.einsum("nc,nm,mc->c", cb.combiners.conj(), h, cb.beamformers)
+    return ((cb.combiners.conj().T @ h) * cb.beamformers.T).sum(axis=1)
 
 
 def ml_detect(z: np.ndarray, cb: CimCodebook, h: np.ndarray,

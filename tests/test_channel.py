@@ -3,7 +3,7 @@ import pytest
 
 from cimsim.arrays import GeometrySpec, element_positions
 from cimsim.channel import (ChannelConfig, assemble_matrix, path_loss,
-                            sample_realization)
+                            sample_realization, steering_matrix)
 
 LAM = 0.0107068735
 
@@ -84,6 +84,17 @@ class TestSampleRealization:
         assert np.array_equal(a.gains, b.gains)
         assert np.array_equal(a.aoa_el, b.aoa_el)
         assert a.shadow_db == b.shadow_db
+
+    def test_cached_steering_matrices_match_stored_angles(self):
+        cfg = ChannelConfig(clusters=3, paths_per_cluster=4)
+        tx = small_positions(3)
+        rx = small_positions(5)
+        r = sample_realization(cfg, tx, rx, seed=31)
+        assert np.array_equal(r.a_t, steering_matrix(tx, r.aod_az, r.aod_el,
+                                                     r.wavelength))
+        assert np.array_equal(r.a_r, steering_matrix(rx, r.aoa_az, r.aoa_el,
+                                                     r.wavelength))
+        assert r.a_t.shape == (3, 12) and r.a_r.shape == (5, 12)
 
     def test_reassembly_reproduces_stored_matrix(self):
         cfg = ChannelConfig()

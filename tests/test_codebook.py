@@ -37,6 +37,15 @@ class TestFpsBank:
         with pytest.raises(ValueError):
             FpsBank(1)
 
+    def test_rejects_step_below_wrapped_phase_resolution(self):
+        resolution = np.spacing(2 * np.pi)
+        finest = max(n for n in range(2, 128)
+                     if 2 * np.pi / 2 ** (n - 1) >= resolution)
+        assert FpsBank(finest).phase_step >= resolution
+        for n in (finest + 1, 70):
+            with pytest.raises(ValueError, match="resolution"):
+                FpsBank(n)
+
 
 class TestComposeSwitchVector:
     def test_zero_phase(self):
@@ -226,6 +235,32 @@ class TestBuildCodebook:
         quantized = build_codebook(realization, 4, bank=FpsBank(4))
         assert ideal.clusters == quantized.clusters
         assert np.array_equal(ideal.best_paths, quantized.best_paths)
+
+    def test_codewords_are_selected_path_steering_vectors(self):
+        realization, pos = make_realization(seed=9)
+        cb = build_codebook(realization, 4)
+        clusters = np.array(cb.clusters)
+        paths = cb.best_paths[clusters]
+        lam = realization.wavelength
+        assert np.array_equal(cb.beamformers, steering_matrix(
+            pos, realization.aod_az[clusters, paths],
+            realization.aod_el[clusters, paths], lam))
+        assert np.array_equal(cb.combiners, steering_matrix(
+            pos, realization.aoa_az[clusters, paths],
+            realization.aoa_el[clusters, paths], lam))
+
+    def test_he_codebook_is_quantized_ideal_codebook(self):
+        realization, _ = make_realization(seed=9)
+        bank = FpsBank(4)
+        ideal = build_codebook(realization, 4)
+        he = build_codebook(realization, 4, bank)
+        assert he.clusters == ideal.clusters
+        assert np.array_equal(he.best_paths, ideal.best_paths)
+        assert np.array_equal(he.effective_gains, ideal.effective_gains)
+        assert np.array_equal(he.beamformers,
+                              quantize_weights(ideal.beamformers, bank))
+        assert np.array_equal(he.combiners,
+                              quantize_weights(ideal.combiners, bank))
 
     def test_order_validation(self):
         realization, _ = make_realization(clusters=4, paths=2)

@@ -1,3 +1,6 @@
+import dataclasses
+import time
+
 import numpy as np
 import pytest
 
@@ -49,6 +52,19 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(**{**dict(), **kwargs})
 
+    def test_scenario_layout_checked_per_geometry(self):
+        with pytest.raises(ValueError, match="geometry CCA with n_elements=16"):
+            SimConfig(geometries=("ULA", "CCA"), n_elements=16)
+
+    def test_phase_step_below_wrapped_phase_resolution_rejected(self):
+        resolution = np.spacing(2 * np.pi)
+        finest = max(n for n in range(2, 128)
+                     if 2 * np.pi / 2 ** (n - 1) >= resolution)
+        SimConfig(hardware=("OP", f"HE{finest}"))
+        for n in (finest + 1, 70):
+            with pytest.raises(ValueError, match=f"HE{n}"):
+                SimConfig(hardware=(f"HE{n}",))
+
 
 class TestRunSweep:
     def test_noiseless_sweep_has_zero_errors(self):
@@ -95,6 +111,42 @@ class TestRunSweep:
         # 7-bit quantization barely moves decisions under shared seeds
         for a, b in zip(op, he):
             assert abs(a.ber - b.ber) < 0.05
+
+    def test_hardware_subset_gives_same_rows(self):
+        # error_limit 40 stops OP and HE4 after different realization
+        # counts at some ULA power points
+        cfg = SimConfig(**{**TINY, "hardware": ("OP", "HE4"),
+                           "powers_dbm": (-20.0, -10.0, 10.0),
+                           "realizations": 12, "symbols_per_realization": 16,
+                           "error_limit": 40})
+
+        def rows(c):
+            return [(r.geometry, r.hardware, r.power_dbm, r.bit_errors,
+                     r.bits_total, r.realizations_used) for r in run_sweep(c)]
+
+        joint = rows(cfg)
+        alone = (rows(dataclasses.replace(cfg, hardware=("OP",)))
+                 + rows(dataclasses.replace(cfg, hardware=("HE4",))))
+        assert joint == [row for g in cfg.geometries for row in alone
+                         if row[0] == g]
+        used = {row[:3]: row[5] for row in joint}
+        assert any(used[g, "OP", p] != used[g, "HE4", p]
+                   for g in cfg.geometries for p in cfg.powers_dbm)
+
+    def test_pool_with_more_tasks_than_workers(self):
+        cfg = SimConfig(**{**TINY, "geometries": ("ULA", "URA", "UCA"),
+                           "hardware": ("OP", "HE4")})
+        assert (results_to_csv(run_sweep(cfg, workers=2))
+                == results_to_csv(run_sweep(cfg, workers=1)))
+
+    def test_elapsed_splits_task_time_over_its_points(self):
+        cfg = SimConfig(**{**TINY, "hardware": ("OP", "HE4")})
+        started = time.perf_counter()
+        results = run_sweep(cfg)
+        wall = time.perf_counter() - started
+        assert 0.0 < sum(r.elapsed_s for r in results) <= wall
+        for g in cfg.geometries:
+            assert len({r.elapsed_s for r in results if r.geometry == g}) == 1
 
     def test_matches_per_symbol_link_pipeline(self):
         # rebuild one grid point with the module-level link API
@@ -197,6 +249,18 @@ class TestConfigFile:
         path = tmp_path / "bad.cfg"
         path.write_text("geometries = ULA\nbogus_key = 3\n")
         with pytest.raises(ValueError, match="bogus_key"):
+            load_config(path)
+
+    def test_zero_power_step_names_key_and_line(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("geometries = ULA\npowers_dbm = 0:10:0\n")
+        with pytest.raises(ValueError, match=r"bad\.cfg:2: powers_dbm"):
+            load_config(path)
+
+    def test_unrealizable_bank_names_key_and_line(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("hardware = OP, HE70\n")
+        with pytest.raises(ValueError, match=r"bad\.cfg:1: hardware: .*HE70"):
             load_config(path)
 
     def test_malformed_line_rejected(self, tmp_path):

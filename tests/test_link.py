@@ -114,6 +114,14 @@ class TestTransmitAndReceive:
                                  TxSymbols.from_values(0, 0, psk_constellation(4)),
                                  link, np.random.default_rng(0))
 
+    def test_branch_amplitudes_are_per_branch_projections(self):
+        realization, cb, _ = make_link(seed=5, order=4)
+        h = realization.matrix
+        expected = [cb.combiners[:, c].conj() @ h @ cb.beamformers[:, c]
+                    for c in range(4)]
+        np.testing.assert_allclose(branch_amplitudes(cb, h), expected,
+                                   rtol=1e-12, atol=0)
+
 
 class TestMlDetect:
     def test_noiseless_exhaustive_exact(self):
