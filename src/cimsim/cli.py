@@ -185,7 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:    # bad config, geometry or grid
+        print(f"cimsim: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -156,7 +156,17 @@ _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 def _run_task(cfg: SimConfig, geometry_index: int,
               signaling_index: int) -> list[BerResult]:
     """Every hardware and power point of one (geometry, signaling) pair,
-    ordered hardware-major."""
+    ordered hardware-major.  A failure names the pair that raised it."""
+    try:
+        return _sweep_pair(cfg, geometry_index, signaling_index)
+    except Exception as exc:
+        order, constellation = cfg.signalings[signaling_index]
+        raise RuntimeError(f"{cfg.geometries[geometry_index]} "
+                           f"{order}x{constellation}: {exc}") from exc
+
+
+def _sweep_pair(cfg: SimConfig, geometry_index: int,
+                signaling_index: int) -> list[BerResult]:
     started = time.perf_counter()
     geometry = cfg.geometries[geometry_index]
     order, constellation = cfg.signalings[signaling_index]
@@ -278,6 +288,7 @@ def aggregate_and_emit(results: list[BerResult], out_dir: "str | Path",
     manifest = {
         "version": __version__,
         "config": _config_dict(cfg) if cfg is not None else None,
+        "elements": _element_counts(cfg) if cfg is not None else None,
         "points": len(results),
         "realizations_used": {f"{r.geometry}/{r.order}x{r.constellation}/"
                               f"{r.hardware}/{r.power_dbm:g}": r.realizations_used
@@ -286,6 +297,14 @@ def aggregate_and_emit(results: list[BerResult], out_dir: "str | Path",
     manifest_path = out / "run_manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return csv_path, manifest_path
+
+
+def _element_counts(cfg: SimConfig) -> dict[str, int]:
+    """Elements each geometry really has; the URA rounds ``n_elements``
+    to a square (82 -> 81)."""
+    return {g: scenario_geometry(g, cfg.channel.wavelength,
+                                 cfg.n_elements).n_elements
+            for g in cfg.geometries}
 
 
 def _config_dict(cfg: SimConfig) -> dict:

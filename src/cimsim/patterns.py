@@ -25,6 +25,12 @@ from .arrays import ArrayKind, GeometrySpec, element_positions, \
 
 HALF_POWER_DB = 10.0 * np.log10(2.0)
 MAIN_LOBE_FLOOR_DB = 20.0  # main lobe = connected region above peak - 20 dB
+# Chart coordinates (and azimuth projections) closer than this fraction of
+# the array extent are merged by compute_pattern.  Mirror-image elements,
+# e.g. cos(2 pi n/N) and cos(2 pi (N-n)/N) on a ring, differ by a few ulps,
+# so the merge only removes float noise: a phase error of the order of
+# 2 pi * 1e-12 * extent / wavelength.
+_GROUP_RTOL = 1e-12
 
 # Chart basis for planar arrays, columns = chart axes in array coords:
 # chart x -> array z (broadside), chart y -> array x, chart z -> array y.
@@ -116,6 +122,21 @@ def compute_pattern(positions: np.ndarray, weights: np.ndarray,
 
     ``steer_el_off_deg`` is the pointing offset from broadside; the grid
     stores the corresponding chart polar angle 90 - offset.
+
+    The array factor is factored over the element positions in the chart
+    frame, P = positions @ frame, whose phase is
+    k (sin el (cos az P0 + sin az P1) + cos el P2):
+
+        AF[el, az] = sum_g exp(j sin el q[az, g]) B[el, g],
+        B[el, g]   = sum_{n in g} w_n^* exp(j k cos el P2_n),
+        q[az, g]   = k (cos az P0_g + sin az P1_g),
+
+    where g runs over the distinct (P0, P1) pairs of the elements and only
+    the distinct rows of q (azimuth columns) are exponentiated.  Values
+    that agree to within ``_GROUP_RTOL`` of the array extent count as
+    equal.  So a ULA (P0 = P1 = 0) needs one exponential per elevation row
+    and element, and a planar array (P0 = 0) one per elevation row,
+    distinct sin az (az and 180 - az share a column) and distinct P1.
     """
     positions = np.asarray(positions, dtype=float)
     weights = np.asarray(weights, dtype=complex)
@@ -123,8 +144,7 @@ def compute_pattern(positions: np.ndarray, weights: np.ndarray,
         raise ValueError("weights length must match element count")
     if az_step_deg > 1.0 or el_step_deg > 1.0:
         raise ValueError("grid resolution must be 1 degree or finer")
-    if frame is None:
-        frame = np.eye(3)
+    frame = np.eye(3) if frame is None else np.asarray(frame, float)
 
     az_deg = np.arange(-180.0, 180.0, az_step_deg)
     el_deg = np.arange(0.0, 180.0 + el_step_deg / 2.0, el_step_deg)
@@ -134,16 +154,29 @@ def compute_pattern(positions: np.ndarray, weights: np.ndarray,
     el = np.deg2rad(el_deg)
     kscale = 2.0 * np.pi / wavelength
 
+    chart = positions @ frame
+    # all-zero coordinates group under any tolerance
+    tol = _GROUP_RTOL * (np.abs(chart).max(initial=0.0) or 1.0)
+    first, group = _distinct_rows(chart[:, :2], tol)
+    b = np.zeros((el.size, first.size), dtype=complex)  # (E, G)
+    np.add.at(b, (slice(None), group),
+              np.exp(1j * kscale * np.outer(np.cos(el), chart[:, 2]))
+              * weights.conj())
+
+    in_plane = np.outer(np.cos(az), chart[first, 0]) \
+        + np.outer(np.sin(az), chart[first, 1])         # (A, G)
+    columns, column = _distinct_rows(in_plane, tol)
+    q = kscale * in_plane[columns]                      # (A', G)
+
     power = np.empty((el.size, az.size))
-    wc = weights.conj()
+    sin_el = np.sin(el)
     for i0 in range(0, el.size, row_chunk):
         i1 = min(i0 + row_chunk, el.size)
-        d = chart_directions(az[None, :], el[i0:i1, None], frame)
-        phase = kscale * np.tensordot(d, positions.T, axes=([2], [0]))
-        af = np.exp(1j * phase) @ wc      # sqrt(N) * w^H a
-        power[i0:i1] = np.abs(af) ** 2
+        terms = np.exp(1j * sin_el[i0:i1, None, None] * q)
+        af = (terms @ b[i0:i1, :, None])[:, :, 0]       # sqrt(N) * w^H a
+        power[i0:i1] = (np.abs(af) ** 2)[:, column]
 
-    el_weights = np.sin(el)
+    el_weights = sin_el.copy()
     el_weights[0] *= 0.5
     el_weights[-1] *= 0.5
     integral = (power * el_weights[:, None]).sum() \
@@ -153,7 +186,16 @@ def compute_pattern(positions: np.ndarray, weights: np.ndarray,
     return RadiationPattern(az_deg=az_deg, el_deg=el_deg, gain_db=gain_db,
                             steer_az_deg=steer_az_deg,
                             steer_el_deg=90.0 - steer_el_off_deg,
-                            frame=np.asarray(frame, float))
+                            frame=frame)
+
+
+def _distinct_rows(values: np.ndarray,
+                   tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the first row of each distinct row, and the distinct-row
+    number of every row; rows are compared on a grid of step ``tol``."""
+    _, first, inverse = np.unique(np.round(values / tol), axis=0,
+                                  return_index=True, return_inverse=True)
+    return first, inverse.ravel()
 
 
 def steered_pattern(spec: GeometrySpec, az_off_deg: float = 0.0,

@@ -1,0 +1,20 @@
+import pytest
+
+from cimsim.cli import main
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["ber", "--power-range", "0:10:0"], "zero step"),
+    (["ber", "--config", "{cfg}"], "geometry CCA with n_elements=16"),
+    (["pattern", "--geometry", "ULA", "--resolution", "2"],
+     "1 degree or finer"),
+])
+def test_bad_input_is_one_line_error(tmp_path, capsys, argv, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("geometries = CCA\nn_elements = 16\n")
+    argv = [a.format(cfg=cfg) for a in argv] + ["--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cimsim: error: ")
+    assert message in err
+    assert err.count("\n") == 1

@@ -1,9 +1,11 @@
 import dataclasses
+import json
 import time
 
 import numpy as np
 import pytest
 
+from cimsim import harness
 from cimsim.arrays import element_positions, scenario_geometry
 from cimsim.channel import sample_realization
 from cimsim.codebook import build_codebook
@@ -139,6 +141,18 @@ class TestRunSweep:
         assert (results_to_csv(run_sweep(cfg, workers=2))
                 == results_to_csv(run_sweep(cfg, workers=1)))
 
+    def test_task_failure_names_its_curve(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ZeroDivisionError("channel draw failed")
+
+        monkeypatch.setattr(harness, "sample_realization", fail)
+        cfg = SimConfig(**{**TINY, "geometries": ("URA",),
+                           "signalings": ((4, 2),)})
+        with pytest.raises(RuntimeError,
+                           match=r"^URA 4x2: channel draw failed$") as info:
+            run_sweep(cfg)
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+
     def test_elapsed_splits_task_time_over_its_points(self):
         cfg = SimConfig(**{**TINY, "hardware": ("OP", "HE4")})
         started = time.perf_counter()
@@ -199,10 +213,19 @@ class TestEmit:
         text = csv_path.read_text()
         assert text.startswith("geometry,B,M,hardware,N_F,P_dBm,")
         assert len(text.splitlines()) == len(results) + 1
-        import json
         manifest = json.loads(manifest_path.read_text())
         assert manifest["config"]["seed"] == 7
         assert manifest["points"] == len(results)
+
+    def test_manifest_records_element_counts(self, tmp_path):
+        # the URA rounds n_elements to a square; the manifest shows it
+        cfg = SimConfig(**{**TINY, "geometries": ("ULA", "URA", "UCA", "CCA"),
+                           "n_elements": 82, "powers_dbm": (0.0,),
+                           "realizations": 1, "symbols_per_realization": 2})
+        _, manifest_path = aggregate_and_emit(run_sweep(cfg), tmp_path, cfg)
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["elements"] == {"ULA": 82, "URA": 81, "UCA": 82,
+                                        "CCA": 82}
 
     def test_same_config_same_bytes(self, tmp_path):
         cfg = SimConfig(**{**TINY, "realizations": 2})

@@ -20,6 +20,33 @@ def sinc_mean(positions, weights, wavelength):
     return float(np.real(np.einsum("m,n,mn->", weights, weights.conj(), sinc)))
 
 
+def direct_directivity(positions, weights, wavelength, frame, step_deg):
+    """Brute-force |sum w* exp(j k d.p)|^2 per grid direction, normalized
+    to 4*pi with the same quadrature as compute_pattern (linear)."""
+    az = np.deg2rad(np.arange(-180.0, 180.0, step_deg))
+    el = np.deg2rad(np.arange(0.0, 180.0 + step_deg / 2.0, step_deg))
+    d = chart_directions(az[None, :], el[:, None], frame)
+    phase = 2 * np.pi / wavelength * (d @ positions.T)
+    power = np.abs(np.exp(1j * phase) @ weights.conj()) ** 2
+    wel = np.sin(el)
+    wel[0] *= 0.5
+    wel[-1] *= 0.5
+    integral = (power * wel[:, None]).sum() * np.deg2rad(step_deg) ** 2
+    return power * (4 * np.pi / integral)
+
+
+def assert_matches_direct_sum(pat, positions, weights, frame, step_deg):
+    ref = direct_directivity(positions, weights, LAM, frame, step_deg)
+    got = 10 ** (pat.gain_db / 10.0)
+    assert got.shape == ref.shape
+    np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-9 * ref.max())
+
+
+def random_weights(rng, n):
+    w = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return w / np.linalg.norm(w)
+
+
 class TestFrames:
     def test_ula_frame_is_identity(self):
         np.testing.assert_array_equal(pattern_frame(ArrayKind.ULA), np.eye(3))
@@ -84,6 +111,44 @@ class TestComputePattern:
         spec = GeometrySpec.ula(82, LAM)
         pat = steered_pattern(spec, 0.0, 0.0, az_step_deg=0.5, el_step_deg=0.5)
         assert pat.gain_db.max() == pytest.approx(10 * np.log10(82), abs=0.02)
+
+    def test_general_positions_and_frame_match_direct_sum(self):
+        # non-planar positions in a rotated frame: nothing to group
+        rng = np.random.default_rng(11)
+        pos = rng.uniform(-1.5, 1.5, (12, 3)) * LAM
+        w = random_weights(rng, 12)
+        frame, r = np.linalg.qr(rng.normal(size=(3, 3)))
+        frame *= np.sign(np.diag(r))
+        pat = compute_pattern(pos, w, LAM, az_step_deg=1.0, el_step_deg=1.0,
+                              frame=frame)
+        assert_matches_direct_sum(pat, pos, w, frame, 1.0)
+
+    @pytest.mark.parametrize("kind", ["ULA", "URA", "UCA", "CCA"])
+    def test_scenario_geometries_match_direct_sum(self, kind):
+        rng = np.random.default_rng(5)
+        spec = scenario_geometry(kind, LAM)
+        pos = element_positions(spec)
+        w = random_weights(rng, spec.n_elements)
+        pat = steered_pattern(spec, az_step_deg=1.0, el_step_deg=1.0,
+                              weights=w)
+        assert_matches_direct_sum(pat, pos, w, pattern_frame(kind), 1.0)
+
+    def test_grid_without_mirror_columns_matches_direct_sum(self):
+        # at 0.7 deg the column 180 - az is never on the azimuth grid
+        rng = np.random.default_rng(8)
+        spec = scenario_geometry("URA", LAM, 16)
+        pos = element_positions(spec)
+        w = random_weights(rng, spec.n_elements)
+        pat = steered_pattern(spec, az_step_deg=0.7, el_step_deg=0.7,
+                              weights=w)
+        assert_matches_direct_sum(pat, pos, w, pattern_frame("URA"), 0.7)
+
+    def test_ula_pattern_is_constant_along_azimuth(self):
+        rng = np.random.default_rng(3)
+        spec = GeometrySpec.ula(16, LAM)
+        pat = steered_pattern(spec, az_step_deg=0.5, el_step_deg=0.5,
+                              weights=random_weights(rng, 16))
+        assert np.all(np.ptp(pat.gain_db, axis=1) == 0)
 
     def test_rejects_coarse_grid_and_bad_weights(self):
         spec = GeometrySpec.ula(4, LAM)
