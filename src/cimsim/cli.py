@@ -64,7 +64,8 @@ def _resolve_config(args: argparse.Namespace) -> SimConfig:
 def cmd_ber(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     results = run_sweep(cfg, workers=args.workers)
-    csv_path, manifest_path = aggregate_and_emit(results, args.out, cfg)
+    csv_path, manifest_path = aggregate_and_emit(results, args.out, cfg,
+                                                 workers=args.workers)
     print(f"wrote {csv_path} and {manifest_path}")
     for r in results:
         print(f"{r.geometry:>4} B={r.order} M={r.constellation} "
@@ -94,10 +95,10 @@ def cmd_pattern(args: argparse.Namespace) -> int:
     carrier = args.carrier_ghz * 1e9
     wavelength = 299792458.0 / carrier
     az_off, el_off = args.steer
-    args.out.mkdir(parents=True, exist_ok=True)
+    specs = [scenario_geometry(ArrayKind(g), wavelength, args.n_elements)
+             for g in geometries]
     rows = []
-    for g in geometries:
-        spec = scenario_geometry(ArrayKind(g), wavelength, args.n_elements)
+    for g, spec in zip(geometries, specs):
         pat = steered_pattern(spec, az_off, el_off,
                               az_step_deg=args.resolution,
                               el_step_deg=args.resolution)
@@ -106,6 +107,7 @@ def cmd_pattern(args: argparse.Namespace) -> int:
         rows.append((g, f"{s.directivity_dbi:.2f}", az_txt,
                      f"{s.hpbw_el_deg:.2f}", f"{s.asld_db:.2f}"))
         grid = pattern_to_rows(pat)
+        args.out.mkdir(parents=True, exist_ok=True)   # after validation
         path = args.out / f"pattern_{g.lower()}_az{az_off:g}_el{el_off:g}.csv"
         np.savetxt(path, grid, delimiter=",", comments="",
                    header="az_deg,el_deg,directivity_dbi", fmt="%.4f")

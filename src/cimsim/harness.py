@@ -17,12 +17,18 @@ subset of the hardware models.
 The hardware-efficient (HE) model applies the quantized weights in the
 signal path while detection keeps the ideal-hardware hypothesis values,
 which is what makes coarse banks floor out at high power.
+
+A sweep run on a process pool gives each worker process its share of the
+usable CPUs for BLAS threads, so workers x BLAS threads never exceed the
+CPUs; the serial path leaves BLAS as it is.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -150,9 +156,6 @@ class BerResult:
         return float(np.sqrt(p * (1.0 - p) / self.bits_total))
 
 
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
-
-
 def _run_task(cfg: SimConfig, geometry_index: int,
               signaling_index: int) -> list[BerResult]:
     """Every hardware and power point of one (geometry, signaling) pair,
@@ -228,8 +231,10 @@ def _sweep_pair(cfg: SimConfig, geometry_index: int,
                 flat = metric.reshape(t_symbols, -1).argmin(axis=1)
                 c_hat = flat // constellation
                 s_hat = flat % constellation
-                errors[h, i] += _POPCOUNT[np.bitwise_xor(x0, c_hat)].sum()
-                errors[h, i] += _POPCOUNT[np.bitwise_xor(x1, s_hat)].sum()
+                errors[h, i] += np.bitwise_count(x0 ^ c_hat).sum(
+                    dtype=np.int64)
+                errors[h, i] += np.bitwise_count(x1 ^ s_hat).sum(
+                    dtype=np.int64)
                 used[h, i] += 1
 
     elapsed_s = (time.perf_counter() - started) / errors.size
@@ -246,20 +251,109 @@ def _sweep_pair(cfg: SimConfig, geometry_index: int,
 
 def run_sweep(cfg: SimConfig, workers: int = 1) -> list[BerResult]:
     """Full grid sweep; results ordered geometry-major, then signaling,
-    then hardware, power-minor."""
+    then hardware, power-minor.
+
+    With ``workers > 1`` and more than one task, ``min(workers, tasks)``
+    processes share the tasks and each caps its BLAS threads at
+    ``_worker_blas_threads``."""
     tasks = [(gi, si)
              for gi in range(len(cfg.geometries))
              for si in range(len(cfg.signalings))]
-    if workers <= 1 or len(tasks) == 1:
+    threads = _worker_blas_threads(workers, len(tasks))
+    if threads is None:
         results = [_run_task(cfg, *task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
+                                 initializer=_limit_blas_threads,
+                                 initargs=(threads,)) as pool:
             results = list(pool.map(_pool_task, [(cfg, *task) for task in tasks]))
     return [result for task in results for result in task]
 
 
 def _pool_task(payload: tuple) -> list[BerResult]:
     return _run_task(*payload)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS
+    has one, else the machine's count)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _worker_blas_threads(workers: int, n_tasks: int) -> int | None:
+    """BLAS threads per pool worker: the usable CPUs split over the
+    ``min(workers, n_tasks)`` worker processes, at least one.  None when
+    the sweep runs serially, which leaves BLAS threads as they are."""
+    processes = min(workers, n_tasks)
+    if processes <= 1:
+        return None
+    return max(1, _usable_cpus() // processes)
+
+
+# Thread-count setters of OpenBLAS builds, most specific first: numpy's
+# 64-bit-integer wheel build, scipy's wheel build, then plain OpenBLAS.
+_OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_",
+                         "scipy_openblas_set_num_threads",
+                         "openblas_set_num_threads64_",
+                         "openblas_set_num_threads")
+
+
+def _openblas_libraries() -> list[ctypes.CDLL]:
+    """OpenBLAS shared libraries mapped into this process, read from
+    ``/proc/self/maps``; empty where that file does not exist (an OS
+    other than Linux) or no mapped path names OpenBLAS."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {fields[5].strip() for fields in
+                     (line.split(None, 5) for line in maps)
+                     if len(fields) == 6 and "openblas" in fields[5]}
+    except OSError:
+        return []
+    libraries = []
+    for path in sorted(paths):
+        try:
+            libraries.append(ctypes.CDLL(path))
+        except OSError:    # a mapped file since deleted: "<path> (deleted)"
+            pass
+    return libraries
+
+
+def _limit_blas_threads(threads: int) -> None:
+    """Pool worker initializer: cap every mapped OpenBLAS library's
+    thread pool at ``threads`` through its first exported setter.
+
+    A no-op where no OpenBLAS library is found: on an OS without
+    ``/proc/self/maps``, or with another BLAS (MKL, Accelerate, BLIS),
+    whose threads then stay at their defaults."""
+    for lib in _openblas_libraries():
+        for name in _OPENBLAS_SET_THREADS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(threads)
+                break
+
+
+def _environment(workers: int | None, n_tasks: int) -> dict:
+    """numpy/BLAS build, usable CPUs and thread variables of this run;
+    with a worker count, also the BLAS thread cap of each pool worker."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    env = {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "cpus": _usable_cpus(),
+        "thread_variables": {name: os.environ.get(name) for name in
+                             ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                              "MKL_NUM_THREADS")},
+    }
+    if workers is not None:
+        env["workers"] = workers
+        env["blas_threads"] = _worker_blas_threads(workers, n_tasks)
+    return env
 
 
 CSV_HEADER = ("geometry,B,M,hardware,N_F,P_dBm,bits_total,bit_errors,"
@@ -276,8 +370,13 @@ def results_to_csv(results: list[BerResult]) -> str:
 
 
 def aggregate_and_emit(results: list[BerResult], out_dir: "str | Path",
-                       cfg: SimConfig | None = None) -> tuple[Path, Path]:
-    """Write ber_results.csv plus a JSON run manifest; returns both paths."""
+                       cfg: SimConfig | None = None, *,
+                       workers: int | None = None) -> tuple[Path, Path]:
+    """Write ber_results.csv plus a JSON run manifest; returns both paths.
+
+    ``workers`` is the worker count the sweep ran with; the manifest's
+    ``environment`` then also records it and the per-worker BLAS thread
+    cap (null on the serial path)."""
     if not results:
         raise ValueError("no results to emit")
     out = Path(out_dir)
@@ -285,8 +384,12 @@ def aggregate_and_emit(results: list[BerResult], out_dir: "str | Path",
     csv_path = out / "ber_results.csv"
     csv_path.write_text(results_to_csv(results))
 
+    n_tasks = (len(cfg.geometries) * len(cfg.signalings) if cfg is not None
+               else len({(r.geometry, r.order, r.constellation)
+                         for r in results}))
     manifest = {
         "version": __version__,
+        "environment": _environment(workers, n_tasks),
         "config": _config_dict(cfg) if cfg is not None else None,
         "elements": _element_counts(cfg) if cfg is not None else None,
         "points": len(results),

@@ -12,9 +12,11 @@ from cimsim.cli import main
 def test_bad_input_is_one_line_error(tmp_path, capsys, argv, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("geometries = CCA\nn_elements = 16\n")
-    argv = [a.format(cfg=cfg) for a in argv] + ["--out", str(tmp_path)]
+    out = tmp_path / "out"
+    argv = [a.format(cfg=cfg) for a in argv] + ["--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("cimsim: error: ")
     assert message in err
     assert err.count("\n") == 1
+    assert not out.exists()      # nothing is created before input is valid

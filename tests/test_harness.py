@@ -1,6 +1,11 @@
+import ctypes
 import dataclasses
+import functools
 import json
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,6 +23,32 @@ from cimsim.link import (LinkConfig, TxSymbols, array_gain_db, bit_errors,
 TINY = dict(geometries=("ULA", "URA"), signalings=((2, 4),), hardware=("OP",),
             powers_dbm=(-20.0, -10.0), realizations=3,
             symbols_per_realization=8, seed=7, n_elements=16)
+
+
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count()
+
+
+_OPENBLAS_GET_THREADS = ("scipy_openblas_get_num_threads64_",
+                         "scipy_openblas_get_num_threads",
+                         "openblas_get_num_threads64_",
+                         "openblas_get_num_threads")
+
+
+def _blas_thread_counts(*_task) -> list[tuple[str, int]]:
+    """(path, thread count) of every OpenBLAS library the harness finds
+    mapped into this process."""
+    counts = []
+    for lib in harness._openblas_libraries():
+        name = next(n for n in _OPENBLAS_GET_THREADS if hasattr(lib, n))
+        getter = getattr(lib, name)
+        getter.argtypes = []
+        getter.restype = ctypes.c_int
+        counts.append((lib._name, getter()))
+    return counts
 
 
 class TestHardwareSpec:
@@ -141,6 +172,27 @@ class TestRunSweep:
         assert (results_to_csv(run_sweep(cfg, workers=2))
                 == results_to_csv(run_sweep(cfg, workers=1)))
 
+    @pytest.mark.parametrize("workers,geometries", [
+        (2, ("ULA", "URA")), (8, ("ULA", "URA", "UCA"))])
+    def test_pool_workers_cap_blas_threads(self, monkeypatch, workers,
+                                           geometries):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if "openblas" not in str(blas.get("name")).lower():
+            pytest.skip("numpy is not built against OpenBLAS")
+        parent = _blas_thread_counts()
+        assert parent, "numpy's OpenBLAS library not found in /proc/self/maps"
+        # each forked worker runs the task stub, which reports its BLAS
+        # thread counts instead of sweeping
+        monkeypatch.setattr(harness, "_run_task", _blas_thread_counts)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        cfg = SimConfig(**{**TINY, "geometries": geometries})
+        counts = run_sweep(cfg, workers=workers)
+        expected = max(1, _cpus() // min(workers, len(geometries)))
+        assert counts == [(path, expected) for _ in geometries
+                          for path, _count in parent]
+        assert _blas_thread_counts() == parent    # this process: untouched
+
     def test_task_failure_names_its_curve(self, monkeypatch):
         def fail(*args, **kwargs):
             raise ZeroDivisionError("channel draw failed")
@@ -216,6 +268,32 @@ class TestEmit:
         manifest = json.loads(manifest_path.read_text())
         assert manifest["config"]["seed"] == 7
         assert manifest["points"] == len(results)
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        env = manifest["environment"]
+        assert env["numpy"] == np.__version__
+        assert env["blas"] == {"name": blas["name"],
+                               "version": blas["version"]}
+        assert env["cpus"] == _cpus()
+        assert "workers" not in env and "blas_threads" not in env
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_manifest_records_threads_and_workers(self, tmp_path, monkeypatch,
+                                                  workers):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        cfg = SimConfig(**{**TINY, "realizations": 1,
+                           "symbols_per_realization": 2})
+        _, manifest_path = aggregate_and_emit(run_sweep(cfg), tmp_path, cfg,
+                                              workers=workers)
+        env = json.loads(manifest_path.read_text())["environment"]
+        assert env["thread_variables"] == {"OMP_NUM_THREADS": None,
+                                           "OPENBLAS_NUM_THREADS": "3",
+                                           "MKL_NUM_THREADS": None}
+        assert env["workers"] == workers
+        # the serial path (one worker) leaves BLAS uncapped
+        assert env["blas_threads"] == (
+            None if workers == 1 else max(1, _cpus() // min(workers, 2)))
 
     def test_manifest_records_element_counts(self, tmp_path):
         # the URA rounds n_elements to a square; the manifest shows it
