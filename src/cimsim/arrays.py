@@ -1,4 +1,4 @@
-"""Antenna array geometries and steering (array response) vectors.
+"""Antenna array geometries and the steering (array response) kernel.
 
 Supported layouts: uniform linear (ULA, along z), uniform rectangular
 (URA, x-y plane), uniform circular (UCA) and concentric circular (CCA),
@@ -141,37 +141,30 @@ def element_positions(spec: GeometrySpec) -> np.ndarray:
     return np.vstack(rings)
 
 
-def wave_number(az: float, el: float, wavelength: float) -> np.ndarray:
-    """Propagation vector (rad/m) for polar angle ``el`` and azimuth ``az``."""
-    if wavelength <= 0:
-        raise ValueError("wavelength must be positive")
-    return (2.0 * np.pi / wavelength) * np.array([
-        np.sin(el) * np.cos(az),
-        np.sin(el) * np.sin(az),
-        np.cos(el),
-    ])
+def unit_directions(az: np.ndarray, el: np.ndarray) -> np.ndarray:
+    """Unit vectors toward polar angle ``el`` and azimuth ``az``, shape
+    (..., 3) over the broadcast angle shape."""
+    az, el = np.broadcast_arrays(np.asarray(az, float), np.asarray(el, float))
+    se, ce = np.sin(el), np.cos(el)
+    return np.stack([se * np.cos(az), se * np.sin(az), ce], axis=-1)
 
 
-def steering_vector(positions: np.ndarray, az: float, el: float,
-                    wavelength: float) -> np.ndarray:
-    """Unit-norm array response vector, entry n = exp(j k.p_n) / sqrt(N)."""
+def steering(positions: np.ndarray, directions: np.ndarray,
+             wavelength: float) -> np.ndarray:
+    """Unit-norm array response: entry n is exp(j 2 pi p_n.d / lambda)
+    / sqrt(N) for element position p_n and unit direction d.
+
+    ``directions`` is one unit vector, shape (3,), giving an (N,) vector,
+    or a stack of them, shape (K, 3), giving one column per direction,
+    shape (N, K).
+    """
     positions = np.asarray(positions, dtype=float)
     if positions.size == 0:
         raise ValueError("positions must be nonempty")
-    k = wave_number(az, el, wavelength)
-    n = positions.shape[0]
-    return np.exp(1j * (positions @ k)) / np.sqrt(n)
-
-
-def steering_vector_for_direction(positions: np.ndarray, direction: np.ndarray,
-                                  wavelength: float) -> np.ndarray:
-    """Array response toward a unit direction vector (bypasses angles)."""
     if wavelength <= 0:
         raise ValueError("wavelength must be positive")
-    positions = np.asarray(positions, dtype=float)
-    k = (2.0 * np.pi / wavelength) * np.asarray(direction, dtype=float)
-    n = positions.shape[0]
-    return np.exp(1j * (positions @ k)) / np.sqrt(n)
+    k = (2.0 * np.pi / wavelength) * np.asarray(directions, dtype=float)
+    return np.exp(1j * (positions @ k.T)) / np.sqrt(positions.shape[0])
 
 
 # Table-style scenario defaults: 82 elements (9x9 = 81 for URA), all

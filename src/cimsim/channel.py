@@ -16,11 +16,9 @@ component is ever generated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
-
 import numpy as np
 
-from .arrays import SPEED_OF_LIGHT
+from .arrays import SPEED_OF_LIGHT, steering, unit_directions
 
 
 @dataclass(frozen=True)
@@ -67,17 +65,6 @@ def path_loss(distance: float, intercept_db: float = 72.0,
     return intercept_db + 10.0 * exponent * np.log10(distance) + shadow_db
 
 
-@dataclass(frozen=True)
-class PathRecord:
-    cluster: int
-    path: int
-    gain: complex
-    aod_az: float
-    aod_el: float
-    aoa_az: float
-    aoa_el: float
-
-
 @dataclass
 class ChannelRealization:
     """One channel drop: per-path geometry/gains, their steering matrices
@@ -107,36 +94,19 @@ class ChannelRealization:
     def n_paths(self) -> int:
         return self.gains.shape[1]
 
-    def path_records(self) -> Iterator[PathRecord]:
-        for c in range(self.n_clusters):
-            for l in range(self.n_paths):
-                yield PathRecord(c, l, complex(self.gains[c, l]),
-                                 float(self.aod_az[c, l]), float(self.aod_el[c, l]),
-                                 float(self.aoa_az[c, l]), float(self.aoa_el[c, l]))
-
-
-def steering_matrix(positions: np.ndarray, az: np.ndarray, el: np.ndarray,
-                    wavelength: float) -> np.ndarray:
-    """Stacked steering vectors, shape (N, n_angles), one column per angle."""
-    az = np.ravel(az)
-    el = np.ravel(el)
-    k = (2.0 * np.pi / wavelength) * np.stack([
-        np.sin(el) * np.cos(az),
-        np.sin(el) * np.sin(az),
-        np.cos(el),
-    ])
-    n = positions.shape[0]
-    return np.exp(1j * (np.asarray(positions) @ k)) / np.sqrt(n)
-
 
 def assemble_matrix(gains: np.ndarray, aod_az: np.ndarray, aod_el: np.ndarray,
                     aoa_az: np.ndarray, aoa_el: np.ndarray,
                     tx_positions: np.ndarray, rx_positions: np.ndarray,
                     wavelength: float) -> np.ndarray:
     """Channel matrix from per-path gains and angles."""
-    return _combine_paths(
-        gains, steering_matrix(tx_positions, aod_az, aod_el, wavelength),
-        steering_matrix(rx_positions, aoa_az, aoa_el, wavelength))
+    a_t = steering(tx_positions,
+                   unit_directions(np.ravel(aod_az), np.ravel(aod_el)),
+                   wavelength)
+    a_r = steering(rx_positions,
+                   unit_directions(np.ravel(aoa_az), np.ravel(aoa_el)),
+                   wavelength)
+    return _combine_paths(gains, a_t, a_r)
 
 
 def _combine_paths(gains: np.ndarray, a_t: np.ndarray,
@@ -192,10 +162,12 @@ def sample_realization(cfg: ChannelConfig, tx_positions: np.ndarray,
     gains = gain_rng.normal(0.0, sigma, (c_count, l_count)) \
         + 1j * gain_rng.normal(0.0, sigma, (c_count, l_count))
 
-    a_t = steering_matrix(np.asarray(tx_positions), aod_az, aod_el,
-                          cfg.wavelength)
-    a_r = steering_matrix(np.asarray(rx_positions), aoa_az, aoa_el,
-                          cfg.wavelength)
+    a_t = steering(tx_positions,
+                   unit_directions(aod_az.ravel(), aod_el.ravel()),
+                   cfg.wavelength)
+    a_r = steering(rx_positions,
+                   unit_directions(aoa_az.ravel(), aoa_el.ravel()),
+                   cfg.wavelength)
     return ChannelRealization(
         matrix=_combine_paths(gains, a_t, a_r), gains=gains,
         aod_az=aod_az, aod_el=aod_el, aoa_az=aoa_az, aoa_el=aoa_el,

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrays import ArrayKind, element_positions, scenario_geometry
+from .arrays import (SPEED_OF_LIGHT, ArrayKind, element_positions,
+                     scenario_geometry)
 from .channel import ChannelConfig, sample_realization
 from .codebook import FpsBank, build_codebook, quantize_weights
 from .harness import (SimConfig, _parse_powers, aggregate_and_emit,
@@ -93,7 +94,7 @@ def cmd_pattern(args: argparse.Namespace) -> int:
     geometries = tuple(g.upper() for g in (args.geometry or
                                            ("ULA", "URA", "UCA", "CCA")))
     carrier = args.carrier_ghz * 1e9
-    wavelength = 299792458.0 / carrier
+    wavelength = SPEED_OF_LIGHT / carrier
     az_off, el_off = args.steer
     specs = [scenario_geometry(ArrayKind(g), wavelength, args.n_elements)
              for g in geometries]
@@ -119,7 +120,7 @@ def cmd_pattern(args: argparse.Namespace) -> int:
 
 def cmd_codebook(args: argparse.Namespace) -> int:
     carrier = args.carrier_ghz * 1e9
-    wavelength = 299792458.0 / carrier
+    wavelength = SPEED_OF_LIGHT / carrier
     spec = scenario_geometry(ArrayKind(args.geometry[0].upper()
                                        if args.geometry else "URA"),
                              wavelength, args.n_elements)

@@ -48,47 +48,47 @@ class FpsBank:
         return TWO_PI / 2 ** (self.n_shifters - 1)
 
 
-def compose_switch_vector(theta: float, bank: FpsBank) -> np.ndarray:
+def compose_switch_vector(theta: "float | np.ndarray",
+                          bank: FpsBank) -> np.ndarray:
     """Switch settings realizing the largest bank phase sum <= wrap(theta).
 
     Greedy descent from the largest shifter: close a switch whenever its
-    phase still fits under the remaining target.  The realized phase
-    l @ phases is wrap(theta) floored to the bank's phase grid.
+    phase still fits under the remaining target.  Works on any shape of
+    ``theta``; the result has one more axis, of length ``n_shifters``,
+    holding each angle's switch vector.
     """
     phases = bank.phases
-    switches = np.zeros(bank.n_shifters, dtype=np.int8)
-    remaining = float(np.mod(theta, TWO_PI))
+    remaining = np.mod(np.asarray(theta, dtype=float), TWO_PI)
+    switches = np.zeros(remaining.shape + (bank.n_shifters,), dtype=np.int8)
     for i in range(bank.n_shifters - 1, -1, -1):
-        if phases[i] <= remaining:
-            switches[i] = 1
-            remaining -= phases[i]
+        closed = phases[i] <= remaining
+        switches[..., i] = closed
+        remaining = np.where(closed, remaining - phases[i], remaining)
     return switches
 
 
-def realized_phase(switches: np.ndarray, bank: FpsBank) -> float:
-    return float(np.asarray(switches) @ bank.phases)
+def realized_phase(switches: np.ndarray,
+                   bank: FpsBank) -> "float | np.ndarray":
+    """Phase sum of the closed shifters (last axis of ``switches``).
 
-
-def quantize_phase(theta: float, bank: FpsBank) -> float:
-    return realized_phase(compose_switch_vector(theta, bank), bank)
+    The closed phases are added largest first, the order of the greedy
+    descent, so a vector of switch settings and each of its entries give
+    bit-identical phases.
+    """
+    switches = np.asarray(switches)
+    phases = bank.phases
+    omega = np.zeros(switches.shape[:-1])
+    for i in range(bank.n_shifters - 1, -1, -1):
+        omega += switches[..., i] * phases[i]
+    return omega[()]
 
 
 def quantize_weights(weights: np.ndarray, bank: FpsBank) -> np.ndarray:
     """Replace each entry's phase by its bank-realizable floor; magnitudes
-    are untouched.
-
-    Runs the same greedy descent as ``compose_switch_vector`` on every
-    entry at once, so both routes realize bit-identical phases.
-    """
+    are untouched."""
     weights = np.asarray(weights, dtype=complex)
-    phases = bank.phases
-    remaining = np.mod(np.angle(weights), TWO_PI)
-    omega = np.zeros_like(remaining)
-    for i in range(bank.n_shifters - 1, -1, -1):
-        closed = phases[i] <= remaining
-        remaining = np.where(closed, remaining - phases[i], remaining)
-        omega = np.where(closed, omega + phases[i], omega)
-    return np.abs(weights) * np.exp(1j * omega)
+    switches = compose_switch_vector(np.angle(weights), bank)
+    return np.abs(weights) * np.exp(1j * realized_phase(switches, bank))
 
 
 @dataclass

@@ -40,8 +40,9 @@ from . import __version__
 from .arrays import element_positions, scenario_geometry
 from .channel import ChannelConfig, sample_realization
 from .codebook import FpsBank, build_codebook, quantize_codebook
-from .link import (LinkConfig, array_gain_db, branch_amplitudes, db_to_linear,
-                   dbm_to_watt, psk_constellation)
+from .link import (array_gain_db, branch_amplitudes, count_bit_errors,
+                   db_to_linear, dbm_to_watt, detect, psk_constellation,
+                   transmit)
 
 DEFAULT_POWERS_DBM = tuple(float(p) for p in range(-10, 45, 5))
 
@@ -64,12 +65,12 @@ class HardwareSpec:
 
     @staticmethod
     def parse(token: str) -> "HardwareSpec":
-        token = token.strip().upper().replace("(", "").replace(")", "")
-        if token == "OP":
+        name = token.strip().upper().replace("(", "").replace(")", "")
+        if name == "OP":
             return HardwareSpec("OP")
-        if token.startswith("HE"):
-            return HardwareSpec("HE", int(token[2:]))
-        raise ValueError(f"unknown hardware token: {token!r}")
+        if name.startswith("HE") and name[2:].isdecimal():
+            return HardwareSpec("HE", int(name[2:]))
+        raise ValueError(f"unknown hardware token: {token.strip()!r}")
 
     @property
     def label(self) -> str:
@@ -78,6 +79,18 @@ class HardwareSpec:
     @property
     def bank(self) -> FpsBank | None:
         return FpsBank(self.n_shifters) if self.kind == "HE" else None
+
+
+# Smallest accepted SimConfig counts and seed; load_config checks each
+# value as it parses it, so the error names the file line.
+_LOWER_BOUNDS = {"realizations": 1, "symbols_per_realization": 1,
+                 "error_limit": 1, "seed": 0}
+
+
+def _check_lower_bound(key: str, value: int) -> None:
+    low = _LOWER_BOUNDS.get(key)
+    if low is not None and value < low:
+        raise ValueError(f"{key} must be at least {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -90,14 +103,13 @@ class SimConfig:
     realizations: int = 200
     symbols_per_realization: int = 100
     seed: int = 1
-    n_rf: int = 0              # 0: minimum per signaling (B chains)
     n_elements: int = 82
     noise_dbm: float = -90.0
     error_limit: int = 500
 
     def __post_init__(self) -> None:
-        if self.realizations < 1 or self.symbols_per_realization < 1:
-            raise ValueError("trial counts must be at least 1")
+        for key in _LOWER_BOUNDS:
+            _check_lower_bound(key, getattr(self, key))
         if not self.powers_dbm:
             raise ValueError("power sweep must be nonempty")
         for g in self.geometries:
@@ -114,8 +126,6 @@ class SimConfig:
                     raise ValueError("B and M must be powers of two")
             if order > self.channel.clusters:
                 raise ValueError("B must not exceed the cluster count")
-            if self.n_rf and order > self.n_rf:
-                raise ValueError("B must not exceed the RF chain count")
 
     @property
     def trials_per_point(self) -> int:
@@ -183,9 +193,8 @@ def _sweep_pair(cfg: SimConfig, geometry_index: int,
     noise_w = dbm_to_watt(cfg.noise_dbm)
     points = psk_constellation(constellation)
     bits_per_use = int(np.log2(order) + np.log2(constellation))
-    amplitudes = np.array([LinkConfig(order, constellation, dbm_to_watt(p),
-                                      gain, gain, noise_w,
-                                      cfg.n_rf or order).amplitude
+    # sqrt(P) G_t G_r per power point
+    amplitudes = np.array([np.sqrt(dbm_to_watt(p)) * gain * gain
                            for p in cfg.powers_dbm])
 
     n_powers = len(cfg.powers_dbm)
@@ -210,6 +219,7 @@ def _sweep_pair(cfg: SimConfig, geometry_index: int,
         x1 = payload_rng.integers(0, constellation, t_symbols)
         noise = payload_rng.normal(0.0, sigma, (t_symbols, n)) \
             + 1j * payload_rng.normal(0.0, sigma, (t_symbols, n))
+        symbols = points[x1]
         hyp = branch_amplitudes(cb_detect, realization.matrix)  # (B,)
 
         for h, bank in enumerate(banks):
@@ -218,23 +228,12 @@ def _sweep_pair(cfg: SimConfig, geometry_index: int,
                 continue
             cb_tx = cb_detect if bank is None \
                 else quantize_codebook(cb_detect, bank)
-            # z = amp * (W^H H f) s + W^H n, for all symbols at once
-            v_tx = (cb_tx.combiners.conj().T @ realization.matrix
-                    @ cb_tx.beamformers)
-            signal = v_tx[:, x0].T * points[x1][:, None]            # (T, B)
-            combined_noise = noise @ cb_tx.combiners.conj()         # (T, B)
-
+            signal, combined_noise = transmit(cb_tx, realization.matrix, x0,
+                                              symbols, noise)
             for i in active:
-                z = amplitudes[i] * signal + combined_noise
-                ref = amplitudes[i] * hyp[:, None] * points[None, :]
-                metric = np.abs(z[:, :, None] - ref[None, :, :]) ** 2
-                flat = metric.reshape(t_symbols, -1).argmin(axis=1)
-                c_hat = flat // constellation
-                s_hat = flat % constellation
-                errors[h, i] += np.bitwise_count(x0 ^ c_hat).sum(
-                    dtype=np.int64)
-                errors[h, i] += np.bitwise_count(x1 ^ s_hat).sum(
-                    dtype=np.int64)
+                c_hat, s_hat = detect(amplitudes[i] * signal + combined_noise,
+                                      amplitudes[i], hyp, points)
+                errors[h, i] += count_bit_errors(x0, x1, c_hat, s_hat)
                 used[h, i] += 1
 
     elapsed_s = (time.perf_counter() - started) / errors.size
@@ -431,7 +430,6 @@ _SIM_KEYS = {
     "realizations": int,
     "symbols_per_realization": int,
     "seed": int,
-    "n_rf": int,
     "n_elements": int,
     "noise_dbm": float,
     "error_limit": int,
@@ -484,6 +482,7 @@ def _parse_entry(key: str, value: str, sim_kwargs: dict,
     """Store one config entry in the SimConfig or ChannelConfig kwargs."""
     if key in _SIM_KEYS:
         sim_kwargs[key] = _SIM_KEYS[key](value)
+        _check_lower_bound(key, sim_kwargs[key])
     elif key in _CHANNEL_KEYS:
         chan_kwargs[key] = _CHANNEL_KEYS[key](value)
     elif key == "geometries":

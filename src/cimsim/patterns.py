@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .arrays import ArrayKind, GeometrySpec, element_positions, \
-    steering_vector_for_direction
+from .arrays import (ArrayKind, GeometrySpec, element_positions, steering,
+                     unit_directions)
 
 HALF_POWER_DB = 10.0 * np.log10(2.0)
 MAIN_LOBE_FLOOR_DB = 20.0  # main lobe = connected region above peak - 20 dB
@@ -49,10 +49,7 @@ def pattern_frame(kind: ArrayKind | str) -> np.ndarray:
 def chart_directions(az: np.ndarray, el: np.ndarray,
                      frame: np.ndarray) -> np.ndarray:
     """Unit direction vectors in array coordinates, shape (..., 3)."""
-    az, el = np.broadcast_arrays(np.asarray(az, float), np.asarray(el, float))
-    se, ce = np.sin(el), np.cos(el)
-    d = np.stack([se * np.cos(az), se * np.sin(az), ce], axis=-1)
-    return d @ np.asarray(frame, float).T
+    return unit_directions(az, el) @ np.asarray(frame, float).T
 
 
 @dataclass
@@ -108,8 +105,7 @@ def steering_weights(spec: GeometrySpec, az_off_deg: float = 0.0,
     az0 = np.deg2rad(az_off_deg)
     el0 = np.deg2rad(90.0 - el_off_deg)
     direction = chart_directions(az0, el0, frame)
-    pos = element_positions(spec)
-    return steering_vector_for_direction(pos, direction, spec.wavelength)
+    return steering(element_positions(spec), direction, spec.wavelength)
 
 
 def compute_pattern(positions: np.ndarray, weights: np.ndarray,

@@ -2,8 +2,9 @@
 
 Each check pits an implementation path against an independent route
 (exhaustive enumeration, closed-form value, or analytic identity) and
-reports one PASS/FAIL line.  These complement the pytest suite; they are
-quick enough to run before trusting a long sweep.
+reports one PASS/FAIL line.  The defaults are quick enough to run before
+trusting a long sweep; the acceptance tests call the same checks with
+their own sizes and bounds.
 """
 
 from __future__ import annotations
@@ -13,13 +14,14 @@ from itertools import product
 
 import numpy as np
 
-from .arrays import GeometrySpec, element_positions, steering_vector
+from .arrays import (ArrayKind, GeometrySpec, element_positions,
+                     scenario_geometry, steering, unit_directions)
 from .channel import ChannelConfig, path_loss, sample_realization
 from .codebook import (FpsBank, best_effective_path, build_codebook,
                        compose_switch_vector, realized_phase)
-from .link import LinkConfig, TxSymbols, bit_errors, ml_detect, \
-    psk_constellation, transmit_and_receive
-from .patterns import steered_pattern
+from .link import (array_gain_db, branch_amplitudes, db_to_linear, detect,
+                   psk_constellation, transmit)
+from .patterns import steered_pattern, steering_weights
 
 
 @dataclass
@@ -47,49 +49,45 @@ def check_switch_composition(max_shifters: int = 6,
         multipliers = sorted(
             {sum(w for w, bit in zip(weights, pattern) if bit)
              for pattern in product((0, 1), repeat=n_f)})
-        for theta in thetas:
-            switches = compose_switch_vector(theta, bank)
-            greedy_m = sum(w for w, bit in zip(weights, switches) if bit)
+        greedy = compose_switch_vector(thetas, bank) @ np.array(weights)
+        for theta, greedy_m in zip(thetas, greedy):
             ratio = Fraction(float(np.mod(theta, 2.0 * np.pi))) / step
             best_m = max(m for m in multipliers if m <= ratio)
-            mismatches += greedy_m != best_m
+            mismatches += int(greedy_m) != best_m
     return CheckResult("switch-composition equals exhaustive subset-sum",
                        mismatches == 0, f"{mismatches} mismatches")
 
 
 def check_quantization_bound(max_shifters: int = 8,
-                             grid_points: int = 2000) -> CheckResult:
-    """0 <= wrap(theta) - realized phase < bank phase step."""
-    thetas = np.linspace(-2.0 * np.pi, 4.0 * np.pi, grid_points)
+                             thetas: np.ndarray | None = None) -> CheckResult:
+    """0 <= wrap(theta) - realized phase < bank phase step; ``thetas``
+    defaults to 2000 angles over [-2 pi, 4 pi]."""
+    if thetas is None:
+        thetas = np.linspace(-2.0 * np.pi, 4.0 * np.pi, 2000)
+    wrapped = np.mod(thetas, 2.0 * np.pi)
     violations = 0
     for n_f in range(2, max_shifters + 1):
         bank = FpsBank(n_f)
-        for theta in thetas:
-            wrapped = float(np.mod(theta, 2.0 * np.pi))
-            omega = realized_phase(compose_switch_vector(theta, bank), bank)
-            if not (0.0 <= wrapped - omega < bank.phase_step):
-                violations += 1
+        error = wrapped - realized_phase(compose_switch_vector(thetas, bank),
+                                         bank)
+        violations += np.count_nonzero((error < 0.0)
+                                       | (error >= bank.phase_step))
     return CheckResult("quantization error inside one phase step",
                        violations == 0, f"{violations} violations")
 
 
-def check_steering_norms(seed: int = 7, samples: int = 200) -> CheckResult:
-    """Steering vectors are unit norm with 1/sqrt(N) entry magnitudes."""
+def check_steering_norms(seed: int = 7, samples: int = 200,
+                         wavelength: float = 0.0107) -> CheckResult:
+    """Steering vectors of the four scenario arrays are unit norm with
+    1/sqrt(N) entry magnitudes, toward ``samples`` random directions each."""
     rng = np.random.default_rng(seed)
-    lam = 0.0107
-    specs = [GeometrySpec.ula(82, lam), GeometrySpec.ura(9, 9, lam),
-             GeometrySpec.uca(82, lam),
-             GeometrySpec.cca((0.76, 1.36, 2.09, 2.99), (9, 17, 25, 31), lam)]
     worst = 0.0
-    for spec in specs:
-        pos = element_positions(spec)
-        for _ in range(samples):
-            az = rng.uniform(0, 2 * np.pi)
-            el = rng.uniform(0, np.pi)
-            a = steering_vector(pos, az, el, lam)
-            worst = max(worst, abs(np.linalg.norm(a) - 1.0))
-            worst = max(worst,
-                        np.abs(np.abs(a) - 1 / np.sqrt(len(a))).max())
+    for kind in ArrayKind:
+        pos = element_positions(scenario_geometry(kind, wavelength))
+        az, el = rng.uniform(0.0, (2.0 * np.pi, np.pi), (samples, 2)).T
+        a = steering(pos, unit_directions(az, el), wavelength)
+        worst = max(worst, np.abs(np.linalg.norm(a, axis=0) - 1.0).max(),
+                    np.abs(np.abs(a) - 1 / np.sqrt(len(pos))).max())
     return CheckResult("steering vectors unit-norm", worst <= 1e-12,
                        f"max deviation = {worst:.2e}")
 
@@ -108,7 +106,6 @@ def check_directivity_normalization() -> CheckResult:
     spec = GeometrySpec.ura(6, 6, lam)
     pat = steered_pattern(spec, 10.0, 20.0, az_step_deg=0.5, el_step_deg=0.5)
     pos = element_positions(spec)
-    from .patterns import steering_weights
     w = steering_weights(spec, 10.0, 20.0)
     diff = pos[:, None, :] - pos[None, :, :]
     arg = 2 * np.pi / lam * np.linalg.norm(diff, axis=-1)
@@ -132,50 +129,52 @@ def check_directivity_normalization() -> CheckResult:
                        f"peak vs exact = {rel:.2e}")
 
 
-def check_noiseless_detection(seed: int = 11) -> CheckResult:
-    """Every (x0, x1) decodes exactly without noise on a random channel."""
-    lam = 0.0107
-    spec = GeometrySpec.ura(4, 4, lam)
-    pos = element_positions(spec)
-    cfg = ChannelConfig(clusters=4, paths_per_cluster=3)
-    realization = sample_realization(cfg, pos, pos, seed)
-    cb = build_codebook(realization, 4)
-    link = LinkConfig(4, 4, 1.0, 1.0, 1.0, 0.0)
+def check_noiseless_detection(
+        geometries: tuple[str, ...] = ("URA",), n_elements: int = 16,
+        channel: ChannelConfig = ChannelConfig(clusters=4,
+                                               paths_per_cluster=3),
+        seed: int = 11, orders: tuple[int, ...] = (4,)) -> CheckResult:
+    """Every (x0, x1) of B x QPSK decodes exactly without noise on one
+    seeded channel per scenario geometry, at 1 W transmit power."""
     points = psk_constellation(4)
-    rng = np.random.default_rng(0)
     failures = 0
-    for x0 in range(4):
-        for x1 in range(4):
-            tx = TxSymbols.from_values(x0, x1, points)
-            z = transmit_and_receive(cb, realization.matrix, tx, link, rng)
-            det = ml_detect(z, cb, realization.matrix, link)
-            if bit_errors(tx, det, link) != (0, 0):
-                failures += 1
+    for kind in geometries:
+        spec = scenario_geometry(kind, channel.wavelength, n_elements)
+        pos = element_positions(spec)
+        realization = sample_realization(channel, pos, pos, seed)
+        amplitude = db_to_linear(array_gain_db(spec.n_elements)) ** 2
+        for order in orders:
+            cb = build_codebook(realization, order)
+            x0, x1 = np.divmod(np.arange(order * points.size), points.size)
+            signal, _ = transmit(cb, realization.matrix, x0, points[x1],
+                                 np.zeros((x0.size, spec.n_elements)))
+            c_hat, s_hat = detect(amplitude * signal, amplitude,
+                                  branch_amplitudes(cb, realization.matrix),
+                                  points)
+            failures += np.count_nonzero((c_hat != x0) | (s_hat != x1))
     return CheckResult("noiseless ML detection exact", failures == 0,
                        f"{failures} failed hypotheses")
 
 
 def check_best_path_bruteforce(seed: int = 3) -> CheckResult:
     """Greedy best-path pick equals an explicit per-path scan."""
-    lam = 0.0107
-    spec = GeometrySpec.ula(4, lam)
-    pos = element_positions(spec)
+    pos = element_positions(GeometrySpec.ula(4, 0.0107))
     cfg = ChannelConfig(clusters=3, paths_per_cluster=5)
     mismatches = 0
     for s in range(seed, seed + 10):
-        realization = sample_realization(cfg, pos, pos, s)
+        r = sample_realization(cfg, pos, pos, s)
+        lam = r.wavelength
         for c in range(cfg.clusters):
-            from .channel import steering_matrix
             best, best_gain = 0, -1.0
             for l in range(cfg.paths_per_cluster):
-                f = steering_matrix(pos, realization.aod_az[c, l],
-                                    realization.aod_el[c, l], lam)[:, 0]
-                w = steering_matrix(pos, realization.aoa_az[c, l],
-                                    realization.aoa_el[c, l], lam)[:, 0]
-                g = abs(w.conj() @ realization.matrix @ f) ** 2
+                f = steering(pos, unit_directions(r.aod_az[c, l],
+                                                  r.aod_el[c, l]), lam)
+                w = steering(pos, unit_directions(r.aoa_az[c, l],
+                                                  r.aoa_el[c, l]), lam)
+                g = abs(w.conj() @ r.matrix @ f) ** 2
                 if g > best_gain:
                     best, best_gain = l, g
-            if best_effective_path(realization, c) != best:
+            if best_effective_path(r, c) != best:
                 mismatches += 1
     return CheckResult("best effective path vs brute force", mismatches == 0,
                        f"{mismatches} mismatches")

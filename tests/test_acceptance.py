@@ -6,21 +6,16 @@ lines as they complete.
 """
 
 import time
-from itertools import product
 
 import numpy as np
 import pytest
 
-from cimsim.arrays import (GeometrySpec, element_positions,
-                           scenario_geometry, steering_vector)
+from cimsim.arrays import GeometrySpec, element_positions, scenario_geometry
 from cimsim.channel import ChannelConfig, sample_realization
-from cimsim.codebook import (FpsBank, build_codebook, compose_switch_vector,
-                             realized_phase)
 from cimsim.harness import SimConfig, results_to_csv, run_sweep
-from cimsim.link import (LinkConfig, TxSymbols, array_gain_db, bit_errors,
-                         db_to_linear, ml_detect, psk_constellation,
-                         transmit_and_receive)
 from cimsim.patterns import steered_pattern, summarize
+from cimsim.verify import (check_noiseless_detection, check_quantization_bound,
+                           check_steering_norms, check_switch_composition)
 
 LAM = 299792458.0 / 28e9
 GEOMETRIES = ("ULA", "URA", "UCA", "CCA")
@@ -127,32 +122,13 @@ def test_criterion_3_asld_ordering(broadside, steered):
 
 
 def test_criterion_4_fps_oracle_equivalence():
-    # The bank phases are exact binary multiples of the float step, so a
-    # subset's real-valued sum is exactly step * (integer); doing the
-    # exhaustive maximization in rational arithmetic keeps the oracle
-    # free of the rounding the naive float dot product would add.
-    from fractions import Fraction
-    thetas = np.linspace(0.0, 2 * np.pi, 10_000, endpoint=False)
+    # exhaustive subset-sum maximization in rational arithmetic
     t0 = time.perf_counter()
-    mismatches = 0
-    for n_f in range(2, 7):
-        bank = FpsBank(n_f)
-        step = Fraction(bank.phase_step)
-        weights = [0] + [2 ** j for j in range(n_f - 1)]  # phases / step
-        subset_multipliers = sorted(
-            {sum(w for w, bit in zip(weights, pattern) if bit)
-             for pattern in product((0, 1), repeat=n_f)})
-        for theta in thetas:
-            switches = compose_switch_vector(theta, bank)
-            greedy_m = sum(w for w, bit in zip(weights, switches) if bit)
-            ratio = Fraction(float(np.mod(theta, 2 * np.pi))) / step
-            best_m = max(m for m in subset_multipliers if m <= ratio)
-            if greedy_m != best_m:
-                mismatches += 1
+    result = check_switch_composition(max_shifters=6, grid_points=10_000)
     elapsed = time.perf_counter() - t0
     report("criterion 4 (FPS vs exhaustive subset-sum)",
-           mismatches == 0 and elapsed < 10.0,
-           f"{mismatches} mismatches over 5x10^4 cases in {elapsed:.1f}s")
+           result.passed and elapsed < 10.0,
+           f"{result.detail} over 5x10^4 cases in {elapsed:.1f}s")
 
 
 def test_criterion_5_quantization_bound():
@@ -160,44 +136,16 @@ def test_criterion_5_quantization_bound():
         np.linspace(0.0, 2 * np.pi, 10_000, endpoint=False),
         np.linspace(-2 * np.pi, 4 * np.pi, 501),
     ])
-    violations = 0
-    for n_f in range(2, 9):
-        bank = FpsBank(n_f)
-        step = bank.phase_step
-        for theta in thetas:
-            wrapped = float(np.mod(theta, 2 * np.pi))
-            omega = realized_phase(compose_switch_vector(theta, bank), bank)
-            if not (0.0 <= wrapped - omega < step):
-                violations += 1
-    report("criterion 5 (quantization bound)", violations == 0,
-           f"{violations} violations of 0 <= wrap - omega < step")
+    result = check_quantization_bound(max_shifters=8, thetas=thetas)
+    report("criterion 5 (quantization bound)", result.passed,
+           f"{result.detail} of 0 <= wrap - omega < step")
 
 
 def test_criterion_6_noiseless_exactness():
-    failures = []
-    for kind in GEOMETRIES:
-        spec = scenario_geometry(kind, LAM)
-        positions = element_positions(spec)
-        n = spec.n_elements
-        cfg = ChannelConfig()
-        realization = sample_realization(cfg, positions, positions, seed=2024)
-        gain = db_to_linear(array_gain_db(n))
-        for order in (2, 4):
-            cb = build_codebook(realization, order)
-            link = LinkConfig(order, 4, 1.0, gain, gain, 0.0)
-            points = psk_constellation(4)
-            rng = np.random.default_rng(0)
-            for x0 in range(order):
-                for x1 in range(4):
-                    tx = TxSymbols.from_values(x0, x1, points)
-                    z = transmit_and_receive(cb, realization.matrix, tx,
-                                             link, rng)
-                    det = ml_detect(z, cb, realization.matrix, link)
-                    if bit_errors(tx, det, link) != (0, 0):
-                        failures.append((kind, order, x0, x1))
-    report("criterion 6 (noiseless exactness)", not failures,
-           f"{len(failures)} failed hypotheses over all geometries, "
-           f"B in (2, 4), M = 4")
+    result = check_noiseless_detection(GEOMETRIES, 82, ChannelConfig(),
+                                       seed=2024, orders=(2, 4))
+    report("criterion 6 (noiseless exactness)", result.passed,
+           f"{result.detail} over all geometries, B in (2, 4), M = 4")
 
 
 def _two_se(a, b) -> float:
@@ -282,22 +230,14 @@ def test_criterion_10_statistical_channel_checks():
     std_deg = float(np.rad2deg(np.std(np.concatenate(offsets))))
     spread_ok = abs(std_deg - 7.5) / 7.5 < 0.03
 
-    # steering norms
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for kind in GEOMETRIES:
-        pos = element_positions(scenario_geometry(kind, LAM))
-        for _ in range(100):
-            a = steering_vector(pos, rng.uniform(0, 2 * np.pi),
-                                rng.uniform(0, np.pi), LAM)
-            worst = max(worst, abs(np.linalg.norm(a) - 1.0))
-    norm_ok = worst <= 1e-12
+    # steering norms and entry magnitudes
+    norms = check_steering_norms(seed=0, samples=100, wavelength=LAM)
 
     report("criterion 10 (channel statistics)",
-           gain_ok and spread_ok and norm_ok,
+           gain_ok and spread_ok and norms.passed,
            f"E|gain|^2 off by {abs(mean_gain / expected - 1) * 100:.2f}% "
            f"({n_real} realizations); offset std {std_deg:.3f} deg; "
-           f"norm dev {worst:.1e}")
+           f"steering {norms.detail}")
 
 
 def test_criterion_11_worker_determinism():

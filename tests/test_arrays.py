@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from cimsim.arrays import (ArrayKind, GeometrySpec, SPEED_OF_LIGHT,
-                           element_positions, scenario_geometry,
-                           steering_vector, steering_vector_for_direction,
-                           wave_number)
+                           element_positions, scenario_geometry, steering,
+                           unit_directions)
 
 LAM_28GHZ = SPEED_OF_LIGHT / 28e9
 
@@ -64,51 +63,62 @@ class TestElementPositions:
             bad()
 
 
+def steer(pos, az, el, lam):
+    return steering(pos, unit_directions(az, el), lam)
+
+
 class TestWaveNumber:
+    """The propagation vector (2 pi / lambda) d of the steering phase."""
+
     def test_boresight(self):
-        np.testing.assert_allclose(wave_number(0.0, 0.0, 1.0),
+        np.testing.assert_allclose(2 * np.pi * unit_directions(0.0, 0.0),
                                    2 * np.pi * np.array([0, 0, 1]), atol=1e-12)
 
     def test_axis_case(self):
-        np.testing.assert_allclose(wave_number(np.pi / 2, np.pi / 2, 1.0),
-                                   2 * np.pi * np.array([0, 1, 0]), atol=1e-12)
+        np.testing.assert_allclose(
+            2 * np.pi * unit_directions(np.pi / 2, np.pi / 2),
+            2 * np.pi * np.array([0, 1, 0]), atol=1e-12)
 
     def test_28ghz_oblique_against_scalar_evaluation(self):
-        # frozen from an independent scalar evaluation (math module)
-        k = wave_number(np.deg2rad(15.0), np.deg2rad(30.0), LAM_28GHZ)
+        # frozen from an independent scalar evaluation (math module); the
+        # phase of element p is k.p
+        k = [283.4203168443512, 75.94224501701682, 508.2154087934871]
+        d = unit_directions(np.deg2rad(15.0), np.deg2rad(30.0))
+        np.testing.assert_allclose(2 * np.pi / LAM_28GHZ * d, k, rtol=1e-13)
+        pos = np.eye(3)
         np.testing.assert_allclose(
-            k, [283.4203168443512, 75.94224501701682, 508.2154087934871],
-            rtol=1e-13)
+            steering(pos, d, LAM_28GHZ),
+            np.exp(1j * np.array(k)) / np.sqrt(3), rtol=1e-12)
 
     def test_rejects_nonpositive_wavelength(self):
         with pytest.raises(ValueError):
-            wave_number(0.0, 0.0, 0.0)
+            steering(np.zeros((1, 3)), unit_directions(0.0, 0.0), 0.0)
 
 
 class TestSteeringVector:
     def test_ula_broadside_is_uniform(self):
         pos = element_positions(GeometrySpec.ula(8, 1.0))
-        a = steering_vector(pos, 1.234, np.pi / 2, 1.0)
+        a = steer(pos, 1.234, np.pi / 2, 1.0)
         np.testing.assert_allclose(a, np.full(8, 1 / np.sqrt(8)), atol=1e-12)
 
     def test_planar_arrays_uniform_at_zenith(self):
         for kind in (ArrayKind.URA, ArrayKind.UCA, ArrayKind.CCA):
             spec = scenario_geometry(kind, LAM_28GHZ)
             pos = element_positions(spec)
-            a = steering_vector(pos, 0.7, 0.0, LAM_28GHZ)
+            a = steer(pos, 0.7, 0.0, LAM_28GHZ)
             n = spec.n_elements
             np.testing.assert_allclose(a, np.full(n, 1 / np.sqrt(n)),
                                        atol=1e-12)
 
     def test_single_element_identity(self):
-        a = steering_vector(np.zeros((1, 3)), 0.3, 0.9, 1.0)
+        a = steer(np.zeros((1, 3)), 0.3, 0.9, 1.0)
         np.testing.assert_allclose(a, [1.0])
 
     def test_ura_self_product_and_cauchy_schwarz(self):
         pos = element_positions(GeometrySpec.ura(9, 9, LAM_28GHZ))
-        a = steering_vector(pos, np.deg2rad(15), np.deg2rad(30), LAM_28GHZ)
+        a = steer(pos, np.deg2rad(15), np.deg2rad(30), LAM_28GHZ)
         assert abs(np.vdot(a, a) - 1.0) < 1e-12
-        broadside = steering_vector(pos, 0.0, 0.0, LAM_28GHZ)
+        broadside = steer(pos, 0.0, 0.0, LAM_28GHZ)
         assert abs(np.vdot(broadside, a)) < 1.0
 
     def test_unit_norm_and_entry_magnitudes_everywhere(self):
@@ -119,33 +129,42 @@ class TestSteeringVector:
             for _ in range(50):
                 az = rng.uniform(-4 * np.pi, 4 * np.pi)
                 el = rng.uniform(-np.pi, 2 * np.pi)
-                a = steering_vector(pos, az, el, LAM_28GHZ)
+                a = steer(pos, az, el, LAM_28GHZ)
                 assert abs(np.linalg.norm(a) - 1.0) <= 1e-12
                 np.testing.assert_allclose(np.abs(a), 1 / np.sqrt(n),
                                            atol=1e-14)
 
     def test_ula_independent_of_azimuth(self):
         pos = element_positions(GeometrySpec.ula(16, 1.0))
-        a = steering_vector(pos, 0.1, 0.7, 1.0)
-        b = steering_vector(pos, 2.9, 0.7, 1.0)
+        a = steer(pos, 0.1, 0.7, 1.0)
+        b = steer(pos, 2.9, 0.7, 1.0)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_permuting_elements_permutes_entries(self):
         pos = element_positions(scenario_geometry("UCA", 1.0, 16))
         perm = np.random.default_rng(3).permutation(16)
-        a = steering_vector(pos, 0.4, 1.1, 1.0)
-        b = steering_vector(pos[perm], 0.4, 1.1, 1.0)
+        a = steer(pos, 0.4, 1.1, 1.0)
+        b = steer(pos[perm], 0.4, 1.1, 1.0)
         np.testing.assert_allclose(b, a[perm], atol=1e-14)
 
     def test_direction_form_matches_angle_form(self):
+        # one column per direction of a stack, each equal to the explicit
+        # spherical-angle formula and to the single-direction call
         pos = element_positions(GeometrySpec.ura(4, 4, 1.0))
-        az, el = 0.8, 1.1
-        d = np.array([np.sin(el) * np.cos(az), np.sin(el) * np.sin(az),
-                      np.cos(el)])
-        np.testing.assert_allclose(
-            steering_vector_for_direction(pos, d, 1.0),
-            steering_vector(pos, az, el, 1.0), atol=1e-13)
+        az = np.array([0.8, 2.5, -1.0])
+        el = np.array([1.1, 0.3, 2.9])
+        stack = steering(pos, unit_directions(az, el), 1.0)
+        assert stack.shape == (16, 3)
+        for j in range(3):
+            phase = 2 * np.pi * (pos[:, 0] * np.sin(el[j]) * np.cos(az[j])
+                                 + pos[:, 1] * np.sin(el[j]) * np.sin(az[j])
+                                 + pos[:, 2] * np.cos(el[j]))
+            np.testing.assert_allclose(stack[:, j], np.exp(1j * phase) / 4,
+                                       atol=1e-13)
+            np.testing.assert_allclose(stack[:, j],
+                                       steer(pos, az[j], el[j], 1.0),
+                                       atol=1e-15)
 
     def test_empty_positions_raise(self):
         with pytest.raises(ValueError):
-            steering_vector(np.zeros((0, 3)), 0.0, 0.0, 1.0)
+            steer(np.zeros((0, 3)), 0.0, 0.0, 1.0)

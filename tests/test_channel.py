@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from cimsim.arrays import GeometrySpec, element_positions
+from cimsim.arrays import (GeometrySpec, element_positions, steering,
+                           unit_directions)
 from cimsim.channel import (ChannelConfig, assemble_matrix, path_loss,
-                            sample_realization, steering_matrix)
+                            sample_realization)
 
 LAM = 0.0107068735
 
@@ -90,10 +91,16 @@ class TestSampleRealization:
         tx = small_positions(3)
         rx = small_positions(5)
         r = sample_realization(cfg, tx, rx, seed=31)
-        assert np.array_equal(r.a_t, steering_matrix(tx, r.aod_az, r.aod_el,
-                                                     r.wavelength))
-        assert np.array_equal(r.a_r, steering_matrix(rx, r.aoa_az, r.aoa_el,
-                                                     r.wavelength))
+        # path c*L + l in column c*L + l
+        assert np.array_equal(r.a_t, steering(
+            tx, unit_directions(r.aod_az.ravel(), r.aod_el.ravel()),
+            r.wavelength))
+        assert np.array_equal(r.a_r, steering(
+            rx, unit_directions(r.aoa_az.ravel(), r.aoa_el.ravel()),
+            r.wavelength))
+        np.testing.assert_allclose(r.a_t[:, 2 * 4 + 1], steering(
+            tx, unit_directions(r.aod_az[2, 1], r.aod_el[2, 1]),
+            r.wavelength), atol=1e-15)
         assert r.a_t.shape == (3, 12) and r.a_r.shape == (5, 12)
 
     def test_reassembly_reproduces_stored_matrix(self):
@@ -147,12 +154,3 @@ class TestSampleRealization:
             assert np.all((el >= 0.0) & (el <= np.pi))
         for az in (r.aod_az, r.aoa_az):
             assert np.all((az >= 0.0) & (az < 2 * np.pi))
-
-    def test_path_record_view(self):
-        cfg = ChannelConfig(clusters=2, paths_per_cluster=3)
-        pos = small_positions(2)
-        r = sample_realization(cfg, pos, pos, seed=4)
-        records = list(r.path_records())
-        assert len(records) == 6
-        assert records[4].cluster == 1 and records[4].path == 1
-        assert records[4].gain == complex(r.gains[1, 1])

@@ -1,6 +1,7 @@
 import pytest
 
 from cimsim.cli import main
+from cimsim.verify import ALL_CHECKS
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -8,6 +9,7 @@ from cimsim.cli import main
     (["ber", "--config", "{cfg}"], "geometry CCA with n_elements=16"),
     (["pattern", "--geometry", "ULA", "--resolution", "2"],
      "1 degree or finer"),
+    (["ber", "--seed", "-1"], "seed must be at least 0, got -1"),
 ])
 def test_bad_input_is_one_line_error(tmp_path, capsys, argv, message):
     cfg = tmp_path / "bad.cfg"
@@ -20,3 +22,10 @@ def test_bad_input_is_one_line_error(tmp_path, capsys, argv, message):
     assert message in err
     assert err.count("\n") == 1
     assert not out.exists()      # nothing is created before input is valid
+
+
+def test_verify_passes_every_check(capsys):
+    assert main(["verify"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(ALL_CHECKS)
+    assert all(line.startswith("[PASS] ") for line in lines)

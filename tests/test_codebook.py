@@ -2,14 +2,24 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cimsim.arrays import GeometrySpec, element_positions
-from cimsim.channel import ChannelConfig, sample_realization, steering_matrix
+from cimsim.arrays import (GeometrySpec, element_positions, steering,
+                           unit_directions)
+from cimsim.channel import ChannelConfig, sample_realization
 from cimsim.codebook import (FpsBank, best_effective_path,
                              build_codebook, compose_switch_vector,
-                             quantize_phase, quantize_weights, realized_phase)
+                             quantize_weights, realized_phase)
 
 LAM = 0.0107068735
+
+
+def steer(pos, az, el, lam=LAM):
+    return steering(pos, unit_directions(az, el), lam)
+
+
+def floor_phase(theta, bank: FpsBank) -> float:
+    return realized_phase(compose_switch_vector(theta, bank), bank)
 
 
 def exhaustive_best_phase(theta: float, bank: FpsBank) -> float:
@@ -50,7 +60,7 @@ class TestFpsBank:
 class TestComposeSwitchVector:
     def test_zero_phase(self):
         for n_f in (2, 4, 8):
-            omega = quantize_phase(0.0, FpsBank(n_f))
+            omega = floor_phase(0.0, FpsBank(n_f))
             assert omega == 0.0
 
     def test_three_quarter_pi_exact(self):
@@ -92,7 +102,7 @@ class TestComposeSwitchVector:
         for n_f in (3, 5):
             bank = FpsBank(n_f)
             for theta in rng.uniform(0, 2 * np.pi, 200):
-                omega = quantize_phase(theta, bank)
+                omega = floor_phase(theta, bank)
                 steps = omega / bank.phase_step
                 assert abs(steps - round(steps)) < 1e-9
 
@@ -101,7 +111,7 @@ class TestComposeSwitchVector:
         worst = []
         for n_f in (3, 4, 5, 6):
             bank = FpsBank(n_f)
-            errs = [np.mod(t, 2 * np.pi) - quantize_phase(t, bank)
+            errs = [np.mod(t, 2 * np.pi) - floor_phase(t, bank)
                     for t in thetas]
             worst.append(max(errs))
         for a, b in zip(worst, worst[1:]):
@@ -129,10 +139,35 @@ class TestQuantizeWeights:
         w = np.exp(1j * rng.uniform(-np.pi, np.pi, 128)) / np.sqrt(128)
         bank = FpsBank(5)
         q = quantize_weights(w, bank)
-        per_entry = np.array([quantize_phase(t, bank)
+        per_entry = np.array([floor_phase(t, bank)
                               for t in np.mod(np.angle(w), 2 * np.pi)])
         circular_gap = np.angle(q * np.exp(-1j * per_entry) * np.sqrt(128))
         np.testing.assert_allclose(circular_gap, 0.0, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              database=None)
+    @given(n_f=st.integers(2, 12),
+           entries=st.lists(st.tuples(st.floats(1e-3, 1e3),
+                                      st.floats(-4 * np.pi, 4 * np.pi)),
+                            min_size=1, max_size=32))
+    def test_property_matches_scalar_route(self, n_f, entries):
+        bank = FpsBank(n_f)
+        magnitude, theta = np.array(entries).T
+        w = magnitude * np.exp(1j * theta)
+        q = quantize_weights(w, bank)
+        np.testing.assert_allclose(np.abs(q), np.abs(w), rtol=1e-15, atol=0)
+        for wi, qi in zip(w, q):
+            omega = floor_phase(np.angle(wi), bank)
+            wrapped = np.mod(np.angle(wi), 2 * np.pi)
+            if wrapped == 2 * np.pi:
+                # np.mod rounds angles in (-4.4e-16, 0) up to 2 pi; the
+                # realized phase is then the floor of the exact wrapped
+                # angle: every switch closed, the largest bank phase
+                assert compose_switch_vector(np.angle(wi), bank).all()
+            else:
+                assert 0.0 <= wrapped - omega < bank.phase_step
+            # bit for bit the per-entry switch composition
+            assert qi == np.abs(wi) * np.exp(1j * omega)
 
     def test_eight_shifters_alignment_bound(self):
         rng = np.random.default_rng(4)
@@ -160,10 +195,10 @@ class TestBestEffectivePath:
         # exhaustive evaluation of both candidates
         gains = []
         for l in range(2):
-            f = steering_matrix(pos, realization.aod_az[0, l],
-                                realization.aod_el[0, l], LAM)[:, 0]
-            w = steering_matrix(pos, realization.aoa_az[0, l],
-                                realization.aoa_el[0, l], LAM)[:, 0]
+            f = steer(pos, realization.aod_az[0, l],
+                      realization.aod_el[0, l])
+            w = steer(pos, realization.aoa_az[0, l],
+                      realization.aoa_el[0, l])
             gains.append(abs(w.conj() @ realization.matrix @ f) ** 2)
         assert gains[0] > gains[1]
         assert best_effective_path(realization, 0) == 0
@@ -176,10 +211,10 @@ class TestBestEffectivePath:
             for c in range(3):
                 metrics = []
                 for l in range(5):
-                    f = steering_matrix(pos, realization.aod_az[c, l],
-                                        realization.aod_el[c, l], LAM)[:, 0]
-                    w = steering_matrix(pos, realization.aoa_az[c, l],
-                                        realization.aoa_el[c, l], LAM)[:, 0]
+                    f = steer(pos, realization.aod_az[c, l],
+                              realization.aod_el[c, l])
+                    w = steer(pos, realization.aoa_az[c, l],
+                              realization.aoa_el[c, l])
                     metrics.append(abs(w.conj() @ realization.matrix @ f) ** 2)
                 assert best_effective_path(realization, c) == int(np.argmax(metrics))
 
@@ -194,8 +229,8 @@ class TestBuildCodebook:
         realization, pos = make_realization(clusters=1, paths=4)
         cb = build_codebook(realization, 1)
         p = cb.best_paths[0]
-        expected = steering_matrix(pos, realization.aod_az[0, p],
-                                   realization.aod_el[0, p], LAM)[:, 0]
+        expected = steer(pos, realization.aod_az[0, p],
+                         realization.aod_el[0, p])
         np.testing.assert_allclose(cb.beamformers[:, 0], expected, atol=1e-13)
 
     def test_top2_matches_exhaustive_scan(self):
@@ -206,10 +241,10 @@ class TestBuildCodebook:
         for c in range(8):
             metrics = []
             for l in range(10):
-                f = steering_matrix(pos, realization.aod_az[c, l],
-                                    realization.aod_el[c, l], LAM)[:, 0]
-                w = steering_matrix(pos, realization.aoa_az[c, l],
-                                    realization.aoa_el[c, l], LAM)[:, 0]
+                f = steer(pos, realization.aod_az[c, l],
+                          realization.aod_el[c, l])
+                w = steer(pos, realization.aoa_az[c, l],
+                          realization.aoa_el[c, l])
                 metrics.append(abs(w.conj() @ realization.matrix @ f) ** 2)
             scan.append(max(metrics))
         expected = tuple(int(i) for i in np.argsort(scan)[::-1][:2])
@@ -236,16 +271,16 @@ class TestBuildCodebook:
         assert ideal.clusters == quantized.clusters
         assert np.array_equal(ideal.best_paths, quantized.best_paths)
 
-    def test_codewords_are_selected_path_steering_vectors(self):
+    def test_codewords_are_selected_path_steering_columns(self):
         realization, pos = make_realization(seed=9)
         cb = build_codebook(realization, 4)
         clusters = np.array(cb.clusters)
         paths = cb.best_paths[clusters]
         lam = realization.wavelength
-        assert np.array_equal(cb.beamformers, steering_matrix(
+        assert np.array_equal(cb.beamformers, steer(
             pos, realization.aod_az[clusters, paths],
             realization.aod_el[clusters, paths], lam))
-        assert np.array_equal(cb.combiners, steering_matrix(
+        assert np.array_equal(cb.combiners, steer(
             pos, realization.aoa_az[clusters, paths],
             realization.aoa_el[clusters, paths], lam))
 

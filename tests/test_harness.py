@@ -9,15 +9,15 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cimsim import harness
 from cimsim.arrays import element_positions, scenario_geometry
-from cimsim.channel import sample_realization
+from cimsim.channel import ChannelConfig, sample_realization
 from cimsim.codebook import build_codebook
 from cimsim.harness import (HardwareSpec, SimConfig, aggregate_and_emit,
                             load_config, results_to_csv, run_sweep)
-from cimsim.link import (LinkConfig, TxSymbols, array_gain_db, bit_errors,
-                         db_to_linear, dbm_to_watt, ml_detect,
+from cimsim.link import (array_gain_db, db_to_linear, dbm_to_watt,
                          psk_constellation)
 
 TINY = dict(geometries=("ULA", "URA"), signalings=((2, 4),), hardware=("OP",),
@@ -60,9 +60,14 @@ class TestHardwareSpec:
         spec = HardwareSpec.parse(token)
         assert (spec.kind, spec.n_shifters) == (kind, nf)
 
-    @pytest.mark.parametrize("token", ["XX", "HE1", "HE"])
-    def test_parse_rejects(self, token):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("token,message", [
+        ("XX", "unknown hardware token: 'XX'"),
+        ("HE1", "hardware HE1: need at least two"),
+        ("HE", "unknown hardware token: 'HE'"),
+        ("HEx", "unknown hardware token: 'HEx'"),
+    ], ids=["XX", "HE1", "HE", "HEx"])
+    def test_parse_rejects(self, token, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
             HardwareSpec.parse(token)
 
 
@@ -75,11 +80,13 @@ class TestSimConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(signalings=((16, 4),)),               # B > clusters
         dict(signalings=((3, 4),)),                # not a power of two
-        dict(signalings=((4, 4),), n_rf=2),        # B > N_RF
+        dict(error_limit=0),
         dict(geometries=("XLA",)),
         dict(hardware=("HE0",)),
         dict(powers_dbm=()),
         dict(realizations=0),
+        dict(seed=-1),
+        dict(signalings=((2, 5),)),                # M not a power of two
     ])
     def test_invalid_configs_raise(self, kwargs):
         with pytest.raises(ValueError):
@@ -215,7 +222,8 @@ class TestRunSweep:
             assert len({r.elapsed_s for r in results if r.geometry == g}) == 1
 
     def test_matches_per_symbol_link_pipeline(self):
-        # rebuild one grid point with the module-level link API
+        # rebuild one grid point symbol by symbol, with an exhaustive
+        # search over the B x M hypotheses as the detector
         cfg = SimConfig(geometries=("ULA",), signalings=((2, 4),),
                         hardware=("OP",), powers_dbm=(-15.0,),
                         realizations=4, symbols_per_realization=16,
@@ -225,29 +233,34 @@ class TestRunSweep:
         spec = scenario_geometry("ULA", cfg.channel.wavelength, 8)
         positions = element_positions(spec)
         gain = db_to_linear(array_gain_db(8))
-        link = LinkConfig(2, 4, dbm_to_watt(-15.0), gain, gain,
-                          dbm_to_watt(cfg.noise_dbm), 2)
+        amplitude = np.sqrt(dbm_to_watt(-15.0)) * gain * gain
         points = psk_constellation(4)
-        sigma = np.sqrt(link.noise_var_w / 2.0)
+        sigma = np.sqrt(dbm_to_watt(cfg.noise_dbm) / 2.0)
         total = 0
         for r in range(4):
             realization = sample_realization(
                 cfg.channel, positions, positions,
                 np.random.SeedSequence([3, 0, 0, r, 0]))
+            h = realization.matrix
             cb = build_codebook(realization, 2)
+            hyp = [cb.combiners[:, c].conj() @ h @ cb.beamformers[:, c]
+                   for c in range(2)]
             rng = np.random.default_rng(np.random.SeedSequence([3, 0, 0, r, 1]))
             x0 = rng.integers(0, 2, 16)
             x1 = rng.integers(0, 4, 16)
             noise = rng.normal(0, sigma, (16, 8)) + 1j * rng.normal(0, sigma, (16, 8))
             for t in range(16):
-                tx = TxSymbols.from_values(int(x0[t]), int(x1[t]), points)
-                y = link.amplitude * (realization.matrix
-                                      @ cb.beamformers[:, tx.cluster_symbol]) \
-                    * tx.point + noise[t]
+                y = amplitude * (h @ cb.beamformers[:, x0[t]]) * points[x1[t]] \
+                    + noise[t]
                 z = cb.combiners.conj().T @ y
-                det = ml_detect(z, cb, realization.matrix, link)
-                s, c = bit_errors(tx, det, link)
-                total += s + c
+                best = None
+                for c in range(2):
+                    for s in range(4):
+                        d = abs(z[c] - amplitude * hyp[c] * points[s]) ** 2
+                        if best is None or d < best[0]:
+                            best = (d, c, s)
+                total += bin(x0[t] ^ best[1]).count("1")
+                total += bin(x1[t] ^ best[2]).count("1")
         assert total == result.bit_errors
 
 
@@ -346,10 +359,65 @@ class TestConfigFile:
         assert cfg.channel.clusters == 8
         assert np.rad2deg(cfg.channel.angular_spread_rad) == pytest.approx(7.5)
 
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_property_roundtrip_every_key(self, tmp_path_factory, data):
+        floats = st.floats(-1e3, 1e3)
+        clusters = data.draw(st.integers(1, 16))
+        n_elements = data.draw(st.sampled_from([4, 16, 50, 82]))
+        kinds = ["ULA", "URA", "UCA"] + (["CCA"] if n_elements == 82 else [])
+        sim = dict(
+            geometries=tuple(data.draw(st.lists(st.sampled_from(kinds),
+                                                min_size=1, max_size=4))),
+            signalings=tuple(data.draw(st.lists(st.tuples(
+                st.sampled_from([b for b in (1, 2, 4, 8, 16)
+                                 if b <= clusters]),
+                st.sampled_from([2, 4, 8, 16])), min_size=1, max_size=3))),
+            hardware=tuple(data.draw(st.lists(st.sampled_from(
+                ["OP"] + [f"HE{n}" for n in range(2, 54)]),
+                min_size=1, max_size=3))),
+            powers_dbm=tuple(data.draw(st.lists(floats, min_size=1,
+                                                max_size=5))),
+            realizations=data.draw(st.integers(1, 10 ** 6)),
+            symbols_per_realization=data.draw(st.integers(1, 10 ** 6)),
+            seed=data.draw(st.integers(0, 2 ** 63)),
+            n_elements=n_elements,
+            noise_dbm=data.draw(floats),
+            error_limit=data.draw(st.integers(1, 10 ** 9)))
+        spread_deg = data.draw(st.floats(1e-3, 90.0))
+        channel = dict(
+            clusters=clusters,
+            paths_per_cluster=data.draw(st.integers(1, 50)),
+            pathloss_intercept_db=data.draw(floats),
+            pathloss_exponent=data.draw(floats),
+            shadowing_std_db=data.draw(st.floats(0.0, 20.0)),
+            carrier_hz=data.draw(st.floats(1e6, 1e12)),
+            tx_position=data.draw(st.tuples(floats, floats, floats)),
+            rx_position=data.draw(st.tuples(floats, floats, floats)))
+        assume(not np.allclose(channel["tx_position"],
+                               channel["rx_position"]))
+
+        def text(value):
+            if isinstance(value, tuple):
+                return ", ".join(map(text, value))
+            return repr(value) if isinstance(value, float) else str(value)
+
+        entries = {**sim, **channel, "angular_spread_deg": spread_deg,
+                   "signalings": tuple(f"{b}x{m}"
+                                       for b, m in sim["signalings"])}
+        lines = [f"{key} = {text(value)}" for key, value in entries.items()]
+        path = tmp_path_factory.mktemp("cfg") / "sim.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        expected = SimConfig(channel=ChannelConfig(
+            angular_spread_rad=float(np.deg2rad(spread_deg)), **channel),
+            **sim)
+        assert load_config(path) == expected
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("geometries = ULA\nbogus_key = 3\n")
-        with pytest.raises(ValueError, match="bogus_key"):
+        with pytest.raises(ValueError, match=r"bad\.cfg:2: bogus_key: unknown"):
             load_config(path)
 
     def test_zero_power_step_names_key_and_line(self, tmp_path):
@@ -362,6 +430,17 @@ class TestConfigFile:
         path = tmp_path / "bad.cfg"
         path.write_text("hardware = OP, HE70\n")
         with pytest.raises(ValueError, match=r"bad\.cfg:1: hardware: .*HE70"):
+            load_config(path)
+
+    @pytest.mark.parametrize("line,message", [
+        ("error_limit = 0", "error_limit must be at least 1"),
+        ("seed = -1", "seed must be at least 0"),
+    ])
+    def test_bad_value_names_key_and_line(self, tmp_path, line, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"geometries = ULA\n{line}\n")
+        key = line.split()[0]
+        with pytest.raises(ValueError, match=rf"bad\.cfg:2: {key}: {message}"):
             load_config(path)
 
     def test_malformed_line_rejected(self, tmp_path):

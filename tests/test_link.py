@@ -1,26 +1,41 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cimsim.arrays import GeometrySpec, element_positions
 from cimsim.channel import ChannelConfig, sample_realization
 from cimsim.codebook import build_codebook
-from cimsim.link import (DetectionResult, LinkConfig, TxSymbols, array_gain_db,
-                         bit_errors, branch_amplitudes, db_to_linear,
-                         dbm_to_watt, gray_code, ml_detect, psk_constellation,
-                         transmit_and_receive)
+from cimsim.link import (array_gain_db, branch_amplitudes, count_bit_errors,
+                         db_to_linear, dbm_to_watt, detect, gray_code,
+                         psk_constellation, transmit)
 
 LAM = 0.0107068735
 
 
-def make_link(seed=1, n=8, clusters=4, order=2, constellation=4,
-              power_w=1.0, noise_w=0.0):
+def make_link(seed=1, n=8, clusters=4, order=2, power_w=1.0):
+    """Channel, codebook and amplitude sqrt(P) G_t G_r of a small ULA link."""
     pos = element_positions(GeometrySpec.ula(n, LAM))
     cfg = ChannelConfig(clusters=clusters, paths_per_cluster=4)
     realization = sample_realization(cfg, pos, pos, seed=seed)
     cb = build_codebook(realization, order)
     gain = db_to_linear(array_gain_db(n))
-    link = LinkConfig(order, constellation, power_w, gain, gain, noise_w)
-    return realization, cb, link
+    return realization, cb, np.sqrt(power_w) * gain * gain
+
+
+def all_hypotheses(order, m):
+    """(x0, x1) of every B x M hypothesis, cluster-major."""
+    return np.divmod(np.arange(order * m), m)
+
+
+def noiseless_decisions(realization, cb, amplitude, x0, x1, m=4):
+    points = psk_constellation(m)
+    h = realization.matrix
+    signal, _ = transmit(cb, h, x0, points[x1],
+                         np.zeros((x0.size, h.shape[0])))
+    return detect(amplitude * signal, amplitude, branch_amplitudes(cb, h),
+                  points)
 
 
 class TestHelpers:
@@ -60,59 +75,39 @@ class TestConstellation:
             psk_constellation(3)
 
 
-class TestLinkConfig:
-    def test_amplitude_composition(self):
-        link = LinkConfig(2, 4, 4.0, 3.0, 5.0, 1e-12)
-        assert link.amplitude == pytest.approx(2.0 * 3.0 * 5.0)
-        assert link.bits_per_use == 3
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(order=3), dict(constellation=5), dict(power_w=0.0),
-        dict(noise_var_w=-1.0), dict(order=4, n_rf=2),
-    ])
-    def test_invalid_configs(self, kwargs):
-        base = dict(order=2, constellation=4, power_w=1.0, tx_gain=1.0,
-                    rx_gain=1.0, noise_var_w=0.0)
-        base.update(kwargs)
-        with pytest.raises(ValueError):
-            LinkConfig(**base)
-
-
 class TestTransmitAndReceive:
     def test_noiseless_single_branch_value(self):
-        realization, cb, link = make_link(order=1, constellation=4)
+        realization, cb, amplitude = make_link(order=1)
         points = psk_constellation(4)
-        tx = TxSymbols.from_values(0, 3, points)
-        z = transmit_and_receive(cb, realization.matrix, tx, link,
-                                 np.random.default_rng(0))
+        h = realization.matrix
+        signal, noise = transmit(cb, h, np.array([0]), points[[3]],
+                                 np.zeros((1, 8)))
+        z = amplitude * signal + noise
         w = cb.combiners[:, 0]
         f = cb.beamformers[:, 0]
-        expected = link.amplitude * (w.conj() @ realization.matrix @ f) * tx.point
-        assert z.shape == (1,)
-        assert z[0] == pytest.approx(expected, rel=1e-12)
+        expected = amplitude * (w.conj() @ h @ f) * points[3]
+        assert z.shape == (1, 1)
+        assert z[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_noise_only_branch_power(self):
-        # vanishing signal power leaves E|z(c)|^2 = noise var * ||w_c||^2
-        realization, cb, _ = make_link(order=2, noise_w=0.0)
+        # the combined noise of branch c has E|.|^2 = noise var * ||w_c||^2
+        realization, cb, _ = make_link(order=2)
         noise_w = 2.5e-3
-        link = LinkConfig(2, 4, 1e-30, 1.0, 1.0, noise_w)
-        points = psk_constellation(4)
-        tx = TxSymbols.from_values(0, 0, points)
-        rng = np.random.default_rng(42)
-        acc = np.zeros(2)
         draws = 20_000
-        for _ in range(draws):
-            z = transmit_and_receive(cb, realization.matrix, tx, link, rng)
-            acc += np.abs(z) ** 2
-        measured = acc / draws
+        rng = np.random.default_rng(42)
+        sigma = np.sqrt(noise_w / 2.0)
+        noise = rng.normal(0.0, sigma, (draws, 8)) \
+            + 1j * rng.normal(0.0, sigma, (draws, 8))
+        _, combined = transmit(cb, realization.matrix, np.zeros(draws, int),
+                               np.ones(draws, complex), noise)
+        measured = np.mean(np.abs(combined) ** 2, axis=0)
         np.testing.assert_allclose(measured, noise_w, rtol=0.03)
 
     def test_dimension_mismatch_rejected(self):
-        realization, cb, link = make_link()
+        realization, cb, _ = make_link()
         with pytest.raises(ValueError):
-            transmit_and_receive(cb, realization.matrix[:, :4],
-                                 TxSymbols.from_values(0, 0, psk_constellation(4)),
-                                 link, np.random.default_rng(0))
+            transmit(cb, realization.matrix[:, :4], np.array([0]),
+                     psk_constellation(4)[:1], np.zeros((1, 8)))
 
     def test_branch_amplitudes_are_per_branch_projections(self):
         realization, cb, _ = make_link(seed=5, order=4)
@@ -126,85 +121,112 @@ class TestTransmitAndReceive:
 class TestMlDetect:
     def test_noiseless_exhaustive_exact(self):
         for order in (2, 4):
-            realization, cb, link = make_link(order=order)
-            points = psk_constellation(4)
-            rng = np.random.default_rng(1)
-            for x0 in range(order):
-                for x1 in range(4):
-                    tx = TxSymbols.from_values(x0, x1, points)
-                    z = transmit_and_receive(cb, realization.matrix, tx, link, rng)
-                    det = ml_detect(z, cb, realization.matrix, link)
-                    assert (det.cluster_symbol, det.constellation_symbol) == (x0, x1)
-                    assert bit_errors(tx, det, link) == (0, 0)
+            realization, cb, amplitude = make_link(order=order)
+            x0, x1 = all_hypotheses(order, 4)
+            c_hat, s_hat = noiseless_decisions(realization, cb, amplitude,
+                                               x0, x1)
+            assert np.array_equal(c_hat, x0) and np.array_equal(s_hat, x1)
+            assert count_bit_errors(x0, x1, c_hat, s_hat) == 0
 
     def test_swapped_codebook_yields_spatial_bit_error(self):
-        import dataclasses
-        realization, cb, link = make_link(order=2)
+        realization, cb, amplitude = make_link(order=2)
         points = psk_constellation(4)
-        tx = TxSymbols.from_values(0, 1, points)
+        h = realization.matrix
         # receiver runs a codebook with its branch labels swapped
         swapped = dataclasses.replace(
             cb, clusters=cb.clusters[::-1],
             beamformers=cb.beamformers[:, ::-1],
             combiners=cb.combiners[:, ::-1],
             effective_gains=cb.effective_gains[::-1])
-        y = link.amplitude * (realization.matrix @ cb.beamformers[:, 0]) * tx.point
-        z = swapped.combiners.conj().T @ y
-        det = ml_detect(z, swapped, realization.matrix, link)
-        assert det.cluster_symbol == 1
-        assert det.constellation_symbol == tx.constellation_symbol
-        spatial, _ = bit_errors(tx, det, link)
-        assert spatial == 1
+        y = amplitude * (h @ cb.beamformers[:, 0]) * points[1]
+        z = (swapped.combiners.conj().T @ y)[None, :]
+        c_hat, s_hat = detect(z, amplitude, branch_amplitudes(swapped, h),
+                              points)
+        assert (c_hat[0], s_hat[0]) == (1, 1)
+        assert count_bit_errors(np.array([0]), np.array([1]), c_hat,
+                                s_hat) == 1
 
     def test_common_scaling_invariance(self):
-        realization, cb, link = make_link(order=4, noise_w=1e-9)
+        realization, cb, amplitude = make_link(order=4)
         points = psk_constellation(4)
+        h = realization.matrix
         rng = np.random.default_rng(3)
-        z = transmit_and_receive(cb, realization.matrix,
-                                 TxSymbols.from_values(2, 1, points), link, rng)
-        det_a = ml_detect(z, cb, realization.matrix, link)
-        scaled = LinkConfig(link.order, link.constellation, 4.0 * link.power_w,
-                            link.tx_gain, link.rx_gain, link.noise_var_w)
-        det_b = ml_detect(2.0 * z, cb, realization.matrix, scaled)
+        sigma = np.sqrt(1e-9 / 2)
+        noise = rng.normal(0, sigma, (1, 8)) + 1j * rng.normal(0, sigma, (1, 8))
+        signal, combined = transmit(cb, h, np.array([2]), points[[1]], noise)
+        z = amplitude * signal + combined
+        hyp = branch_amplitudes(cb, h)
+        det_a = detect(z, amplitude, hyp, points)
+        det_b = detect(2.0 * z, 2.0 * amplitude, hyp, points)
         assert det_a == det_b
 
     def test_wrong_length_rejected(self):
-        realization, cb, link = make_link(order=2)
+        realization, cb, amplitude = make_link(order=2)
         with pytest.raises(ValueError):
-            ml_detect(np.zeros(3, complex), cb, realization.matrix, link)
+            detect(np.zeros((1, 3), complex), amplitude,
+                   branch_amplitudes(cb, realization.matrix),
+                   psk_constellation(4))
+
+    def test_ties_go_to_lowest_cluster_then_symbol(self):
+        # equal branch amplitudes and z = 0: every hypothesis ties
+        points = psk_constellation(4)
+        c_hat, s_hat = detect(np.zeros((2, 2), complex), 1.0,
+                              np.ones(2, complex), points)
+        assert c_hat.tolist() == [0, 0] and s_hat.tolist() == [0, 0]
+
+    @settings(max_examples=15, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), order=st.sampled_from([1, 2, 4]),
+           m=st.sampled_from([2, 4, 8]), exponent=st.integers(-20, 20))
+    def test_property_noiseless_exact_and_scale_invariant(self, seed, order,
+                                                          m, exponent):
+        realization, cb, amplitude = make_link(seed=seed, order=order)
+        x0, x1 = all_hypotheses(order, m)
+        c_hat, s_hat = noiseless_decisions(realization, cb, amplitude,
+                                           x0, x1, m)
+        assert np.array_equal(c_hat, x0) and np.array_equal(s_hat, x1)
+        # with noise, decisions survive scaling z and the amplitude by the
+        # same power of two (exact in floating point)
+        points = psk_constellation(m)
+        h = realization.matrix
+        rng = np.random.default_rng(seed)
+        noise = rng.normal(0, 1e-6, (x0.size, 8)) \
+            + 1j * rng.normal(0, 1e-6, (x0.size, 8))
+        signal, combined = transmit(cb, h, x0, points[x1], noise)
+        z = amplitude * signal + combined
+        hyp = branch_amplitudes(cb, h)
+        scale = 2.0 ** exponent
+        base = detect(z, amplitude, hyp, points)
+        scaled = detect(scale * z, scale * amplitude, hyp, points)
+        assert all(np.array_equal(a, b) for a, b in zip(base, scaled))
 
 
 class TestBitAccounting:
     def test_counts_on_natural_and_gray_labels(self):
-        link = LinkConfig(4, 4, 1.0, 1.0, 1.0, 0.0)
-        points = psk_constellation(4)
-        tx = TxSymbols.from_values(0b10, 0b01, points)
-        det = DetectionResult(0b01, 0b10, complex(points[0b10]))
-        assert bit_errors(tx, det, link) == (2, 2)
-        det_close = DetectionResult(0b11, 0b00, complex(points[0]))
-        assert bit_errors(tx, det_close, link) == (1, 1)
+        x0, x1 = np.array([0b10, 0b10]), np.array([0b01, 0b01])
+        assert count_bit_errors(x0[:1], x1[:1], np.array([0b01]),
+                                np.array([0b10])) == 4
+        assert count_bit_errors(x0[:1], x1[:1], np.array([0b11]),
+                                np.array([0b00])) == 2
+        # a batch sums its uses
+        assert count_bit_errors(x0, x1, np.array([0b01, 0b11]),
+                                np.array([0b10, 0b00])) == 6
 
     def test_high_snr_waterfall(self):
-        # vectorized restatement of the per-symbol pipeline
-        realization, cb, _ = make_link(seed=6, order=2)
+        realization, cb, amplitude = make_link(seed=6, order=2,
+                                               power_w=dbm_to_watt(0.0))
         noise_w = 1e-16
-        link = LinkConfig(2, 4, dbm_to_watt(0.0),
-                          db_to_linear(array_gain_db(8)),
-                          db_to_linear(array_gain_db(8)), noise_w)
         points = psk_constellation(4)
         rng = np.random.default_rng(9)
         trials = 100_000
         x0 = rng.integers(0, 2, trials)
         x1 = rng.integers(0, 4, trials)
         sigma = np.sqrt(noise_w / 2)
-        noise = rng.normal(0, sigma, (trials, 8)) + 1j * rng.normal(0, sigma, (trials, 8))
-        v = cb.combiners.conj().T @ realization.matrix @ cb.beamformers
-        z = link.amplitude * v[:, x0].T * points[x1][:, None] \
-            + noise @ cb.combiners.conj()
-        hyp = link.amplitude * branch_amplitudes(cb, realization.matrix)
-        metric = np.abs(z[:, :, None] - hyp[None, :, None] * points[None, None, :]) ** 2
-        flat = metric.reshape(trials, -1).argmin(axis=1)
-        errs = (np.bitwise_count(x0 ^ (flat // 4)).sum()
-                + np.bitwise_count(x1 ^ (flat % 4)).sum())
-        ber = errs / (3 * trials)
+        noise = rng.normal(0, sigma, (trials, 8)) \
+            + 1j * rng.normal(0, sigma, (trials, 8))
+        h = realization.matrix
+        signal, combined = transmit(cb, h, x0, points[x1], noise)
+        c_hat, s_hat = detect(amplitude * signal + combined, amplitude,
+                              branch_amplitudes(cb, h), points)
+        ber = count_bit_errors(x0, x1, c_hat, s_hat) / (3 * trials)
         assert ber < 1e-3
