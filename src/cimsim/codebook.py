@@ -48,6 +48,13 @@ class FpsBank:
         return TWO_PI / 2 ** (self.n_shifters - 1)
 
 
+def wrap_phase(theta: "float | np.ndarray") -> "float | np.ndarray":
+    """theta mod 2*pi in [0, 2*pi); np.mod alone rounds angles in
+    (-4.4e-16, 0) up to exactly 2*pi."""
+    wrapped = np.mod(np.asarray(theta, dtype=float), TWO_PI)
+    return np.where(wrapped == TWO_PI, 0.0, wrapped)[()]
+
+
 def compose_switch_vector(theta: "float | np.ndarray",
                           bank: FpsBank) -> np.ndarray:
     """Switch settings realizing the largest bank phase sum <= wrap(theta).
@@ -58,7 +65,7 @@ def compose_switch_vector(theta: "float | np.ndarray",
     holding each angle's switch vector.
     """
     phases = bank.phases
-    remaining = np.mod(np.asarray(theta, dtype=float), TWO_PI)
+    remaining = wrap_phase(theta)
     switches = np.zeros(remaining.shape + (bank.n_shifters,), dtype=np.int8)
     for i in range(bank.n_shifters - 1, -1, -1):
         closed = phases[i] <= remaining

@@ -31,6 +31,8 @@ MAIN_LOBE_FLOOR_DB = 20.0  # main lobe = connected region above peak - 20 dB
 # so the merge only removes float noise: a phase error of the order of
 # 2 pi * 1e-12 * extent / wavelength.
 _GROUP_RTOL = 1e-12
+# elevation rows (distinct sin el) exponentiated per batch in compute_pattern
+_ROW_CHUNK = 64
 
 # Chart basis for planar arrays, columns = chart axes in array coords:
 # chart x -> array z (broadside), chart y -> array x, chart z -> array y.
@@ -112,8 +114,7 @@ def compute_pattern(positions: np.ndarray, weights: np.ndarray,
                     wavelength: float,
                     steer_az_deg: float = 0.0, steer_el_off_deg: float = 0.0,
                     az_step_deg: float = 0.25, el_step_deg: float = 0.25,
-                    frame: np.ndarray | None = None,
-                    row_chunk: int = 64) -> RadiationPattern:
+                    frame: np.ndarray | None = None) -> RadiationPattern:
     """Directivity pattern |w^H a|^2 N over the chart grid, 4*pi-normalized.
 
     ``steer_el_off_deg`` is the pointing offset from broadside; the grid
@@ -127,25 +128,37 @@ def compute_pattern(positions: np.ndarray, weights: np.ndarray,
         B[el, g]   = sum_{n in g} w_n^* exp(j k cos el P2_n),
         q[az, g]   = k (cos az P0_g + sin az P1_g),
 
-    where g runs over the distinct (P0, P1) pairs of the elements and only
-    the distinct rows of q (azimuth columns) are exponentiated.  Values
-    that agree to within ``_GROUP_RTOL`` of the array extent count as
-    equal.  So a ULA (P0 = P1 = 0) needs one exponential per elevation row
-    and element, and a planar array (P0 = 0) one per elevation row,
-    distinct sin az (az and 180 - az share a column) and distinct P1.
+    where g runs over the distinct (P0, P1) pairs of the elements.  The
+    exponential exp(j sin el q) is evaluated once per distinct sin el
+    (el and 180 - el share it, with their own B rows) and per distinct
+    row of q up to sign: a column with q = -q' takes conj(exp(j sin el q'))
+    and |sum conj(T) B| = |sum T conj(B)|.  Values that agree to within
+    ``_GROUP_RTOL`` (of the array extent for q) count as equal.  On the
+    default 0.25 deg grid (721 x 1440 directions) that is 361 distinct
+    sin el times 361 distinct |sin az| for a planar array (P0 = 0), and
+    the scenario arrays take these numbers of exp(j sin el q) terms,
+    besides the 721 x N exponentials of B:
+
+        ULA (82 elements, G = 1, P1 = 0):  361 x 1 x 1      = 361
+        URA (81 elements, G = 9):          361 x 361 x 9    = 1.17 M
+        UCA (82 elements, G = 42):         361 x 361 x 42   = 5.47 M
+        CCA (82 elements, G = 43):         361 x 361 x 43   = 5.60 M
     """
     positions = np.asarray(positions, dtype=float)
     weights = np.asarray(weights, dtype=complex)
     if positions.shape[0] != weights.shape[0]:
         raise ValueError("weights length must match element count")
+    if positions.shape[0] == 0:
+        raise ValueError("positions must be nonempty")
+    if not (az_step_deg > 0.0 and el_step_deg > 0.0):
+        raise ValueError(f"grid step must be positive, got az_step_deg="
+                         f"{az_step_deg:g}, el_step_deg={el_step_deg:g}")
     if az_step_deg > 1.0 or el_step_deg > 1.0:
         raise ValueError("grid resolution must be 1 degree or finer")
     frame = np.eye(3) if frame is None else np.asarray(frame, float)
 
     az_deg = np.arange(-180.0, 180.0, az_step_deg)
     el_deg = np.arange(0.0, 180.0 + el_step_deg / 2.0, el_step_deg)
-    if az_deg.size == 0 or el_deg.size == 0:
-        raise ValueError("empty pattern grid")
     az = np.deg2rad(az_deg)
     el = np.deg2rad(el_deg)
     kscale = 2.0 * np.pi / wavelength
@@ -159,18 +172,36 @@ def compute_pattern(positions: np.ndarray, weights: np.ndarray,
               np.exp(1j * kscale * np.outer(np.cos(el), chart[:, 2]))
               * weights.conj())
 
+    # azimuth columns, each up to sign: in_plane = sign * canonical row
     in_plane = np.outer(np.cos(az), chart[first, 0]) \
         + np.outer(np.sin(az), chart[first, 1])         # (A, G)
-    columns, column = _distinct_rows(in_plane, tol)
-    q = kscale * in_plane[columns]                      # (A', G)
+    ticks = np.round(in_plane / tol)
+    negated = ticks[np.arange(az.size), np.argmax(ticks != 0.0, axis=1)] < 0.0
+    canonical = np.where(negated[:, None], -in_plane, in_plane)
+    columns, column = _distinct_rows(canonical, tol)
+    q = kscale * canonical[columns]                     # (A', G)
+
+    # elevation rows sharing sin el: mirror[r] lists the rows of group r,
+    # the last one repeated to fill K columns
+    sin_el = np.sin(el)
+    _, row = _distinct_rows(sin_el[:, None], _GROUP_RTOL)
+    counts = np.bincount(row)
+    order = np.argsort(row, kind="stable")          # rows grouped by sin el
+    slot = np.minimum(np.arange(counts.max()), counts[:, None] - 1)
+    mirror = order[(np.cumsum(counts) - counts)[:, None] + slot]  # (R, K)
+    # output column a reads vector member + K * negated[a] of its group
+    pick = mirror.shape[1] * negated
 
     power = np.empty((el.size, az.size))
-    sin_el = np.sin(el)
-    for i0 in range(0, el.size, row_chunk):
-        i1 = min(i0 + row_chunk, el.size)
-        terms = np.exp(1j * sin_el[i0:i1, None, None] * q)
-        af = (terms @ b[i0:i1, :, None])[:, :, 0]       # sqrt(N) * w^H a
-        power[i0:i1] = (np.abs(af) ** 2)[:, column]
+    for r0 in range(0, mirror.shape[0], _ROW_CHUNK):
+        members = mirror[r0:r0 + _ROW_CHUNK]            # (R', K)
+        terms = np.exp(1j * sin_el[members[:, 0], None, None] * q)
+        vectors = b[members].transpose(0, 2, 1)         # (R', G, K)
+        # sqrt(N) * w^H a, (R', A', 2K)
+        af = terms @ np.concatenate([vectors, vectors.conj()], axis=2)
+        af_power = np.abs(af) ** 2
+        for m in range(members.shape[1]):
+            power[members[:, m]] = af_power[:, column, m + pick]
 
     el_weights = sin_el.copy()
     el_weights[0] *= 0.5

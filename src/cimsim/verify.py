@@ -18,7 +18,7 @@ from .arrays import (ArrayKind, GeometrySpec, element_positions,
                      scenario_geometry, steering, unit_directions)
 from .channel import ChannelConfig, path_loss, sample_realization
 from .codebook import (FpsBank, best_effective_path, build_codebook,
-                       compose_switch_vector, realized_phase)
+                       compose_switch_vector, realized_phase, wrap_phase)
 from .link import (array_gain_db, branch_amplitudes, db_to_linear, detect,
                    psk_constellation, transmit)
 from .patterns import steered_pattern, steering_weights
@@ -51,7 +51,7 @@ def check_switch_composition(max_shifters: int = 6,
              for pattern in product((0, 1), repeat=n_f)})
         greedy = compose_switch_vector(thetas, bank) @ np.array(weights)
         for theta, greedy_m in zip(thetas, greedy):
-            ratio = Fraction(float(np.mod(theta, 2.0 * np.pi))) / step
+            ratio = Fraction(float(wrap_phase(theta))) / step
             best_m = max(m for m in multipliers if m <= ratio)
             mismatches += int(greedy_m) != best_m
     return CheckResult("switch-composition equals exhaustive subset-sum",
@@ -60,11 +60,11 @@ def check_switch_composition(max_shifters: int = 6,
 
 def check_quantization_bound(max_shifters: int = 8,
                              thetas: np.ndarray | None = None) -> CheckResult:
-    """0 <= wrap(theta) - realized phase < bank phase step; ``thetas``
-    defaults to 2000 angles over [-2 pi, 4 pi]."""
+    """0 <= wrap_phase(theta) - realized phase < bank phase step;
+    ``thetas`` defaults to 2000 angles over [-2 pi, 4 pi]."""
     if thetas is None:
         thetas = np.linspace(-2.0 * np.pi, 4.0 * np.pi, 2000)
-    wrapped = np.mod(thetas, 2.0 * np.pi)
+    wrapped = wrap_phase(thetas)
     violations = 0
     for n_f in range(2, max_shifters + 1):
         bank = FpsBank(n_f)

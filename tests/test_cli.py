@@ -10,6 +10,10 @@ from cimsim.verify import ALL_CHECKS
     (["pattern", "--geometry", "ULA", "--resolution", "2"],
      "1 degree or finer"),
     (["ber", "--seed", "-1"], "seed must be at least 0, got -1"),
+    (["pattern", "--geometry", "ULA", "--resolution", "0"],
+     "grid step must be positive, got az_step_deg=0"),
+    (["pattern", "--geometry", "ULA", "--resolution", "-0.5"],
+     "grid step must be positive, got az_step_deg=-0.5"),
 ])
 def test_bad_input_is_one_line_error(tmp_path, capsys, argv, message):
     cfg = tmp_path / "bad.cfg"

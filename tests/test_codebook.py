@@ -9,7 +9,7 @@ from cimsim.arrays import (GeometrySpec, element_positions, steering,
 from cimsim.channel import ChannelConfig, sample_realization
 from cimsim.codebook import (FpsBank, best_effective_path,
                              build_codebook, compose_switch_vector,
-                             quantize_weights, realized_phase)
+                             quantize_weights, realized_phase, wrap_phase)
 
 LAM = 0.0107068735
 
@@ -79,6 +79,14 @@ class TestComposeSwitchVector:
         assert abs(omega - 3 * np.pi / 2) < 1e-12
         assert abs(omega - exhaustive_best_phase(theta, bank)) < 1e-12
         assert theta - omega < np.pi / 2
+
+    def test_tiny_negative_angle_wraps_to_zero(self):
+        # np.mod(-1.7e-253, 2 pi) is exactly 2 pi
+        bank = FpsBank(2)
+        assert wrap_phase(-1.7e-253) == 0.0
+        assert floor_phase(-1.7e-253, bank) == 0.0
+        np.testing.assert_array_equal(
+            wrap_phase(np.array([-1.7e-253, -1e-17, 0.0])), 0.0)
 
     def test_matches_exhaustive_subset_sum(self):
         thetas = np.linspace(0, 2 * np.pi, 500, endpoint=False)
@@ -158,14 +166,7 @@ class TestQuantizeWeights:
         np.testing.assert_allclose(np.abs(q), np.abs(w), rtol=1e-15, atol=0)
         for wi, qi in zip(w, q):
             omega = floor_phase(np.angle(wi), bank)
-            wrapped = np.mod(np.angle(wi), 2 * np.pi)
-            if wrapped == 2 * np.pi:
-                # np.mod rounds angles in (-4.4e-16, 0) up to 2 pi; the
-                # realized phase is then the floor of the exact wrapped
-                # angle: every switch closed, the largest bank phase
-                assert compose_switch_vector(np.angle(wi), bank).all()
-            else:
-                assert 0.0 <= wrapped - omega < bank.phase_step
+            assert 0.0 <= wrap_phase(np.angle(wi)) - omega < bank.phase_step
             # bit for bit the per-entry switch composition
             assert qi == np.abs(wi) * np.exp(1j * omega)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cimsim.arrays import (ArrayKind, GeometrySpec, element_positions,
                            scenario_geometry)
@@ -143,6 +144,32 @@ class TestComputePattern:
                               weights=w)
         assert_matches_direct_sum(pat, pos, w, pattern_frame("URA"), 0.7)
 
+    # 0.5, 0.6, 0.9 and 1 deg divide 180 deg, so the grid has mirror rows
+    # (el, 180 - el) and negated columns (az, az + 180); 0.7 and 0.8 do not
+    @settings(max_examples=12, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 10),
+           planar=st.booleans(), lattice=st.booleans(),
+           chart_frame=st.booleans(),
+           step=st.sampled_from([0.5, 0.6, 0.7, 0.8, 0.9, 1.0]))
+    def test_property_matches_direct_sum(self, seed, n, planar, lattice,
+                                         chart_frame, step):
+        rng = np.random.default_rng(seed)
+        pos = rng.uniform(-1.5, 1.5, (n, 3)) * LAM
+        if lattice:      # repeated chart coordinates: grouped elements
+            pos = np.round(pos / (LAM / 2)) * (LAM / 2)
+        if planar:       # z = 0, in the planar chart P0 = 0
+            pos[:, 2] = 0.0
+        w = random_weights(rng, n)
+        if chart_frame:
+            frame = pattern_frame("URA")
+        else:
+            frame, r = np.linalg.qr(rng.normal(size=(3, 3)))
+            frame *= np.sign(np.diag(r))
+        pat = compute_pattern(pos, w, LAM, az_step_deg=step,
+                              el_step_deg=step, frame=frame)
+        assert_matches_direct_sum(pat, pos, w, frame, step)
+
     def test_ula_pattern_is_constant_along_azimuth(self):
         rng = np.random.default_rng(3)
         spec = GeometrySpec.ula(16, LAM)
@@ -157,6 +184,12 @@ class TestComputePattern:
             compute_pattern(pos, np.ones(4, complex) / 2, LAM, az_step_deg=2.0)
         with pytest.raises(ValueError):
             compute_pattern(pos, np.ones(3, complex), LAM)
+        with pytest.raises(ValueError, match="nonempty"):
+            compute_pattern(np.zeros((0, 3)), np.ones(0, complex), LAM)
+        for step in (0.0, -0.5):
+            with pytest.raises(ValueError, match=f"el_step_deg={step:g}"):
+                compute_pattern(pos, np.ones(4, complex) / 2, LAM,
+                                el_step_deg=step)
 
 
 class TestSummarize:
