@@ -12,11 +12,11 @@ __version__ = "0.1.0"
 from .arrays import (ArrayKind, GeometrySpec, SPEED_OF_LIGHT,
                      element_positions, scenario_geometry, steering,
                      unit_directions)
-from .channel import (ChannelConfig, ChannelRealization, assemble_matrix,
-                      path_loss, sample_realization)
-from .codebook import (CimCodebook, FpsBank, best_effective_path,
-                       build_codebook, compose_switch_vector,
-                       quantize_codebook, quantize_weights, realized_phase)
+from .channel import (ChannelConfig, ChannelRealization, path_loss,
+                      sample_realization)
+from .codebook import (CimCodebook, FpsBank, build_codebook,
+                       compose_switch_vector, quantize_codebook,
+                       quantize_weights, realized_phase)
 from .link import (array_gain_db, branch_amplitudes, count_bit_errors,
                    dbm_to_watt, detect, psk_constellation, transmit)
 from .patterns import (PatternSummary, RadiationPattern, compute_pattern,

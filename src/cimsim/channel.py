@@ -95,20 +95,6 @@ class ChannelRealization:
         return self.gains.shape[1]
 
 
-def assemble_matrix(gains: np.ndarray, aod_az: np.ndarray, aod_el: np.ndarray,
-                    aoa_az: np.ndarray, aoa_el: np.ndarray,
-                    tx_positions: np.ndarray, rx_positions: np.ndarray,
-                    wavelength: float) -> np.ndarray:
-    """Channel matrix from per-path gains and angles."""
-    a_t = steering(tx_positions,
-                   unit_directions(np.ravel(aod_az), np.ravel(aod_el)),
-                   wavelength)
-    a_r = steering(rx_positions,
-                   unit_directions(np.ravel(aoa_az), np.ravel(aoa_el)),
-                   wavelength)
-    return _combine_paths(gains, a_t, a_r)
-
-
 def _combine_paths(gains: np.ndarray, a_t: np.ndarray,
                    a_r: np.ndarray) -> np.ndarray:
     """sqrt(N_t N_r / (C L)) * sum of gain * a_r a_t^H over the path columns."""

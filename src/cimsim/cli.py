@@ -56,6 +56,9 @@ def _resolve_config(args: argparse.Namespace) -> SimConfig:
     if args.seed is not None:
         updates["seed"] = args.seed
     if getattr(args, "trials", None):
+        if len(args.trials) > 2:
+            raise ValueError("--trials takes realizations [symbols per "
+                             f"realization], got {len(args.trials)} values")
         updates["realizations"] = args.trials[0]
         if len(args.trials) > 1:
             updates["symbols_per_realization"] = args.trials[1]
@@ -121,9 +124,12 @@ def cmd_pattern(args: argparse.Namespace) -> int:
 def cmd_codebook(args: argparse.Namespace) -> int:
     carrier = args.carrier_ghz * 1e9
     wavelength = SPEED_OF_LIGHT / carrier
-    spec = scenario_geometry(ArrayKind(args.geometry[0].upper()
-                                       if args.geometry else "URA"),
-                             wavelength, args.n_elements)
+    geometries = args.geometry or ["URA"]
+    if len(geometries) > 1:
+        raise ValueError("codebook takes one --geometry, got "
+                         + ", ".join(geometries))
+    spec = scenario_geometry(ArrayKind(geometries[0].upper()), wavelength,
+                             args.n_elements)
     positions = element_positions(spec)
     cfg = ChannelConfig(carrier_hz=carrier)
     realization = sample_realization(cfg, positions, positions,

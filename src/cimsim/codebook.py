@@ -4,7 +4,7 @@ The codebook indexes B of the C channel clusters.  Per cluster the best
 effective path maximizes |w^H H f|^2 with the beamformer/combiner
 steered at that path; clusters are then picked greedily in descending
 effective gain.  Two hardware models synthesize the analog weights:
-ideal single phase shifters (continuous phases, ``bank=None``) and a
+ideal single phase shifters (continuous phases) and a
 hardware-efficient bank of fixed phase shifters combined through
 switches, which floors every phase to a 2*pi / 2**(n_shifters-1) grid.
 """
@@ -39,9 +39,8 @@ class FpsBank:
 
     @property
     def phases(self) -> np.ndarray:
-        step = TWO_PI / 2 ** (self.n_shifters - 1)
         values = np.concatenate([[0.0], 2.0 ** np.arange(self.n_shifters - 1)])
-        return step * values
+        return self.phase_step * values
 
     @property
     def phase_step(self) -> float:
@@ -113,10 +112,6 @@ class CimCodebook:
     best_paths: np.ndarray        # (C,) best path index per cluster
     effective_gains: np.ndarray   # (B,) |w^H H f|^2 of the selected clusters
 
-    @property
-    def bits(self) -> int:
-        return int(np.log2(self.order))
-
 
 def _per_path_gains(realization: ChannelRealization) -> np.ndarray:
     """|w^H H f|^2 for every path, shape (C, L): one matmul and a row sum
@@ -126,25 +121,13 @@ def _per_path_gains(realization: ChannelRealization) -> np.ndarray:
     return np.abs(eff).reshape(realization.gains.shape) ** 2
 
 
-def best_effective_path(realization: ChannelRealization, cluster: int) -> int:
-    """Index of the path maximizing |w^H H f|^2 in one cluster (lowest wins
-    ties)."""
-    if not 0 <= cluster < realization.n_clusters:
-        raise ValueError(f"cluster {cluster} out of range")
-    if realization.n_paths < 1:
-        raise ValueError("cluster has no paths")
-    gains = _per_path_gains(realization)[cluster]
-    return int(np.argmax(gains))
-
-
-def build_codebook(realization: ChannelRealization, order: int,
-                   bank: FpsBank | None = None) -> CimCodebook:
+def build_codebook(realization: ChannelRealization, order: int) -> CimCodebook:
     """Greedy gain-descending codebook of ``order`` clusters.
 
     Selection always uses the ideal (continuous-phase) steering vectors,
     and the codewords are the selected paths' columns of the
-    realization's steering matrices.  With ``bank`` the result is
-    ``quantize_codebook`` of the ideal codebook.
+    realization's steering matrices.  ``best_paths[c]`` is the path
+    maximizing |w^H H f|^2 in cluster c (lowest wins ties), for every c.
     """
     c_count = realization.n_clusters
     if order > c_count:
@@ -164,12 +147,11 @@ def build_codebook(realization: ChannelRealization, order: int,
         remaining.remove(best)
 
     columns = np.asarray(selected) * realization.n_paths + best_paths[selected]
-    cb = CimCodebook(order=order, clusters=tuple(selected),
-                     beamformers=realization.a_t[:, columns],
-                     combiners=realization.a_r[:, columns],
-                     best_paths=best_paths,
-                     effective_gains=cluster_gains[selected])
-    return cb if bank is None else quantize_codebook(cb, bank)
+    return CimCodebook(order=order, clusters=tuple(selected),
+                       beamformers=realization.a_t[:, columns],
+                       combiners=realization.a_r[:, columns],
+                       best_paths=best_paths,
+                       effective_gains=cluster_gains[selected])
 
 
 def quantize_codebook(cb: CimCodebook, bank: FpsBank) -> CimCodebook:

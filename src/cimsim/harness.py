@@ -127,10 +127,6 @@ class SimConfig:
             if order > self.channel.clusters:
                 raise ValueError("B must not exceed the cluster count")
 
-    @property
-    def trials_per_point(self) -> int:
-        return self.realizations * self.symbols_per_realization
-
 
 @dataclass
 class BerResult:
@@ -255,6 +251,8 @@ def run_sweep(cfg: SimConfig, workers: int = 1) -> list[BerResult]:
     With ``workers > 1`` and more than one task, ``min(workers, tasks)``
     processes share the tasks and each caps its BLAS threads at
     ``_worker_blas_threads``."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     tasks = [(gi, si)
              for gi in range(len(cfg.geometries))
              for si in range(len(cfg.signalings))]
@@ -369,7 +367,7 @@ def results_to_csv(results: list[BerResult]) -> str:
 
 
 def aggregate_and_emit(results: list[BerResult], out_dir: "str | Path",
-                       cfg: SimConfig | None = None, *,
+                       cfg: SimConfig, *,
                        workers: int | None = None) -> tuple[Path, Path]:
     """Write ber_results.csv plus a JSON run manifest; returns both paths.
 
@@ -383,14 +381,12 @@ def aggregate_and_emit(results: list[BerResult], out_dir: "str | Path",
     csv_path = out / "ber_results.csv"
     csv_path.write_text(results_to_csv(results))
 
-    n_tasks = (len(cfg.geometries) * len(cfg.signalings) if cfg is not None
-               else len({(r.geometry, r.order, r.constellation)
-                         for r in results}))
+    n_tasks = len(cfg.geometries) * len(cfg.signalings)
     manifest = {
         "version": __version__,
         "environment": _environment(workers, n_tasks),
-        "config": _config_dict(cfg) if cfg is not None else None,
-        "elements": _element_counts(cfg) if cfg is not None else None,
+        "config": _config_dict(cfg),
+        "elements": _element_counts(cfg),
         "points": len(results),
         "realizations_used": {f"{r.geometry}/{r.order}x{r.constellation}/"
                               f"{r.hardware}/{r.power_dbm:g}": r.realizations_used

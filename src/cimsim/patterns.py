@@ -15,7 +15,7 @@ the sphere (midpoint/trapezoid quadrature with the sin(el) Jacobian).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -25,6 +25,7 @@ from .arrays import (ArrayKind, GeometrySpec, element_positions, steering,
 
 HALF_POWER_DB = 10.0 * np.log10(2.0)
 MAIN_LOBE_FLOOR_DB = 20.0  # main lobe = connected region above peak - 20 dB
+FORWARD_AZ_DEG = 90.0  # side lobes are taken within |az| <= this (chart)
 # Chart coordinates (and azimuth projections) closer than this fraction of
 # the array extent are merged by compute_pattern.  Mirror-image elements,
 # e.g. cos(2 pi n/N) and cos(2 pi (N-n)/N) on a ring, differ by a few ulps,
@@ -63,7 +64,6 @@ class RadiationPattern:
     gain_db: np.ndarray         # (E, A) directivity, dBi
     steer_az_deg: float         # steering target, chart coordinates
     steer_el_deg: float
-    frame: np.ndarray = field(default_factory=lambda: np.eye(3))
 
     @property
     def az_step_deg(self) -> float:
@@ -94,10 +94,6 @@ class PatternSummary:
     hpbw_el_deg: float           # half-power width along the elevation cut
     sidelobe_dbi: np.ndarray     # peak directivity of each detected side lobe
     asld_db: float               # dB mean over sampled side-lobe directivity
-
-    @property
-    def sidelobe_rel_db(self) -> np.ndarray:
-        return self.sidelobe_dbi - self.directivity_dbi
 
 
 def steering_weights(spec: GeometrySpec, az_off_deg: float = 0.0,
@@ -212,8 +208,7 @@ def compute_pattern(positions: np.ndarray, weights: np.ndarray,
     gain_db = 10.0 * np.log10(np.maximum(directivity, 1e-300))
     return RadiationPattern(az_deg=az_deg, el_deg=el_deg, gain_db=gain_db,
                             steer_az_deg=steer_az_deg,
-                            steer_el_deg=90.0 - steer_el_off_deg,
-                            frame=frame)
+                            steer_el_deg=90.0 - steer_el_off_deg)
 
 
 def _distinct_rows(values: np.ndarray,
@@ -227,11 +222,9 @@ def _distinct_rows(values: np.ndarray,
 
 def steered_pattern(spec: GeometrySpec, az_off_deg: float = 0.0,
                     el_off_deg: float = 0.0, az_step_deg: float = 0.25,
-                    el_step_deg: float = 0.25,
-                    weights: np.ndarray | None = None) -> RadiationPattern:
+                    el_step_deg: float = 0.25) -> RadiationPattern:
     """Pattern of a geometry steered (az_off, el_off) from broadside."""
-    if weights is None:
-        weights = steering_weights(spec, az_off_deg, el_off_deg)
+    weights = steering_weights(spec, az_off_deg, el_off_deg)
     return compute_pattern(element_positions(spec), weights, spec.wavelength,
                            steer_az_deg=az_off_deg, steer_el_off_deg=el_off_deg,
                            az_step_deg=az_step_deg, el_step_deg=el_step_deg,
@@ -283,8 +276,8 @@ def _elevation_circle(pattern: RadiationPattern, ia: int) -> np.ndarray:
 
 def summarize(pattern: RadiationPattern) -> PatternSummary:
     """Peak directivity, half-power widths and side-lobe statistics."""
-    ie, ia = pattern.target_index()
-    peak_db = float(pattern.gain_db[ie, ia])
+    ie, ia = target = pattern.target_index()
+    peak_db = float(pattern.gain_db[target])
     threshold = peak_db - HALF_POWER_DB
 
     az_cut = pattern.gain_db[ie, :]
@@ -293,56 +286,41 @@ def summarize(pattern: RadiationPattern) -> PatternSummary:
     el_circle = _elevation_circle(pattern, ia)
     hpbw_el = _half_power_width(el_circle, ie, pattern.el_step_deg, threshold)
 
+    main_lobe = main_lobe_mask(pattern.gain_db, target)
     return PatternSummary(directivity_dbi=peak_db, hpbw_az_deg=hpbw_az,
                           hpbw_el_deg=hpbw_el,
-                          sidelobe_dbi=sidelobe_directivities(pattern),
-                          asld_db=average_sidelobe_db(pattern))
+                          sidelobe_dbi=sidelobe_directivities(pattern,
+                                                              main_lobe),
+                          asld_db=average_sidelobe_db(pattern, main_lobe))
 
 
-def _neighbor_shifts(grid: np.ndarray) -> list[np.ndarray]:
-    """grid values of the 8 neighbors, wrapping in az (axis 1), edge-clipped
-    in el (axis 0) by repeating the edge rows."""
-    padded = np.vstack([grid[:1], grid, grid[-1:]])
-    out = []
-    for de in (-1, 0, 1):
-        for da in (-1, 0, 1):
-            if de == 0 and da == 0:
-                continue
-            out.append(np.roll(padded, -da, axis=1)[1 + de:padded.shape[0] - 1 + de])
-    return out
-
-
-def main_lobe_mask(pattern: RadiationPattern) -> np.ndarray:
-    """Connected region around the steering target above peak - 20 dB."""
-    ie, ia = pattern.target_index()
-    peak_db = pattern.gain_db[ie, ia]
-    above = pattern.gain_db >= peak_db - MAIN_LOBE_FLOOR_DB
+def main_lobe_mask(gain_db: np.ndarray,
+                   target: tuple[int, int]) -> np.ndarray:
+    """Connected region around grid cell ``target`` (el, az) above its
+    value - 20 dB."""
+    above = gain_db >= gain_db[target] - MAIN_LOBE_FLOOR_DB
     labels, _ = ndimage.label(above, structure=np.ones((3, 3), dtype=int))
-    return labels == labels[ie, ia]
+    return labels == labels[target]
 
 
 def sidelobe_directivities(pattern: RadiationPattern,
-                           forward_az_deg: float = 90.0) -> np.ndarray:
+                           main_lobe: np.ndarray) -> np.ndarray:
     """Side-lobe peak directivities (dBi) over the forward hemisphere.
 
-    Side lobes are local maxima of the grid (plateaus deduplicated, so an
-    azimuth-constant ring counts once) outside the main-lobe region and
-    within |az| <= forward_az_deg of the chart, which excludes the mirror
-    lobe behind a planar array.
+    Side lobes are local maxima of the grid (no greater and some smaller
+    cell in the 3 x 3 neighborhood, wrapping in az; a plateau such as an
+    azimuth-constant ring counts once) outside ``main_lobe`` and within
+    |az| <= FORWARD_AZ_DEG, which excludes the mirror lobe behind a
+    planar array.
     """
     g = pattern.gain_db
-    is_max = np.ones(g.shape, dtype=bool)
-    any_greater = np.zeros(g.shape, dtype=bool)
-    for nb in _neighbor_shifts(g):
-        is_max &= g >= nb
-        any_greater |= g > nb
-    candidates = is_max & any_greater
-    candidates &= ~main_lobe_mask(pattern)
+    modes = ("nearest", "wrap")
+    candidates = ((g == ndimage.maximum_filter(g, size=3, mode=modes))
+                  & (g > ndimage.minimum_filter(g, size=3, mode=modes))
+                  & ~main_lobe)
 
-    labels, count = ndimage.label(candidates, structure=np.ones((3, 3), int))
-    if count == 0:
-        return np.array([])
-    in_window = np.abs(pattern.az_deg) <= forward_az_deg
+    labels, _ = ndimage.label(candidates, structure=np.ones((3, 3), int))
+    in_window = np.abs(pattern.az_deg) <= FORWARD_AZ_DEG
     window_labels = np.unique(labels[:, in_window])
     window_labels = window_labels[window_labels > 0]
     if window_labels.size == 0:
@@ -353,16 +331,16 @@ def sidelobe_directivities(pattern: RadiationPattern,
 
 
 def average_sidelobe_db(pattern: RadiationPattern,
-                        forward_az_deg: float = 90.0) -> float:
+                        main_lobe: np.ndarray) -> float:
     """Geometric-mean side-lobe directivity in dB.
 
     The side-lobe region is sampled at every grid cell of the forward
-    hemisphere (|az| <= forward_az_deg) outside the main lobe, and the
+    hemisphere (|az| <= FORWARD_AZ_DEG) outside ``main_lobe``, and the
     dB values are averaged: the geometric mean of the sampled side-lobe
     directivities.
     """
-    selected = ~main_lobe_mask(pattern)
-    selected &= (np.abs(pattern.az_deg) <= forward_az_deg)[None, :]
+    selected = ~main_lobe
+    selected &= (np.abs(pattern.az_deg) <= FORWARD_AZ_DEG)[None, :]
     if not selected.any():
         return float("nan")
     return float(pattern.gain_db[selected].mean())

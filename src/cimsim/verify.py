@@ -17,8 +17,8 @@ import numpy as np
 from .arrays import (ArrayKind, GeometrySpec, element_positions,
                      scenario_geometry, steering, unit_directions)
 from .channel import ChannelConfig, path_loss, sample_realization
-from .codebook import (FpsBank, best_effective_path, build_codebook,
-                       compose_switch_vector, realized_phase, wrap_phase)
+from .codebook import (FpsBank, build_codebook, compose_switch_vector,
+                       realized_phase, wrap_phase)
 from .link import (array_gain_db, branch_amplitudes, db_to_linear, detect,
                    psk_constellation, transmit)
 from .patterns import steered_pattern, steering_weights
@@ -163,6 +163,7 @@ def check_best_path_bruteforce(seed: int = 3) -> CheckResult:
     mismatches = 0
     for s in range(seed, seed + 10):
         r = sample_realization(cfg, pos, pos, s)
+        best_paths = build_codebook(r, 1).best_paths
         lam = r.wavelength
         for c in range(cfg.clusters):
             best, best_gain = 0, -1.0
@@ -174,7 +175,7 @@ def check_best_path_bruteforce(seed: int = 3) -> CheckResult:
                 g = abs(w.conj() @ r.matrix @ f) ** 2
                 if g > best_gain:
                     best, best_gain = l, g
-            if best_effective_path(r, c) != best:
+            if best_paths[c] != best:
                 mismatches += 1
     return CheckResult("best effective path vs brute force", mismatches == 0,
                        f"{mismatches} mismatches")

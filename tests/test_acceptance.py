@@ -156,7 +156,8 @@ def test_criterion_7_ber_geometry_ordering(ordering_sweep):
     cfg, table, elapsed = ordering_sweep
     top = sorted(cfg.powers_dbm)[-3:]
     ok = elapsed < 1800.0
-    details = [f"{cfg.trials_per_point} trials/pt, {elapsed:.0f}s"]
+    details = [f"{cfg.realizations * cfg.symbols_per_realization} "
+               f"trials/pt, {elapsed:.0f}s"]
     for p in top:
         ula, ura = table[("ULA", p)], table[("URA", p)]
         uca, cca = table[("UCA", p)], table[("CCA", p)]

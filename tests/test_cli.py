@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from cimsim.cli import main
@@ -14,6 +15,9 @@ from cimsim.verify import ALL_CHECKS
      "grid step must be positive, got az_step_deg=0"),
     (["pattern", "--geometry", "ULA", "--resolution", "-0.5"],
      "grid step must be positive, got az_step_deg=-0.5"),
+    (["ber", "--workers", "0"], "workers must be at least 1, got 0"),
+    (["ber", "--trials", "1", "5", "7"],
+     "--trials takes realizations [symbols per realization], got 3 values"),
 ])
 def test_bad_input_is_one_line_error(tmp_path, capsys, argv, message):
     cfg = tmp_path / "bad.cfg"
@@ -26,6 +30,42 @@ def test_bad_input_is_one_line_error(tmp_path, capsys, argv, message):
     assert message in err
     assert err.count("\n") == 1
     assert not out.exists()      # nothing is created before input is valid
+
+
+def test_codebook_rejects_second_geometry(capsys):
+    assert main(["codebook", "--geometry", "ULA", "--geometry", "CCA"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("cimsim: error: codebook takes one --geometry, "
+                   "got ULA, CCA\n")
+
+
+def test_pattern_writes_grid_and_table(tmp_path, capsys):
+    argv = ["pattern", "--geometry", "ULA", "--resolution", "1",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    path = tmp_path / "pattern_ula_az0_el0.csv"
+    lines = path.read_text().splitlines()
+    assert lines[0] == "az_deg,el_deg,directivity_dbi"
+    assert len(lines) == 1 + 360 * 181
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert rows[0, :2].tolist() == [-180.0, 0.0]
+    assert rows[-1, :2].tolist() == [179.0, 180.0]
+    table = [line.split() for line in capsys.readouterr().out.splitlines()]
+    ula = [row for row in table if row[:1] == ["ULA"]]
+    assert len(ula) == 1 and ula[0][2] == "360.00"
+
+
+def test_codebook_prints_quantized_codewords(capsys):
+    argv = ["codebook", "--geometry", "CCA", "--seed", "7", "--order", "4",
+            "--nf", "6"]
+    assert main(argv) == 0
+    codewords = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("codeword ")]
+    assert len(codewords) == 4
+    bound = np.cos(2 * np.pi / 2 ** 5)
+    for line in codewords:
+        assert "HE6 alignment |<f_q, f>| = " in line
+        assert float(line.rsplit("= ", 1)[1]) >= bound
 
 
 def test_verify_passes_every_check(capsys):

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from cimsim.arrays import (GeometrySpec, element_positions, steering,
                            unit_directions)
 from cimsim.channel import ChannelConfig, sample_realization
-from cimsim.codebook import (FpsBank, best_effective_path,
-                             build_codebook, compose_switch_vector,
-                             quantize_weights, realized_phase, wrap_phase)
+from cimsim.codebook import (FpsBank, build_codebook, compose_switch_vector,
+                             quantize_codebook, quantize_weights,
+                             realized_phase, wrap_phase)
 
 LAM = 0.0107068735
 
@@ -181,34 +181,35 @@ class TestQuantizeWeights:
 
 
 class TestBestEffectivePath:
+    """``build_codebook(r, 1).best_paths`` holds every cluster's best path."""
+
     def test_single_path_cluster(self):
         realization, _ = make_realization(clusters=2, paths=1)
-        assert best_effective_path(realization, 0) == 0
-        assert best_effective_path(realization, 1) == 0
+        assert build_codebook(realization, 1).best_paths.tolist() == [0, 0]
 
     def test_dominant_path_wins(self):
         realization, pos = make_realization(seed=21, clusters=1, paths=2, n=8)
         realization.gains = np.array([[10.0 + 0j, 0.1 + 0j]])
-        from cimsim.channel import assemble_matrix
-        realization.matrix = assemble_matrix(
-            realization.gains, realization.aod_az, realization.aod_el,
-            realization.aoa_az, realization.aoa_el, pos, pos, LAM)
+        fs = [steer(pos, realization.aod_az[0, l], realization.aod_el[0, l])
+              for l in range(2)]
+        ws = [steer(pos, realization.aoa_az[0, l], realization.aoa_el[0, l])
+              for l in range(2)]
+        # H = sqrt(N_t N_r / (C L)) sum gain w f^H over the two paths
+        realization.matrix = np.sqrt(8 * 8 / 2) * sum(
+            g * np.outer(w, f.conj())
+            for g, w, f in zip(realization.gains[0], ws, fs))
         # exhaustive evaluation of both candidates
-        gains = []
-        for l in range(2):
-            f = steer(pos, realization.aod_az[0, l],
-                      realization.aod_el[0, l])
-            w = steer(pos, realization.aoa_az[0, l],
-                      realization.aoa_el[0, l])
-            gains.append(abs(w.conj() @ realization.matrix @ f) ** 2)
+        gains = [abs(w.conj() @ realization.matrix @ f) ** 2
+                 for w, f in zip(ws, fs)]
         assert gains[0] > gains[1]
-        assert best_effective_path(realization, 0) == 0
+        assert build_codebook(realization, 1).best_paths[0] == 0
 
     def test_matches_bruteforce_on_random_instances(self):
         pos = element_positions(GeometrySpec.ula(4, LAM))
         cfg = ChannelConfig(clusters=3, paths_per_cluster=5)
         for seed in range(20):
             realization = sample_realization(cfg, pos, pos, seed=seed)
+            best_paths = build_codebook(realization, 1).best_paths
             for c in range(3):
                 metrics = []
                 for l in range(5):
@@ -217,12 +218,7 @@ class TestBestEffectivePath:
                     w = steer(pos, realization.aoa_az[c, l],
                               realization.aoa_el[c, l])
                     metrics.append(abs(w.conj() @ realization.matrix @ f) ** 2)
-                assert best_effective_path(realization, c) == int(np.argmax(metrics))
-
-    def test_bad_cluster_index(self):
-        realization, _ = make_realization(clusters=2, paths=2)
-        with pytest.raises(ValueError):
-            best_effective_path(realization, 5)
+                assert best_paths[c] == int(np.argmax(metrics))
 
 
 class TestBuildCodebook:
@@ -258,7 +254,7 @@ class TestBuildCodebook:
 
     def test_he_codewords_on_phase_grid(self):
         realization, _ = make_realization(seed=3)
-        cb = build_codebook(realization, 4, bank=FpsBank(8))
+        cb = quantize_codebook(build_codebook(realization, 4), FpsBank(8))
         step = 2 * np.pi / 2 ** 7
         for w in (cb.beamformers, cb.combiners):
             phases = np.mod(np.angle(w), 2 * np.pi)
@@ -268,7 +264,8 @@ class TestBuildCodebook:
     def test_he_selection_matches_ideal_selection(self):
         realization, _ = make_realization(seed=7)
         ideal = build_codebook(realization, 4)
-        quantized = build_codebook(realization, 4, bank=FpsBank(4))
+        quantized = quantize_codebook(build_codebook(realization, 4),
+                                      FpsBank(4))
         assert ideal.clusters == quantized.clusters
         assert np.array_equal(ideal.best_paths, quantized.best_paths)
 
@@ -289,7 +286,7 @@ class TestBuildCodebook:
         realization, _ = make_realization(seed=9)
         bank = FpsBank(4)
         ideal = build_codebook(realization, 4)
-        he = build_codebook(realization, 4, bank)
+        he = quantize_codebook(build_codebook(realization, 4), bank)
         assert he.clusters == ideal.clusters
         assert np.array_equal(he.best_paths, ideal.best_paths)
         assert np.array_equal(he.effective_gains, ideal.effective_gains)

@@ -75,7 +75,7 @@ class TestSimConfig:
     def test_defaults_are_scenario_scale(self):
         cfg = SimConfig()
         assert cfg.geometries == ("ULA", "URA", "UCA", "CCA")
-        assert cfg.trials_per_point == 20_000
+        assert cfg.realizations * cfg.symbols_per_realization == 20_000
 
     @pytest.mark.parametrize("kwargs", [
         dict(signalings=((16, 4),)),               # B > clusters
@@ -179,6 +179,12 @@ class TestRunSweep:
         assert (results_to_csv(run_sweep(cfg, workers=2))
                 == results_to_csv(run_sweep(cfg, workers=1)))
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_rejected(self, workers):
+        with pytest.raises(ValueError,
+                           match=f"workers must be at least 1, got {workers}"):
+            run_sweep(SimConfig(**TINY), workers=workers)
+
     @pytest.mark.parametrize("workers,geometries", [
         (2, ("ULA", "URA")), (8, ("ULA", "URA", "UCA"))])
     def test_pool_workers_cap_blas_threads(self, monkeypatch, workers,
@@ -267,7 +273,7 @@ class TestRunSweep:
 class TestEmit:
     def test_empty_results_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            aggregate_and_emit([], tmp_path)
+            aggregate_and_emit([], tmp_path, SimConfig(**TINY))
         assert not (tmp_path / "ber_results.csv").exists()
 
     def test_csv_and_manifest_written(self, tmp_path):
@@ -320,8 +326,10 @@ class TestEmit:
 
     def test_same_config_same_bytes(self, tmp_path):
         cfg = SimConfig(**{**TINY, "realizations": 2})
-        a = aggregate_and_emit(run_sweep(cfg), tmp_path / "a")[0].read_text()
-        b = aggregate_and_emit(run_sweep(cfg), tmp_path / "b")[0].read_text()
+        a = aggregate_and_emit(run_sweep(cfg), tmp_path / "a",
+                               cfg)[0].read_text()
+        b = aggregate_and_emit(run_sweep(cfg), tmp_path / "b",
+                               cfg)[0].read_text()
         assert a == b
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from cimsim.arrays import (ArrayKind, GeometrySpec, element_positions,
                            scenario_geometry)
-from cimsim.patterns import (average_sidelobe_db, chart_directions,
+from cimsim.patterns import (RadiationPattern, chart_directions,
                              compute_pattern, main_lobe_mask, pattern_frame,
                              sidelobe_directivities, steered_pattern,
                              steering_weights, summarize)
@@ -130,8 +130,8 @@ class TestComputePattern:
         spec = scenario_geometry(kind, LAM)
         pos = element_positions(spec)
         w = random_weights(rng, spec.n_elements)
-        pat = steered_pattern(spec, az_step_deg=1.0, el_step_deg=1.0,
-                              weights=w)
+        pat = compute_pattern(pos, w, LAM, az_step_deg=1.0, el_step_deg=1.0,
+                              frame=pattern_frame(kind))
         assert_matches_direct_sum(pat, pos, w, pattern_frame(kind), 1.0)
 
     def test_grid_without_mirror_columns_matches_direct_sum(self):
@@ -140,8 +140,8 @@ class TestComputePattern:
         spec = scenario_geometry("URA", LAM, 16)
         pos = element_positions(spec)
         w = random_weights(rng, spec.n_elements)
-        pat = steered_pattern(spec, az_step_deg=0.7, el_step_deg=0.7,
-                              weights=w)
+        pat = compute_pattern(pos, w, LAM, az_step_deg=0.7, el_step_deg=0.7,
+                              frame=pattern_frame("URA"))
         assert_matches_direct_sum(pat, pos, w, pattern_frame("URA"), 0.7)
 
     # 0.5, 0.6, 0.9 and 1 deg divide 180 deg, so the grid has mirror rows
@@ -172,9 +172,10 @@ class TestComputePattern:
 
     def test_ula_pattern_is_constant_along_azimuth(self):
         rng = np.random.default_rng(3)
-        spec = GeometrySpec.ula(16, LAM)
-        pat = steered_pattern(spec, az_step_deg=0.5, el_step_deg=0.5,
-                              weights=random_weights(rng, 16))
+        pos = element_positions(GeometrySpec.ula(16, LAM))
+        pat = compute_pattern(pos, random_weights(rng, 16), LAM,
+                              az_step_deg=0.5, el_step_deg=0.5,
+                              frame=pattern_frame("ULA"))
         assert np.all(np.ptp(pat.gain_db, axis=1) == 0)
 
     def test_rejects_coarse_grid_and_bad_weights(self):
@@ -218,22 +219,63 @@ class TestSummarize:
         assert s.sidelobe_dbi.size > 0
         assert s.asld_db <= s.sidelobe_dbi.max()
         assert np.all(np.diff(s.sidelobe_dbi) <= 0)
-        assert np.all(s.sidelobe_rel_db < 0)
+        assert np.all(s.sidelobe_dbi < s.directivity_dbi)
 
     def test_main_lobe_contains_target_and_excludes_sidelobes(self):
         spec = GeometrySpec.ura(9, 9, LAM)
         pat = steered_pattern(spec, 0.0, 0.0, az_step_deg=0.5, el_step_deg=0.5)
-        mask = main_lobe_mask(pat)
         ie, ia = pat.target_index()
+        mask = main_lobe_mask(pat.gain_db, (ie, ia))
         assert mask[ie, ia]
         assert mask.sum() < mask.size * 0.02
-        lobes = sidelobe_directivities(pat)
+        lobes = sidelobe_directivities(pat, mask)
         assert lobes.max() < pat.gain_db[ie, ia]
 
     def test_asld_uses_forward_hemisphere(self):
         spec = GeometrySpec.ura(9, 9, LAM)
         pat = steered_pattern(spec, 0.0, 0.0, az_step_deg=0.5, el_step_deg=0.5)
-        narrow = average_sidelobe_db(pat, forward_az_deg=45.0)
-        wide = average_sidelobe_db(pat, forward_az_deg=90.0)
-        assert np.isfinite(narrow) and np.isfinite(wide)
-        assert narrow != wide
+        side = ~main_lobe_mask(pat.gain_db, pat.target_index())
+        forward = np.abs(pat.az_deg) <= 90.0
+        expected = pat.gain_db[side & forward[None, :]].mean()
+        assert np.isfinite(expected)
+        assert summarize(pat).asld_db == pytest.approx(expected, rel=1e-12)
+        assert expected != pat.gain_db[side].mean()
+
+    @staticmethod
+    def brute_force_peaks(gain_db, az_deg):
+        """Cells no smaller than any of their 8 neighbors and larger than
+        one (az wraps, el clamps to the edge row), with |az| <= 90."""
+        n_el, n_az = gain_db.shape
+        peaks = []
+        for e in range(n_el):
+            for a in range(n_az):
+                if abs(az_deg[a]) > 90.0:
+                    continue
+                nbs = [gain_db[min(max(e + de, 0), n_el - 1), (a + da) % n_az]
+                       for de in (-1, 0, 1) for da in (-1, 0, 1)
+                       if (de, da) != (0, 0)]
+                g = gain_db[e, a]
+                if all(g >= nb for nb in nbs) and any(g > nb for nb in nbs):
+                    peaks.append(g)
+        return sorted(peaks, reverse=True)
+
+    def test_local_maxima_match_brute_force(self):
+        # distinct values: every local maximum is its own lobe
+        rng = np.random.default_rng(12)
+        az = np.arange(-180.0, 180.0, 10.0)
+        el = np.arange(0.0, 181.0, 10.0)
+        gain = rng.normal(size=(el.size, az.size))
+        pat = RadiationPattern(az_deg=az, el_deg=el, gain_db=gain,
+                               steer_az_deg=0.0, steer_el_deg=90.0)
+        lobes = sidelobe_directivities(pat, np.zeros(gain.shape, bool))
+        assert lobes.size > 10
+        assert lobes.tolist() == self.brute_force_peaks(gain, az)
+
+    def test_azimuth_constant_ring_is_one_lobe(self):
+        az = np.arange(-180.0, 180.0, 10.0)
+        el = np.arange(0.0, 181.0, 10.0)
+        gain = np.where(el == 60.0, 3.0, 0.0)[:, None] + np.zeros(az.size)
+        pat = RadiationPattern(az_deg=az, el_deg=el, gain_db=gain,
+                               steer_az_deg=0.0, steer_el_deg=90.0)
+        lobes = sidelobe_directivities(pat, np.zeros(gain.shape, bool))
+        assert lobes.tolist() == [3.0]
