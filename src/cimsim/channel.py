@@ -21,6 +21,15 @@ import numpy as np
 from .arrays import SPEED_OF_LIGHT, steering, unit_directions
 
 
+def require_finite(key: str, value):
+    """``value`` (a number or a tuple of numbers) if no entry is NaN or
+    infinite; a ValueError naming ``key`` otherwise."""
+    for v in value if isinstance(value, tuple) else (value,):
+        if isinstance(v, float) and not np.isfinite(v):
+            raise ValueError(f"{key} must be finite, got {v}")
+    return value
+
+
 @dataclass(frozen=True)
 class ChannelConfig:
     """Scenario parameters; defaults follow the simulated urban deployment."""
@@ -36,6 +45,10 @@ class ChannelConfig:
     carrier_hz: float = 28e9
 
     def __post_init__(self) -> None:
+        for key in ("angular_spread_rad", "pathloss_intercept_db",
+                    "pathloss_exponent", "shadowing_std_db", "tx_position",
+                    "rx_position", "carrier_hz"):
+            require_finite(key, getattr(self, key))
         if self.clusters < 1 or self.paths_per_cluster < 1:
             raise ValueError("need at least one cluster and one path")
         if self.angular_spread_rad <= 0:

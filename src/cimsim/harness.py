@@ -5,7 +5,8 @@ and every power point of it.  Each realization of a task is drawn once
 (channel, steering matrices, codebook selection, payload bits, noise and
 the detector's hypothesis values) and feeds the transmit path of every
 hardware model, so hardware models and power points share channel
-realizations, payload bits and noise (common random numbers).  Early
+realizations, payload bits and noise (common random numbers).  One
+``detect`` call decides all live power points of a hardware model.  Early
 stopping stays per (hardware, power) point.
 
 Seeding is position-based: the channel and payload streams of trial r of
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import __version__
 from .arrays import element_positions, scenario_geometry
-from .channel import ChannelConfig, sample_realization
+from .channel import ChannelConfig, require_finite, sample_realization
 from .codebook import FpsBank, build_codebook, quantize_codebook
 from .link import (array_gain_db, branch_amplitudes, count_bit_errors,
                    db_to_linear, dbm_to_watt, detect, psk_constellation,
@@ -110,6 +111,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         for key in _LOWER_BOUNDS:
             _check_lower_bound(key, getattr(self, key))
+        for key in ("powers_dbm", "noise_dbm"):
+            require_finite(key, getattr(self, key))
         if not self.powers_dbm:
             raise ValueError("power sweep must be nonempty")
         for g in self.geometries:
@@ -198,6 +201,7 @@ def _sweep_pair(cfg: SimConfig, geometry_index: int,
     used = np.zeros_like(errors)
     t_symbols = cfg.symbols_per_realization
     sigma = np.sqrt(noise_w / 2.0)
+    noise = np.empty((t_symbols, n), dtype=complex)
 
     for r in range(cfg.realizations):
         live = errors < cfg.error_limit
@@ -213,8 +217,8 @@ def _sweep_pair(cfg: SimConfig, geometry_index: int,
             [cfg.seed, geometry_index, signaling_index, r, 1]))
         x0 = payload_rng.integers(0, order, t_symbols)
         x1 = payload_rng.integers(0, constellation, t_symbols)
-        noise = payload_rng.normal(0.0, sigma, (t_symbols, n)) \
-            + 1j * payload_rng.normal(0.0, sigma, (t_symbols, n))
+        noise.real = payload_rng.normal(0.0, sigma, (t_symbols, n))
+        noise.imag = payload_rng.normal(0.0, sigma, (t_symbols, n))
         symbols = points[x1]
         hyp = branch_amplitudes(cb_detect, realization.matrix)  # (B,)
 
@@ -226,11 +230,10 @@ def _sweep_pair(cfg: SimConfig, geometry_index: int,
                 else quantize_codebook(cb_detect, bank)
             signal, combined_noise = transmit(cb_tx, realization.matrix, x0,
                                               symbols, noise)
-            for i in active:
-                c_hat, s_hat = detect(amplitudes[i] * signal + combined_noise,
-                                      amplitudes[i], hyp, points)
-                errors[h, i] += count_bit_errors(x0, x1, c_hat, s_hat)
-                used[h, i] += 1
+            c_hat, s_hat = detect(signal, combined_noise, amplitudes[active],
+                                  hyp, points)
+            errors[h, active] += count_bit_errors(x0, x1, c_hat, s_hat)
+            used[h, active] += 1
 
     elapsed_s = (time.perf_counter() - started) / errors.size
     return [BerResult(geometry=geometry, order=order,
@@ -435,7 +438,8 @@ _SIM_KEYS = {
 def _parse_powers(text: str) -> tuple[float, ...]:
     text = text.strip()
     if ":" in text:
-        lo, hi, step = (float(v) for v in text.split(":"))
+        lo, hi, step = require_finite(
+            "powers_dbm", tuple(float(v) for v in text.split(":")))
         if step == 0:
             raise ValueError(f"range {text!r} has a zero step")
         powers = tuple(np.arange(lo, hi + step / 2.0, step).tolist())
@@ -477,10 +481,10 @@ def _parse_entry(key: str, value: str, sim_kwargs: dict,
                  chan_kwargs: dict) -> None:
     """Store one config entry in the SimConfig or ChannelConfig kwargs."""
     if key in _SIM_KEYS:
-        sim_kwargs[key] = _SIM_KEYS[key](value)
+        sim_kwargs[key] = require_finite(key, _SIM_KEYS[key](value))
         _check_lower_bound(key, sim_kwargs[key])
     elif key in _CHANNEL_KEYS:
-        chan_kwargs[key] = _CHANNEL_KEYS[key](value)
+        chan_kwargs[key] = require_finite(key, _CHANNEL_KEYS[key](value))
     elif key == "geometries":
         sim_kwargs["geometries"] = tuple(v.strip().upper()
                                          for v in value.split(","))
@@ -491,10 +495,12 @@ def _parse_entry(key: str, value: str, sim_kwargs: dict,
         for token in sim_kwargs["hardware"]:
             HardwareSpec.parse(token)
     elif key == "powers_dbm":
-        sim_kwargs["powers_dbm"] = _parse_powers(value)
+        sim_kwargs["powers_dbm"] = require_finite(key, _parse_powers(value))
     elif key == "angular_spread_deg":
-        chan_kwargs["angular_spread_rad"] = float(np.deg2rad(float(value)))
+        chan_kwargs["angular_spread_rad"] = float(np.deg2rad(
+            require_finite(key, float(value))))
     elif key in ("tx_position", "rx_position"):
-        chan_kwargs[key] = tuple(float(v) for v in value.split(","))
+        chan_kwargs[key] = require_finite(
+            key, tuple(float(v) for v in value.split(",")))
     else:
         raise ValueError("unknown key")

@@ -6,9 +6,16 @@ log2(M) constellation bits (Gray-mapped unit-energy PSK).  The receiver
 forms one combiner branch per indexed cluster and jointly detects both
 symbols by exhaustive minimum-distance search over the B*M hypotheses
 
-    |z(c) - sqrt(P) G_t G_r w_c^H H f_c s|^2,
+    |z(c) - a hyp(c) s|^2,    a = sqrt(P) G_t G_r,  hyp(c) = w_c^H H f_c,
 
 ties resolved toward the lowest cluster, then lowest symbol index.
+Since z = a signal + n, the metric is |n + a d|^2 with
+d = signal - hyp(c) s, which expands to
+
+    |n|^2 + a (2 Re(conj(n) d) + a |d|^2):
+
+the three real terms do not depend on the power, so ``detect`` builds
+them once and decides every amplitude of a power sweep from them.
 ``transmit``, ``detect`` and ``count_bit_errors`` work on a batch of T
 channel uses; a single use is a batch of one.
 """
@@ -71,20 +78,39 @@ def branch_amplitudes(cb: CimCodebook, h: np.ndarray) -> np.ndarray:
     return ((cb.combiners.conj().T @ h) * cb.beamformers.T).sum(axis=1)
 
 
-def detect(z: np.ndarray, amplitude: float, hyp: np.ndarray,
+def detect(signal: np.ndarray, noise: np.ndarray, amplitudes: np.ndarray,
+           hyp: np.ndarray,
            points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Joint ML (cluster, symbol) decisions for combined receive vectors
-    ``z`` (T, B): the argmin over the B*M hypotheses of
-    |z(c) - amplitude * hyp[c] * points[s]|^2, where ``hyp`` holds the
-    branch amplitudes; ties go to the lowest cluster, then symbol."""
-    ref = amplitude * hyp[:, None] * points[None, :]
-    metric = np.abs(z[:, :, None] - ref[None, :, :]) ** 2
-    flat = metric.reshape(z.shape[0], -1).argmin(axis=1)
+    """Joint ML (cluster, symbol) decisions of T channel uses at P
+    amplitudes, each (P, T).
+
+    ``signal`` and ``noise`` are the unit-amplitude signal and combined
+    noise of ``transmit``, (T, B); at amplitude a the decision is the
+    argmin over the B*M hypotheses of |a signal(c) + noise(c) -
+    a hyp[c] points[s]|^2, where ``hyp`` holds the branch amplitudes;
+    ties go to the lowest cluster, then symbol."""
+    d = signal[:, :, None] - hyp[:, None] * points                # (T, B, M)
+    noise = noise[:, :, None]
+    # |n|^2 repeated over the symbols: a broadcast add is slower
+    noise_power = np.repeat(noise.real ** 2 + noise.imag ** 2, points.size,
+                            axis=2)
+    cross = 2.0 * (noise.real * d.real + noise.imag * d.imag)
+    distance = d.real ** 2 + d.imag ** 2
+    metric = np.empty_like(distance)
+    flat = np.empty((len(amplitudes), signal.shape[0]), dtype=np.intp)
+    for p, a in enumerate(amplitudes):
+        np.multiply(distance, a, out=metric)
+        metric += cross
+        metric *= a
+        metric += noise_power
+        flat[p] = metric.reshape(signal.shape[0], -1).argmin(axis=1)
     return np.divmod(flat, points.size)
 
 
 def count_bit_errors(x0: np.ndarray, x1: np.ndarray, c_hat: np.ndarray,
-                     s_hat: np.ndarray) -> int:
-    """Spatial plus constellation bit errors over a batch of channel uses."""
-    return int(np.bitwise_count(x0 ^ c_hat).sum(dtype=np.int64)
-               + np.bitwise_count(x1 ^ s_hat).sum(dtype=np.int64))
+                     s_hat: np.ndarray) -> np.ndarray:
+    """Spatial plus constellation bit errors of T channel uses: decisions
+    (..., T) against the sent labels (T,) give one count per leading
+    index, shape (...)."""
+    return (np.bitwise_count(x0 ^ c_hat).sum(axis=-1, dtype=np.int64)
+            + np.bitwise_count(x1 ^ s_hat).sum(axis=-1, dtype=np.int64))

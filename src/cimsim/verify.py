@@ -146,9 +146,9 @@ def check_noiseless_detection(
         for order in orders:
             cb = build_codebook(realization, order)
             x0, x1 = np.divmod(np.arange(order * points.size), points.size)
-            signal, _ = transmit(cb, realization.matrix, x0, points[x1],
-                                 np.zeros((x0.size, spec.n_elements)))
-            c_hat, s_hat = detect(amplitude * signal, amplitude,
+            signal, noise = transmit(cb, realization.matrix, x0, points[x1],
+                                     np.zeros((x0.size, spec.n_elements)))
+            c_hat, s_hat = detect(signal, noise, np.array([amplitude]),
                                   branch_amplitudes(cb, realization.matrix),
                                   points)
             failures += np.count_nonzero((c_hat != x0) | (s_hat != x1))

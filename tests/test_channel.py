@@ -73,6 +73,17 @@ class TestChannelConfig:
         with pytest.raises(ValueError):
             ChannelConfig(**kwargs)
 
+    @pytest.mark.parametrize("key,value", [
+        ("carrier_hz", np.nan), ("carrier_hz", np.inf),
+        ("angular_spread_rad", np.nan), ("shadowing_std_db", np.nan),
+        ("pathloss_exponent", np.inf), ("pathloss_intercept_db", -np.inf),
+        ("tx_position", (25.0, np.nan, 9.0)),
+        ("rx_position", (np.inf, 175.0, 9.0)),
+    ])
+    def test_non_finite_values_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be finite, got "):
+            ChannelConfig(**{key: value})
+
 
 class TestSampleRealization:
     def test_single_path_limit_is_rank_one(self):

@@ -18,6 +18,7 @@ from cimsim.verify import ALL_CHECKS
     (["ber", "--workers", "0"], "workers must be at least 1, got 0"),
     (["ber", "--trials", "1", "5", "7"],
      "--trials takes realizations [symbols per realization], got 3 values"),
+    (["ber", "--power-range", "nan"], "powers_dbm must be finite, got nan"),
 ])
 def test_bad_input_is_one_line_error(tmp_path, capsys, argv, message):
     cfg = tmp_path / "bad.cfg"

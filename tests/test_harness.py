@@ -92,6 +92,17 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(**{**dict(), **kwargs})
 
+    @pytest.mark.parametrize("key,value,shown", [
+        ("powers_dbm", (np.nan,), "nan"),
+        ("powers_dbm", (-10.0, np.inf), "inf"),
+        ("noise_dbm", np.inf, "inf"),
+        ("noise_dbm", -np.inf, "-inf"),
+    ])
+    def test_non_finite_values_rejected(self, key, value, shown):
+        with pytest.raises(ValueError,
+                           match=f"^{key} must be finite, got {shown}$"):
+            SimConfig(**{key: value})
+
     def test_scenario_layout_checked_per_geometry(self):
         with pytest.raises(ValueError, match="geometry CCA with n_elements=16"):
             SimConfig(geometries=("ULA", "CCA"), n_elements=16)
@@ -172,6 +183,67 @@ class TestRunSweep:
         used = {row[:3]: row[5] for row in joint}
         assert any(used[g, "OP", p] != used[g, "HE4", p]
                    for g in cfg.geometries for p in cfg.powers_dbm)
+
+    @pytest.mark.parametrize("powers", [(10.0, -20.0), (-10.0,),
+                                        (10.0, -10.0, -20.0)])
+    def test_power_subset_and_order_give_same_rows(self, powers):
+        # the test_hardware_subset_gives_same_rows grid: error_limit 40
+        # stops OP and HE4 after different realization counts
+        cfg = SimConfig(**{**TINY, "hardware": ("OP", "HE4"),
+                           "powers_dbm": (-20.0, -10.0, 10.0),
+                           "realizations": 12, "symbols_per_realization": 16,
+                           "error_limit": 40})
+
+        def rows(c):
+            return [((r.geometry, r.hardware, r.power_dbm),
+                     (r.bit_errors, r.bits_total, r.realizations_used))
+                    for r in run_sweep(c)]
+
+        full = dict(rows(cfg))
+        subset = rows(dataclasses.replace(cfg, powers_dbm=powers))
+        assert subset == [((g, h, p), full[g, h, p]) for g in cfg.geometries
+                          for h in cfg.hardware for p in powers]
+        assert any(full[g, "OP", p][2] != full[g, "HE4", p][2]
+                   for g in cfg.geometries for p in powers)
+
+    def test_golden_counts(self):
+        # (geometry, B, M, hardware, P_dBm, bit_errors, realizations_used)
+        # of a fixed sweep with early stopping live; any change to the
+        # channel, codebook, payload, noise or detector shows here
+        cfg = SimConfig(geometries=("URA", "ULA"),
+                        signalings=((2, 4), (4, 8)), hardware=("OP", "HE4"),
+                        powers_dbm=(-10.0, 10.0, 30.0), realizations=6,
+                        symbols_per_realization=16, seed=11, n_elements=16,
+                        error_limit=60)
+        rows = [(r.geometry, r.order, r.constellation, r.hardware,
+                 r.power_dbm, r.bit_errors, r.realizations_used)
+                for r in run_sweep(cfg)]
+        assert rows == [
+            ("URA", 2, 4, "OP", -10.0, 69, 4),
+            ("URA", 2, 4, "OP", 10.0, 1, 6),
+            ("URA", 2, 4, "OP", 30.0, 0, 6),
+            ("URA", 2, 4, "HE4", -10.0, 70, 4),
+            ("URA", 2, 4, "HE4", 10.0, 16, 6),
+            ("URA", 2, 4, "HE4", 30.0, 12, 6),
+            ("URA", 4, 8, "OP", -10.0, 65, 3),
+            ("URA", 4, 8, "OP", 10.0, 9, 6),
+            ("URA", 4, 8, "OP", 30.0, 0, 6),
+            ("URA", 4, 8, "HE4", -10.0, 61, 2),
+            ("URA", 4, 8, "HE4", 10.0, 34, 6),
+            ("URA", 4, 8, "HE4", 30.0, 17, 6),
+            ("ULA", 2, 4, "OP", -10.0, 60, 4),
+            ("ULA", 2, 4, "OP", 10.0, 4, 6),
+            ("ULA", 2, 4, "OP", 30.0, 0, 6),
+            ("ULA", 2, 4, "HE4", -10.0, 60, 4),
+            ("ULA", 2, 4, "HE4", 10.0, 8, 6),
+            ("ULA", 2, 4, "HE4", 30.0, 0, 6),
+            ("ULA", 4, 8, "OP", -10.0, 72, 3),
+            ("ULA", 4, 8, "OP", 10.0, 30, 6),
+            ("ULA", 4, 8, "OP", 30.0, 0, 6),
+            ("ULA", 4, 8, "HE4", -10.0, 81, 3),
+            ("ULA", 4, 8, "HE4", 10.0, 50, 6),
+            ("ULA", 4, 8, "HE4", 30.0, 31, 6),
+        ]
 
     def test_pool_with_more_tasks_than_workers(self):
         cfg = SimConfig(**{**TINY, "geometries": ("ULA", "URA", "UCA"),
@@ -443,6 +515,15 @@ class TestConfigFile:
     @pytest.mark.parametrize("line,message", [
         ("error_limit = 0", "error_limit must be at least 1"),
         ("seed = -1", "seed must be at least 0"),
+        ("noise_dbm = nan", "noise_dbm must be finite, got nan"),
+        ("powers_dbm = -10, inf", "powers_dbm must be finite, got inf"),
+        ("carrier_hz = nan", "carrier_hz must be finite, got nan"),
+        ("angular_spread_deg = nan",
+         "angular_spread_deg must be finite, got nan"),
+        ("shadowing_std_db = nan", "shadowing_std_db must be finite, got nan"),
+        ("pathloss_exponent = inf",
+         "pathloss_exponent must be finite, got inf"),
+        ("rx_position = 25, -inf, 9", "rx_position must be finite, got -inf"),
     ])
     def test_bad_value_names_key_and_line(self, tmp_path, line, message):
         path = tmp_path / "bad.cfg"

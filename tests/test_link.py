@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cimsim.arrays import GeometrySpec, element_positions
 from cimsim.channel import ChannelConfig, sample_realization
-from cimsim.codebook import build_codebook
+from cimsim.codebook import FpsBank, build_codebook, quantize_codebook
 from cimsim.link import (array_gain_db, branch_amplitudes, count_bit_errors,
                          db_to_linear, dbm_to_watt, detect, gray_code,
                          psk_constellation, transmit)
@@ -32,10 +32,15 @@ def all_hypotheses(order, m):
 def noiseless_decisions(realization, cb, amplitude, x0, x1, m=4):
     points = psk_constellation(m)
     h = realization.matrix
-    signal, _ = transmit(cb, h, x0, points[x1],
-                         np.zeros((x0.size, h.shape[0])))
-    return detect(amplitude * signal, amplitude, branch_amplitudes(cb, h),
-                  points)
+    signal, noise = transmit(cb, h, x0, points[x1],
+                             np.zeros((x0.size, h.shape[0])))
+    c_hat, s_hat = detect(signal, noise, np.array([amplitude]),
+                          branch_amplitudes(cb, h), points)
+    return c_hat[0], s_hat[0]
+
+
+def receive_noise(rng, shape, sigma):
+    return rng.normal(0, sigma, shape) + 1j * rng.normal(0, sigma, shape)
 
 
 class TestHelpers:
@@ -138,41 +143,47 @@ class TestMlDetect:
             beamformers=cb.beamformers[:, ::-1],
             combiners=cb.combiners[:, ::-1],
             effective_gains=cb.effective_gains[::-1])
-        y = amplitude * (h @ cb.beamformers[:, 0]) * points[1]
-        z = (swapped.combiners.conj().T @ y)[None, :]
-        c_hat, s_hat = detect(z, amplitude, branch_amplitudes(swapped, h),
-                              points)
-        assert (c_hat[0], s_hat[0]) == (1, 1)
+        y = (h @ cb.beamformers[:, 0]) * points[1]
+        signal = (swapped.combiners.conj().T @ y)[None, :]
+        c_hat, s_hat = detect(signal, np.zeros((1, 2), complex),
+                              np.array([amplitude]),
+                              branch_amplitudes(swapped, h), points)
+        assert (c_hat[0, 0], s_hat[0, 0]) == (1, 1)
         assert count_bit_errors(np.array([0]), np.array([1]), c_hat,
-                                s_hat) == 1
+                                s_hat).tolist() == [1]
 
     def test_common_scaling_invariance(self):
         realization, cb, amplitude = make_link(order=4)
         points = psk_constellation(4)
         h = realization.matrix
         rng = np.random.default_rng(3)
-        sigma = np.sqrt(1e-9 / 2)
-        noise = rng.normal(0, sigma, (1, 8)) + 1j * rng.normal(0, sigma, (1, 8))
-        signal, combined = transmit(cb, h, np.array([2]), points[[1]], noise)
-        z = amplitude * signal + combined
+        signal, combined = transmit(cb, h, np.array([2]), points[[1]],
+                                    receive_noise(rng, (1, 8),
+                                                  np.sqrt(1e-9 / 2)))
         hyp = branch_amplitudes(cb, h)
-        det_a = detect(z, amplitude, hyp, points)
-        det_b = detect(2.0 * z, 2.0 * amplitude, hyp, points)
-        assert det_a == det_b
+        amplitudes = np.array([amplitude])
+        det_a = detect(signal, combined, amplitudes, hyp, points)
+        det_b = detect(signal, 2.0 * combined, 2.0 * amplitudes, hyp, points)
+        assert all(np.array_equal(a, b) for a, b in zip(det_a, det_b))
 
     def test_wrong_length_rejected(self):
         realization, cb, amplitude = make_link(order=2)
         with pytest.raises(ValueError):
-            detect(np.zeros((1, 3), complex), amplitude,
+            detect(np.zeros((1, 3), complex), np.zeros((1, 3), complex),
+                   np.array([amplitude]),
                    branch_amplitudes(cb, realization.matrix),
                    psk_constellation(4))
 
     def test_ties_go_to_lowest_cluster_then_symbol(self):
-        # equal branch amplitudes and z = 0: every hypothesis ties
+        # equal branch amplitudes and no signal or noise: every
+        # hypothesis ties, at every amplitude
         points = psk_constellation(4)
-        c_hat, s_hat = detect(np.zeros((2, 2), complex), 1.0,
-                              np.ones(2, complex), points)
-        assert c_hat.tolist() == [0, 0] and s_hat.tolist() == [0, 0]
+        c_hat, s_hat = detect(np.zeros((2, 2), complex),
+                              np.zeros((2, 2), complex),
+                              np.array([1.0, 0.5, 3.0]), np.ones(2, complex),
+                              points)
+        assert c_hat.tolist() == [[0, 0]] * 3
+        assert s_hat.tolist() == [[0, 0]] * 3
 
     @settings(max_examples=15, deadline=None, derandomize=True,
               database=None)
@@ -185,20 +196,63 @@ class TestMlDetect:
         c_hat, s_hat = noiseless_decisions(realization, cb, amplitude,
                                            x0, x1, m)
         assert np.array_equal(c_hat, x0) and np.array_equal(s_hat, x1)
-        # with noise, decisions survive scaling z and the amplitude by the
-        # same power of two (exact in floating point)
+        # with noise, decisions survive scaling the noise and the
+        # amplitudes by the same power of two (exact in floating point)
         points = psk_constellation(m)
         h = realization.matrix
         rng = np.random.default_rng(seed)
-        noise = rng.normal(0, 1e-6, (x0.size, 8)) \
-            + 1j * rng.normal(0, 1e-6, (x0.size, 8))
-        signal, combined = transmit(cb, h, x0, points[x1], noise)
-        z = amplitude * signal + combined
+        signal, combined = transmit(cb, h, x0, points[x1],
+                                    receive_noise(rng, (x0.size, 8), 1e-6))
         hyp = branch_amplitudes(cb, h)
+        amplitudes = amplitude * np.array([0.1, 1.0, 30.0])
         scale = 2.0 ** exponent
-        base = detect(z, amplitude, hyp, points)
-        scaled = detect(scale * z, scale * amplitude, hyp, points)
+        base = detect(signal, combined, amplitudes, hyp, points)
+        scaled = detect(signal, scale * combined, scale * amplitudes, hyp,
+                        points)
         assert all(np.array_equal(a, b) for a, b in zip(base, scaled))
+
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), order=st.sampled_from([1, 2, 4]),
+           m=st.sampled_from([2, 4, 8]), n_f=st.integers(2, 6),
+           snr_exponents=st.lists(st.floats(-3.0, 3.0), min_size=3,
+                                  max_size=8))
+    def test_property_matches_per_power_argmin(self, seed, order, m, n_f,
+                                               snr_exponents):
+        # an HE-quantized signal path against the ideal hypothesis values,
+        # as in the sweep; the amplitudes put the mean branch amplitude at
+        # 1e-3 to 1e3 times the noise standard deviation
+        realization, cb, _ = make_link(seed=seed, order=order)
+        points = psk_constellation(m)
+        h = realization.matrix
+        rng = np.random.default_rng(seed)
+        uses = 40
+        x0 = rng.integers(0, order, uses)
+        x1 = rng.integers(0, m, uses)
+        sigma = 1e-6
+        signal, noise = transmit(quantize_codebook(cb, FpsBank(n_f)), h, x0,
+                                 points[x1],
+                                 receive_noise(rng, (uses, 8), sigma))
+        hyp = branch_amplitudes(cb, h)
+        amplitudes = (sigma / np.abs(hyp).mean()
+                      * 10.0 ** np.array(snr_exponents))
+        subset = np.arange(0, amplitudes.size, 2)[::-1]   # gaps, reversed
+
+        def oracle(a):
+            z = a * signal + noise
+            metric = np.abs(z[:, :, None]
+                            - a * hyp[None, :, None] * points) ** 2
+            return np.divmod(metric.reshape(uses, -1).argmin(axis=1), m)
+
+        every = detect(signal, noise, amplitudes, hyp, points)
+        some = detect(signal, noise, amplitudes[subset], hyp, points)
+        for p, a in enumerate(amplitudes):
+            c_ref, s_ref = oracle(a)
+            assert np.array_equal(every[0][p], c_ref)
+            assert np.array_equal(every[1][p], s_ref)
+        for row, p in enumerate(subset):
+            assert np.array_equal(some[0][row], every[0][p])
+            assert np.array_equal(some[1][row], every[1][p])
 
 
 class TestBitAccounting:
@@ -211,6 +265,10 @@ class TestBitAccounting:
         # a batch sums its uses
         assert count_bit_errors(x0, x1, np.array([0b01, 0b11]),
                                 np.array([0b10, 0b00])) == 6
+        # one count per leading index of the decisions
+        c_hat = np.array([[0b01, 0b11], [0b10, 0b10], [0b11, 0b10]])
+        s_hat = np.array([[0b10, 0b00], [0b01, 0b01], [0b01, 0b00]])
+        assert count_bit_errors(x0, x1, c_hat, s_hat).tolist() == [6, 0, 2]
 
     def test_high_snr_waterfall(self):
         realization, cb, amplitude = make_link(seed=6, order=2,
@@ -226,7 +284,7 @@ class TestBitAccounting:
             + 1j * rng.normal(0, sigma, (trials, 8))
         h = realization.matrix
         signal, combined = transmit(cb, h, x0, points[x1], noise)
-        c_hat, s_hat = detect(amplitude * signal + combined, amplitude,
+        c_hat, s_hat = detect(signal, combined, np.array([amplitude]),
                               branch_amplitudes(cb, h), points)
-        ber = count_bit_errors(x0, x1, c_hat, s_hat) / (3 * trials)
+        (ber,) = count_bit_errors(x0, x1, c_hat, s_hat) / (3 * trials)
         assert ber < 1e-3
