@@ -49,8 +49,9 @@ class GeometrySpec:
     ring_counts: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if self.wavelength <= 0:
-            raise ValueError("wavelength must be positive")
+        if not 0.0 < self.wavelength < np.inf:
+            raise ValueError("wavelength must be finite and positive, got "
+                             f"{self.wavelength:g}")
         if self.kind is ArrayKind.ULA:
             if self.n_z < 1 or self.d_z <= 0:
                 raise ValueError("ULA needs n_z >= 1 and d_z > 0")
@@ -161,8 +162,9 @@ def steering(positions: np.ndarray, directions: np.ndarray,
     positions = np.asarray(positions, dtype=float)
     if positions.size == 0:
         raise ValueError("positions must be nonempty")
-    if wavelength <= 0:
-        raise ValueError("wavelength must be positive")
+    if not 0.0 < wavelength < np.inf:
+        raise ValueError(f"wavelength must be finite and positive, got "
+                         f"{wavelength:g}")
     k = (2.0 * np.pi / wavelength) * np.asarray(directions, dtype=float)
     return np.exp(1j * (positions @ k.T)) / np.sqrt(positions.shape[0])
 

@@ -56,7 +56,8 @@ class ChannelConfig:
         if self.shadowing_std_db < 0:
             raise ValueError("shadowing std must be nonnegative")
         if self.carrier_hz <= 0:
-            raise ValueError("carrier frequency must be positive")
+            raise ValueError(f"carrier_hz must be positive, got "
+                             f"{self.carrier_hz:g}")
         if np.allclose(self.tx_position, self.rx_position):
             raise ValueError("Tx and Rx positions must differ")
 

@@ -14,8 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrays import (SPEED_OF_LIGHT, ArrayKind, element_positions,
-                     scenario_geometry)
+from .arrays import ArrayKind, element_positions, scenario_geometry
 from .channel import ChannelConfig, sample_realization
 from .codebook import FpsBank, build_codebook, quantize_weights
 from .harness import (SimConfig, _parse_powers, aggregate_and_emit,
@@ -96,8 +95,7 @@ def characteristics_table(rows: list[tuple]) -> str:
 def cmd_pattern(args: argparse.Namespace) -> int:
     geometries = tuple(g.upper() for g in (args.geometry or
                                            ("ULA", "URA", "UCA", "CCA")))
-    carrier = args.carrier_ghz * 1e9
-    wavelength = SPEED_OF_LIGHT / carrier
+    wavelength = ChannelConfig(carrier_hz=args.carrier_ghz * 1e9).wavelength
     az_off, el_off = args.steer
     specs = [scenario_geometry(ArrayKind(g), wavelength, args.n_elements)
              for g in geometries]
@@ -122,16 +120,14 @@ def cmd_pattern(args: argparse.Namespace) -> int:
 
 
 def cmd_codebook(args: argparse.Namespace) -> int:
-    carrier = args.carrier_ghz * 1e9
-    wavelength = SPEED_OF_LIGHT / carrier
+    cfg = ChannelConfig(carrier_hz=args.carrier_ghz * 1e9)
     geometries = args.geometry or ["URA"]
     if len(geometries) > 1:
         raise ValueError("codebook takes one --geometry, got "
                          + ", ".join(geometries))
-    spec = scenario_geometry(ArrayKind(geometries[0].upper()), wavelength,
-                             args.n_elements)
+    spec = scenario_geometry(ArrayKind(geometries[0].upper()),
+                             cfg.wavelength, args.n_elements)
     positions = element_positions(spec)
-    cfg = ChannelConfig(carrier_hz=carrier)
     realization = sample_realization(cfg, positions, positions,
                                      args.seed if args.seed is not None else 1)
     cb = build_codebook(realization, args.order)

@@ -438,8 +438,12 @@ _SIM_KEYS = {
 def _parse_powers(text: str) -> tuple[float, ...]:
     text = text.strip()
     if ":" in text:
-        lo, hi, step = require_finite(
+        bounds = require_finite(
             "powers_dbm", tuple(float(v) for v in text.split(":")))
+        if len(bounds) != 3:
+            raise ValueError(f"powers_dbm range must be lo:hi:step, "
+                             f"got {text!r}")
+        lo, hi, step = bounds
         if step == 0:
             raise ValueError(f"range {text!r} has a zero step")
         powers = tuple(np.arange(lo, hi + step / 2.0, step).tolist())

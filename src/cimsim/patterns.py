@@ -32,8 +32,11 @@ FORWARD_AZ_DEG = 90.0  # side lobes are taken within |az| <= this (chart)
 # so the merge only removes float noise: a phase error of the order of
 # 2 pi * 1e-12 * extent / wavelength.
 _GROUP_RTOL = 1e-12
-# elevation rows (distinct sin el) exponentiated per batch in compute_pattern
-_ROW_CHUNK = 64
+# elevation rows per batch in compute_pattern: distinct sin el rows
+# exponentiated at the sample azimuths, then output rows of the series.
+# Large, so that a 0.25 deg grid takes three series matmuls: on a loaded
+# 2-CPU host a BLAS call that has to wake idle threads stalled ~16 ms.
+_ROW_CHUNK = 256
 
 # Chart basis for planar arrays, columns = chart axes in array coords:
 # chart x -> array z (broadside), chart y -> array x, chart z -> array y.
@@ -99,11 +102,18 @@ class PatternSummary:
 def steering_weights(spec: GeometrySpec, az_off_deg: float = 0.0,
                      el_off_deg: float = 0.0) -> np.ndarray:
     """Conjugate-steering weights pointing (az_off, el_off) from broadside."""
+    _require_finite_offsets(az_off_deg, el_off_deg)
     frame = pattern_frame(spec.kind)
     az0 = np.deg2rad(az_off_deg)
     el0 = np.deg2rad(90.0 - el_off_deg)
     direction = chart_directions(az0, el0, frame)
     return steering(element_positions(spec), direction, spec.wavelength)
+
+
+def _require_finite_offsets(az_off_deg: float, el_off_deg: float) -> None:
+    if not (np.isfinite(az_off_deg) and np.isfinite(el_off_deg)):
+        raise ValueError(f"steering offsets must be finite, got az "
+                         f"{az_off_deg:g}, el {el_off_deg:g} deg")
 
 
 def compute_pattern(positions: np.ndarray, weights: np.ndarray,
@@ -124,21 +134,32 @@ def compute_pattern(positions: np.ndarray, weights: np.ndarray,
         B[el, g]   = sum_{n in g} w_n^* exp(j k cos el P2_n),
         q[az, g]   = k (cos az P0_g + sin az P1_g),
 
-    where g runs over the distinct (P0, P1) pairs of the elements.  The
-    exponential exp(j sin el q) is evaluated once per distinct sin el
-    (el and 180 - el share it, with their own B rows) and per distinct
-    row of q up to sign: a column with q = -q' takes conj(exp(j sin el q'))
-    and |sum conj(T) B| = |sum T conj(B)|.  Values that agree to within
-    ``_GROUP_RTOL`` (of the array extent for q) count as equal.  On the
-    default 0.25 deg grid (721 x 1440 directions) that is 361 distinct
-    sin el times 361 distinct |sin az| for a planar array (P0 = 0), and
-    the scenario arrays take these numbers of exp(j sin el q) terms,
-    besides the 721 x N exponentials of B:
+    where g runs over the distinct (P0, P1) pairs of the elements, taken
+    about the centre of their bounding box (a common shift changes AF by
+    a unit-modulus factor only).  By Jacobi-Anger,
+    exp(j z cos(az - phi)) = sum_m j^m J_m(z) e^{jm(az - phi)}, so each row
+    is a Fourier series in az whose terms vanish beyond |m| ~ z_max =
+    k max hypot(P0, P1).  The factorization is evaluated at n_s uniform
+    sample azimuths (``_series_order``); one FFT per row gives the
+    coefficients c, and a matmul evaluates AF = sum_m c_m e^{jm(az + pi)}
+    on the output grid, whatever its step.
 
-        ULA (82 elements, G = 1, P1 = 0):  361 x 1 x 1      = 361
-        URA (81 elements, G = 9):          361 x 361 x 9    = 1.17 M
-        UCA (82 elements, G = 42):         361 x 361 x 42   = 5.47 M
-        CCA (82 elements, G = 43):         361 x 361 x 43   = 5.60 M
+    At the samples, exp(j sin el q) is evaluated once per distinct sin el
+    (el and 180 - el share it, with their own B rows) and per distinct
+    row of q up to sign: a column with q = -q' has
+    AF = sum conj(T) B = conj(sum T conj(B)), with T = exp(j sin el q').
+    Values that agree to within ``_GROUP_RTOL`` (of the array extent for
+    q) count as equal.  On the default 0.25 deg grid (721 x 1440
+    directions, 361 distinct sin el) the scenario arrays take these
+    sample counts n_s, distinct sample columns A' and exp(j sin el q)
+    terms, besides the 721 x N exponentials of B and the n_s x 1440 of
+    the series:
+
+        array (elements, G)    z_max   n_s   A'   361 x A' x G
+        ULA   (82, G = 1)          0     4    1            361
+        URA   (81, G = 9)       12.6    84   22           71 K
+        UCA   (82, G = 42)      41.0   156   40          606 K
+        CCA   (82, G = 43)      18.7   100   26          404 K
     """
     positions = np.asarray(positions, dtype=float)
     weights = np.asarray(weights, dtype=complex)
@@ -151,6 +172,7 @@ def compute_pattern(positions: np.ndarray, weights: np.ndarray,
                          f"{az_step_deg:g}, el_step_deg={el_step_deg:g}")
     if az_step_deg > 1.0 or el_step_deg > 1.0:
         raise ValueError("grid resolution must be 1 degree or finer")
+    _require_finite_offsets(steer_az_deg, steer_el_off_deg)
     frame = np.eye(3) if frame is None else np.asarray(frame, float)
 
     az_deg = np.arange(-180.0, 180.0, az_step_deg)
@@ -160,6 +182,8 @@ def compute_pattern(positions: np.ndarray, weights: np.ndarray,
     kscale = 2.0 * np.pi / wavelength
 
     chart = positions @ frame
+    low, high = chart[:, :2].min(axis=0), chart[:, :2].max(axis=0)
+    chart[:, :2] -= (low + high) / 2.0
     # all-zero coordinates group under any tolerance
     tol = _GROUP_RTOL * (np.abs(chart).max(initial=0.0) or 1.0)
     first, group = _distinct_rows(chart[:, :2], tol)
@@ -168,11 +192,14 @@ def compute_pattern(positions: np.ndarray, weights: np.ndarray,
               np.exp(1j * kscale * np.outer(np.cos(el), chart[:, 2]))
               * weights.conj())
 
-    # azimuth columns, each up to sign: in_plane = sign * canonical row
-    in_plane = np.outer(np.cos(az), chart[first, 0]) \
-        + np.outer(np.sin(az), chart[first, 1])         # (A, G)
+    # sample azimuths -pi + 2 pi s / n_s, each column up to sign:
+    # in_plane = sign * canonical row
+    n_s = _series_order(kscale * np.hypot(chart[:, 0], chart[:, 1]).max())
+    sample_az = -np.pi + 2.0 * np.pi * np.arange(n_s) / n_s
+    in_plane = np.outer(np.cos(sample_az), chart[first, 0]) \
+        + np.outer(np.sin(sample_az), chart[first, 1])  # (n_s, G)
     ticks = np.round(in_plane / tol)
-    negated = ticks[np.arange(az.size), np.argmax(ticks != 0.0, axis=1)] < 0.0
+    negated = ticks[np.arange(n_s), np.argmax(ticks != 0.0, axis=1)] < 0.0
     canonical = np.where(negated[:, None], -in_plane, in_plane)
     columns, column = _distinct_rows(canonical, tol)
     q = kscale * canonical[columns]                     # (A', G)
@@ -185,19 +212,30 @@ def compute_pattern(positions: np.ndarray, weights: np.ndarray,
     order = np.argsort(row, kind="stable")          # rows grouped by sin el
     slot = np.minimum(np.arange(counts.max()), counts[:, None] - 1)
     mirror = order[(np.cumsum(counts) - counts)[:, None] + slot]  # (R, K)
-    # output column a reads vector member + K * negated[a] of its group
+    # sample s reads vector member + K * negated[s] of its group
     pick = mirror.shape[1] * negated
 
-    power = np.empty((el.size, az.size))
+    samples = np.empty((el.size, n_s), dtype=complex)  # sqrt(N) * w^H a
     for r0 in range(0, mirror.shape[0], _ROW_CHUNK):
         members = mirror[r0:r0 + _ROW_CHUNK]            # (R', K)
         terms = np.exp(1j * sin_el[members[:, 0], None, None] * q)
         vectors = b[members].transpose(0, 2, 1)         # (R', G, K)
-        # sqrt(N) * w^H a, (R', A', 2K)
         af = terms @ np.concatenate([vectors, vectors.conj()], axis=2)
-        af_power = np.abs(af) ** 2
         for m in range(members.shape[1]):
-            power[members[:, m]] = af_power[:, column, m + pick]
+            samples[members[:, m]] = af[:, column, m + pick]
+    # the series needs AF itself, and a negated column computed conj(AF)
+    samples[:, negated] = samples[:, negated].conj()
+
+    # AF[el, az] = sum_m c[el, m] exp(j m (az + pi)), c = FFT(samples) / n_s
+    coefficients = np.fft.fft(samples, axis=1)
+    harmonics = np.fft.fftfreq(n_s, 1.0 / n_s)
+    series = np.exp(1j * np.outer(harmonics, az + np.pi)) / n_s  # (n_s, A)
+    power = np.empty((el.size, az.size))
+    for r0 in range(0, el.size, _ROW_CHUNK):
+        af = coefficients[r0:r0 + _ROW_CHUNK] @ series
+        block = power[r0:r0 + _ROW_CHUNK]
+        np.multiply(af.real, af.real, out=block)
+        block += af.imag * af.imag
 
     el_weights = sin_el.copy()
     el_weights[0] *= 0.5
@@ -209,6 +247,19 @@ def compute_pattern(positions: np.ndarray, weights: np.ndarray,
     return RadiationPattern(az_deg=az_deg, el_deg=el_deg, gain_db=gain_db,
                             steer_az_deg=steer_az_deg,
                             steer_el_deg=90.0 - steer_el_off_deg)
+
+
+def _series_order(z_max: float) -> int:
+    """Sample count n_s for an azimuth series of half-bandwidth m_max.
+
+    J_m(z) falls off faster than exponentially once m exceeds z by a few
+    multiples of cbrt(z), so terms beyond m_max = ceil(z + 8 cbrt(z) + 8)
+    are below float noise; n_s is the smallest multiple of 4 that is
+    >= 2 m_max + 1, which keeps 0, +-90 and 180 deg (negated and mirror
+    columns) among the samples.
+    """
+    m_max = int(np.ceil(z_max + 8.0 * np.cbrt(z_max) + 8.0)) if z_max else 0
+    return 4 * (m_max // 2 + 1)
 
 
 def _distinct_rows(values: np.ndarray,
@@ -314,20 +365,32 @@ def sidelobe_directivities(pattern: RadiationPattern,
     planar array.
     """
     g = pattern.gain_db
-    modes = ("nearest", "wrap")
-    candidates = ((g == ndimage.maximum_filter(g, size=3, mode=modes))
-                  & (g > ndimage.minimum_filter(g, size=3, mode=modes))
-                  & ~main_lobe)
+    candidates = ((g == _neighborhood(g, np.maximum))
+                  & (g > _neighborhood(g, np.minimum)) & ~main_lobe)
+    labels, n_lobes = ndimage.label(candidates, structure=np.ones((3, 3), int))
+    in_window = np.zeros(n_lobes + 1, dtype=bool)
+    in_window[labels[:, np.abs(pattern.az_deg) <= FORWARD_AZ_DEG]] = True
+    in_window[0] = False
+    # each of two adjacent local maxima is >= the other, so every cell of
+    # a lobe holds the lobe's peak and any one of them gives it
+    peaks = np.empty(n_lobes + 1)
+    peaks[labels[candidates]] = g[candidates]
+    return np.sort(peaks[in_window])[::-1]
 
-    labels, _ = ndimage.label(candidates, structure=np.ones((3, 3), int))
-    in_window = np.abs(pattern.az_deg) <= FORWARD_AZ_DEG
-    window_labels = np.unique(labels[:, in_window])
-    window_labels = window_labels[window_labels > 0]
-    if window_labels.size == 0:
-        return np.array([])
-    peaks = ndimage.labeled_comprehension(g, labels, window_labels, np.max,
-                                          float, np.nan)
-    return np.sort(np.asarray(peaks))[::-1]
+
+def _neighborhood(g: np.ndarray, extreme: np.ufunc) -> np.ndarray:
+    """Extreme of ``g`` over each cell's 3 x 3 neighborhood, edge rows
+    repeated and azimuth wrapped, from shifted slices of ``g``."""
+    pairs = extreme(g[:-1], g[1:])                  # rows e and e + 1
+    rows = np.empty_like(g)
+    extreme(pairs[:-1], pairs[1:], out=rows[1:-1])
+    rows[0], rows[-1] = pairs[0], pairs[-1]
+    pairs = np.empty_like(g)                        # columns a and a + 1
+    extreme(rows[:, :-1], rows[:, 1:], out=pairs[:, :-1])
+    extreme(rows[:, -1], rows[:, 0], out=pairs[:, -1])
+    extreme(pairs[:, :-1], pairs[:, 1:], out=rows[:, 1:])
+    extreme(pairs[:, -1], pairs[:, 0], out=rows[:, 0])
+    return rows
 
 
 def average_sidelobe_db(pattern: RadiationPattern,

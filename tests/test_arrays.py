@@ -57,6 +57,8 @@ class TestElementPositions:
         lambda: GeometrySpec.cca((0.5, 1.0), (4,), 1.0),
         lambda: GeometrySpec.cca((0.5, -1.0), (4, 4), 1.0),
         lambda: GeometrySpec.ula(4, wavelength=0.0),
+        lambda: GeometrySpec.ula(4, wavelength=float("nan")),
+        lambda: GeometrySpec.ura(3, 3, wavelength=float("inf")),
     ])
     def test_invalid_specs_raise(self, bad):
         with pytest.raises(ValueError):
@@ -91,8 +93,9 @@ class TestWaveNumber:
             np.exp(1j * np.array(k)) / np.sqrt(3), rtol=1e-12)
 
     def test_rejects_nonpositive_wavelength(self):
-        with pytest.raises(ValueError):
-            steering(np.zeros((1, 3)), unit_directions(0.0, 0.0), 0.0)
+        for lam in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and positive"):
+                steering(np.zeros((1, 3)), unit_directions(0.0, 0.0), lam)
 
 
 class TestSteeringVector:

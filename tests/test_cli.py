@@ -19,6 +19,20 @@ from cimsim.verify import ALL_CHECKS
     (["ber", "--trials", "1", "5", "7"],
      "--trials takes realizations [symbols per realization], got 3 values"),
     (["ber", "--power-range", "nan"], "powers_dbm must be finite, got nan"),
+    (["ber", "--power-range", "0:1"],
+     "powers_dbm range must be lo:hi:step, got '0:1'"),
+    (["ber", "--power-range", "0:1:2:3"],
+     "powers_dbm range must be lo:hi:step, got '0:1:2:3'"),
+    (["pattern", "--geometry", "ULA", "--carrier-ghz", "0"],
+     "carrier_hz must be positive, got 0"),
+    (["pattern", "--geometry", "ULA", "--carrier-ghz", "nan"],
+     "carrier_hz must be finite, got nan"),
+    (["pattern", "--geometry", "ULA", "--carrier-ghz", "1e-320"],
+     "wavelength must be finite and positive, got inf"),
+    (["pattern", "--geometry", "ULA", "--steer", "nan", "0"],
+     "steering offsets must be finite, got az nan, el 0 deg"),
+    (["pattern", "--geometry", "URA", "--steer", "0", "inf"],
+     "steering offsets must be finite, got az 0, el inf deg"),
 ])
 def test_bad_input_is_one_line_error(tmp_path, capsys, argv, message):
     cfg = tmp_path / "bad.cfg"
@@ -38,6 +52,15 @@ def test_codebook_rejects_second_geometry(capsys):
     err = capsys.readouterr().err
     assert err == ("cimsim: error: codebook takes one --geometry, "
                    "got ULA, CCA\n")
+
+
+@pytest.mark.parametrize("carrier,message", [
+    ("0", "carrier_hz must be positive, got 0"),
+    ("nan", "carrier_hz must be finite, got nan"),
+])
+def test_codebook_rejects_bad_carrier(capsys, carrier, message):
+    assert main(["codebook", "--carrier-ghz", carrier]) == 2
+    assert capsys.readouterr().err == f"cimsim: error: {message}\n"
 
 
 def test_pattern_writes_grid_and_table(tmp_path, capsys):

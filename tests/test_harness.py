@@ -524,6 +524,9 @@ class TestConfigFile:
         ("pathloss_exponent = inf",
          "pathloss_exponent must be finite, got inf"),
         ("rx_position = 25, -inf, 9", "rx_position must be finite, got -inf"),
+        ("powers_dbm = 0:1", "powers_dbm range must be lo:hi:step, got '0:1'"),
+        ("powers_dbm = 0:1:2:3",
+         "powers_dbm range must be lo:hi:step, got '0:1:2:3'"),
     ])
     def test_bad_value_names_key_and_line(self, tmp_path, line, message):
         path = tmp_path / "bad.cfg"

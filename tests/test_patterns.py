@@ -48,6 +48,11 @@ def random_weights(rng, n):
     return w / np.linalg.norm(w)
 
 
+def random_frame(rng):
+    frame, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    return frame * np.sign(np.diag(r))
+
+
 class TestFrames:
     def test_ula_frame_is_identity(self):
         np.testing.assert_array_equal(pattern_frame(ArrayKind.ULA), np.eye(3))
@@ -118,8 +123,7 @@ class TestComputePattern:
         rng = np.random.default_rng(11)
         pos = rng.uniform(-1.5, 1.5, (12, 3)) * LAM
         w = random_weights(rng, 12)
-        frame, r = np.linalg.qr(rng.normal(size=(3, 3)))
-        frame *= np.sign(np.diag(r))
+        frame = random_frame(rng)
         pat = compute_pattern(pos, w, LAM, az_step_deg=1.0, el_step_deg=1.0,
                               frame=frame)
         assert_matches_direct_sum(pat, pos, w, frame, 1.0)
@@ -133,6 +137,30 @@ class TestComputePattern:
         pat = compute_pattern(pos, w, LAM, az_step_deg=1.0, el_step_deg=1.0,
                               frame=pattern_frame(kind))
         assert_matches_direct_sum(pat, pos, w, pattern_frame(kind), 1.0)
+
+    @pytest.mark.parametrize("layout", ["ring", "planar", "volume"])
+    def test_large_aperture_matches_direct_sum(self, layout):
+        # z_max = k max hypot(P0, P1) > 100, (P0, P1) centred as in the
+        # kernel, puts the azimuth series' truncation at
+        # m_max ~ z_max + 8 cbrt(z_max) to the test
+        rng = np.random.default_rng(21)
+        if layout == "ring":        # 24-wavelength radius
+            ang = 2 * np.pi * np.arange(64) / 64
+            pos = 24 * LAM * np.column_stack([np.cos(ang), np.sin(ang),
+                                              np.zeros(64)])
+        else:                       # random positions spanning 36 wavelengths
+            pos = rng.uniform(-18, 18, (24, 3)) * LAM
+        if layout != "volume":
+            pos[:, 2] = 0.0
+        frame = pattern_frame("UCA") if layout != "volume" \
+            else random_frame(rng)
+        in_plane = (pos @ frame)[:, :2]
+        in_plane -= (in_plane.max(axis=0) + in_plane.min(axis=0)) / 2
+        assert 2 * np.pi / LAM * np.hypot(*in_plane.T).max() > 100
+        w = random_weights(rng, pos.shape[0])
+        pat = compute_pattern(pos, w, LAM, az_step_deg=1.0, el_step_deg=1.0,
+                              frame=frame)
+        assert_matches_direct_sum(pat, pos, w, frame, 1.0)
 
     def test_grid_without_mirror_columns_matches_direct_sum(self):
         # at 0.7 deg the column 180 - az is never on the azimuth grid
@@ -149,23 +177,19 @@ class TestComputePattern:
     @settings(max_examples=12, deadline=None, derandomize=True,
               database=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 10),
-           planar=st.booleans(), lattice=st.booleans(),
-           chart_frame=st.booleans(),
+           half_width=st.floats(0.25, 5.0), planar=st.booleans(),
+           lattice=st.booleans(), chart_frame=st.booleans(),
            step=st.sampled_from([0.5, 0.6, 0.7, 0.8, 0.9, 1.0]))
-    def test_property_matches_direct_sum(self, seed, n, planar, lattice,
-                                         chart_frame, step):
-        rng = np.random.default_rng(seed)
-        pos = rng.uniform(-1.5, 1.5, (n, 3)) * LAM
+    def test_property_matches_direct_sum(self, seed, n, half_width, planar,
+                                         lattice, chart_frame, step):
+        rng = np.random.default_rng(seed)   # extents up to 10 wavelengths
+        pos = rng.uniform(-half_width, half_width, (n, 3)) * LAM
         if lattice:      # repeated chart coordinates: grouped elements
             pos = np.round(pos / (LAM / 2)) * (LAM / 2)
         if planar:       # z = 0, in the planar chart P0 = 0
             pos[:, 2] = 0.0
         w = random_weights(rng, n)
-        if chart_frame:
-            frame = pattern_frame("URA")
-        else:
-            frame, r = np.linalg.qr(rng.normal(size=(3, 3)))
-            frame *= np.sign(np.diag(r))
+        frame = pattern_frame("URA") if chart_frame else random_frame(rng)
         pat = compute_pattern(pos, w, LAM, az_step_deg=step,
                               el_step_deg=step, frame=frame)
         assert_matches_direct_sum(pat, pos, w, frame, step)
