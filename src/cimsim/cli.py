@@ -127,6 +127,7 @@ def cmd_codebook(args: argparse.Namespace) -> int:
                          + ", ".join(geometries))
     spec = scenario_geometry(ArrayKind(geometries[0].upper()),
                              cfg.wavelength, args.n_elements)
+    bank = FpsBank(args.nf) if args.nf is not None else None
     positions = element_positions(spec)
     realization = sample_realization(cfg, positions, positions,
                                      args.seed if args.seed is not None else 1)
@@ -139,8 +140,8 @@ def cmd_codebook(args: argparse.Namespace) -> int:
     for k, c in enumerate(cb.clusters):
         line = (f"codeword {k}: cluster {c}, path {cb.best_paths[c]}, "
                 f"|w^H H f|^2 = {cb.effective_gains[k]:.4e}")
-        if args.nf:
-            q = quantize_weights(cb.beamformers[:, k], FpsBank(args.nf))
+        if bank is not None:
+            q = quantize_weights(cb.beamformers[:, k], bank)
             loss = np.abs(np.vdot(q, cb.beamformers[:, k]))
             line += f", HE{args.nf} alignment |<f_q, f>| = {loss:.6f}"
         print(line)

@@ -21,7 +21,10 @@ which is what makes coarse banks floor out at high power.
 
 A sweep run on a process pool gives each worker process its share of the
 usable CPUs for BLAS threads, so workers x BLAS threads never exceed the
-CPUs; the serial path leaves BLAS as it is.
+CPUs; the serial path leaves BLAS as it is.  The parent caps its own
+BLAS threads around the pool, so forked workers inherit the cap and
+start no BLAS threads; workers started by spawn or forkserver cap their
+own.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import dataclasses
 import json
 import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -252,8 +256,10 @@ def run_sweep(cfg: SimConfig, workers: int = 1) -> list[BerResult]:
     then hardware, power-minor.
 
     With ``workers > 1`` and more than one task, ``min(workers, tasks)``
-    processes share the tasks and each caps its BLAS threads at
-    ``_worker_blas_threads``."""
+    processes share the tasks with their BLAS threads capped at
+    ``_worker_blas_threads``.  This process holds the same cap while the
+    pool runs and gets its own thread counts back when the pool closes,
+    also when a task fails."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     tasks = [(gi, si)
@@ -263,10 +269,18 @@ def run_sweep(cfg: SimConfig, workers: int = 1) -> list[BerResult]:
     if threads is None:
         results = [_run_task(cfg, *task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
-                                 initializer=_limit_blas_threads,
-                                 initargs=(threads,)) as pool:
-            results = list(pool.map(_pool_task, [(cfg, *task) for task in tasks]))
+        # forked workers inherit this cap and start no BLAS threads; the
+        # initializer caps workers started by spawn or forkserver
+        capped = _limit_blas_threads(threads)
+        try:
+            with ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
+                                     initializer=_limit_blas_threads,
+                                     initargs=(threads,)) as pool:
+                results = list(pool.map(_pool_task,
+                                        [(cfg, *task) for task in tasks]))
+        finally:
+            for setter, count in capped:
+                setter(count)
     return [result for task in results for result in task]
 
 
@@ -293,8 +307,13 @@ def _worker_blas_threads(workers: int, n_tasks: int) -> int | None:
     return max(1, _usable_cpus() // processes)
 
 
-# Thread-count setters of OpenBLAS builds, most specific first: numpy's
-# 64-bit-integer wheel build, scipy's wheel build, then plain OpenBLAS.
+# Thread-count getters and setters of OpenBLAS builds, most specific
+# first: numpy's 64-bit-integer wheel build, scipy's wheel build, then
+# plain OpenBLAS.  A build's getter and setter share an index.
+_OPENBLAS_GET_THREADS = ("scipy_openblas_get_num_threads64_",
+                         "scipy_openblas_get_num_threads",
+                         "openblas_get_num_threads64_",
+                         "openblas_get_num_threads")
 _OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_",
                          "scipy_openblas_set_num_threads",
                          "openblas_set_num_threads64_",
@@ -321,21 +340,38 @@ def _openblas_libraries() -> list[ctypes.CDLL]:
     return libraries
 
 
-def _limit_blas_threads(threads: int) -> None:
-    """Pool worker initializer: cap every mapped OpenBLAS library's
-    thread pool at ``threads`` through its first exported setter.
+def _limit_blas_threads(threads: int) -> list[tuple[Callable, int]]:
+    """Cap every mapped OpenBLAS library's thread pool at ``threads``
+    through its first exported getter/setter pair; returns the setter
+    and previous count of each library it changed, for the caller to
+    restore.  Also the pool worker initializer.
+
+    A library already at ``threads`` is left alone: a forked process
+    has none of the library's server threads, and the setter would
+    start them, to busy-wait for a first job.  A worker forked from a
+    parent that holds the cap therefore keeps its single OS thread.
 
     A no-op where no OpenBLAS library is found: on an OS without
     ``/proc/self/maps``, or with another BLAS (MKL, Accelerate, BLIS),
     whose threads then stay at their defaults."""
+    changed = []
     for lib in _openblas_libraries():
-        for name in _OPENBLAS_SET_THREADS:
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
+        for get_name, set_name in zip(_OPENBLAS_GET_THREADS,
+                                      _OPENBLAS_SET_THREADS):
+            getter = getattr(lib, get_name, None)
+            setter = getattr(lib, set_name, None)
+            if getter is None or setter is None:
+                continue
+            getter.argtypes = []
+            getter.restype = ctypes.c_int
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = None
+            previous = getter()
+            if previous != threads:
                 setter(threads)
-                break
+                changed.append((setter, previous))
+            break
+    return changed
 
 
 def _environment(workers: int | None, n_tasks: int) -> dict:

@@ -33,14 +33,20 @@ from cimsim.verify import ALL_CHECKS
      "steering offsets must be finite, got az nan, el 0 deg"),
     (["pattern", "--geometry", "URA", "--steer", "0", "inf"],
      "steering offsets must be finite, got az 0, el inf deg"),
+    (["codebook", "--nf", "0"], "need at least two fixed phase shifters"),
+    (["codebook", "--nf", "-2"], "need at least two fixed phase shifters"),
 ])
 def test_bad_input_is_one_line_error(tmp_path, capsys, argv, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("geometries = CCA\nn_elements = 16\n")
     out = tmp_path / "out"
-    argv = [a.format(cfg=cfg) for a in argv] + ["--out", str(out)]
+    argv = [a.format(cfg=cfg) for a in argv]
+    if argv[0] != "codebook":    # codebook writes no files
+        argv += ["--out", str(out)]
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""    # nothing is printed before input is valid
+    err = captured.err
     assert err.startswith("cimsim: error: ")
     assert message in err
     assert err.count("\n") == 1

@@ -32,23 +32,35 @@ def _cpus() -> int:
         return os.cpu_count()
 
 
-_OPENBLAS_GET_THREADS = ("scipy_openblas_get_num_threads64_",
-                         "scipy_openblas_get_num_threads",
-                         "openblas_get_num_threads64_",
-                         "openblas_get_num_threads")
-
-
 def _blas_thread_counts(*_task) -> list[tuple[str, int]]:
     """(path, thread count) of every OpenBLAS library the harness finds
     mapped into this process."""
     counts = []
     for lib in harness._openblas_libraries():
-        name = next(n for n in _OPENBLAS_GET_THREADS if hasattr(lib, n))
+        name = next(n for n in harness._OPENBLAS_GET_THREADS
+                    if hasattr(lib, n))
         getter = getattr(lib, name)
         getter.argtypes = []
         getter.restype = ctypes.c_int
         counts.append((lib._name, getter()))
     return counts
+
+
+def _os_thread_count(*_task) -> list[int]:
+    """OS threads of this process, as a one-row task result."""
+    return [len(os.listdir("/proc/self/task"))]
+
+
+def _require_openblas() -> None:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in str(blas.get("name")).lower():
+        pytest.skip("numpy is not built against OpenBLAS")
+
+
+def _fork_pool(monkeypatch) -> None:
+    """Make the harness start its pool workers by fork."""
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
 
 
 class TestHardwareSpec:
@@ -278,6 +290,17 @@ class TestRunSweep:
                           for path, _count in parent]
         assert _blas_thread_counts() == parent    # this process: untouched
 
+    def test_forked_pool_workers_start_single_threaded(self, monkeypatch):
+        _require_openblas()
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no /proc/self/task to count OS threads")
+        # each forked worker reports its OS threads instead of sweeping;
+        # a BLAS thread started while capping the worker would add to them
+        monkeypatch.setattr(harness, "_run_task", _os_thread_count)
+        _fork_pool(monkeypatch)
+        cfg = SimConfig(**{**TINY, "geometries": ("ULA", "URA", "UCA")})
+        assert run_sweep(cfg, workers=2) == [1, 1, 1]
+
     def test_task_failure_names_its_curve(self, monkeypatch):
         def fail(*args, **kwargs):
             raise ZeroDivisionError("channel draw failed")
@@ -289,6 +312,20 @@ class TestRunSweep:
                            match=r"^URA 4x2: channel draw failed$") as info:
             run_sweep(cfg)
         assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+    def test_failed_pool_sweep_restores_blas_threads(self, monkeypatch):
+        _require_openblas()
+
+        def fail(*args, **kwargs):
+            raise ZeroDivisionError("channel draw failed")
+
+        monkeypatch.setattr(harness, "sample_realization", fail)
+        _fork_pool(monkeypatch)
+        parent = _blas_thread_counts()
+        assert parent, "numpy's OpenBLAS library not found in /proc/self/maps"
+        with pytest.raises(RuntimeError, match="channel draw failed"):
+            run_sweep(SimConfig(**TINY), workers=2)
+        assert _blas_thread_counts() == parent
 
     def test_elapsed_splits_task_time_over_its_points(self):
         cfg = SimConfig(**{**TINY, "hardware": ("OP", "HE4")})
