@@ -10,8 +10,7 @@ statistics).
 __version__ = "0.1.0"
 
 from .arrays import (ArrayKind, GeometrySpec, SPEED_OF_LIGHT,
-                     element_positions, scenario_geometry, steering,
-                     unit_directions)
+                     scenario_geometry, steering, unit_directions)
 from .channel import (ChannelConfig, ChannelRealization, path_loss,
                       sample_realization)
 from .codebook import (CimCodebook, FpsBank, build_codebook,
@@ -22,7 +21,7 @@ from .link import (array_gain_db, branch_amplitudes, count_bit_errors,
 from .patterns import (PatternSummary, RadiationPattern, compute_pattern,
                        pattern_frame, steered_pattern, steering_weights,
                        summarize)
-from .harness import (BerResult, HardwareSpec, SimConfig, aggregate_and_emit,
-                      load_config, run_sweep)
+from .harness import (BerResult, SimConfig, aggregate_and_emit, load_config,
+                      parse_hardware, run_sweep)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

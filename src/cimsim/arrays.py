@@ -12,7 +12,7 @@ Angle convention: ``el`` is the polar angle measured from the +z axis,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -27,116 +27,84 @@ class ArrayKind(str, Enum):
     CCA = "CCA"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeometrySpec:
-    """Element layout description for one of the four array kinds.
+    """One array: its kind, its wavelength in meters and its element
+    positions in meters, shape (N, 3), which are made read-only.
 
-    Only the fields relevant to ``kind`` are used.  Spacings (``d_*``)
-    and radii are in wavelengths; ``wavelength`` is in meters.
+    Build one with ``ula``/``ura``/``uca``/``cca``; they take spacings
+    and radii in wavelengths.  Element order is fixed: ULA by n_z; URA
+    row-major by (n_x, n_y); UCA by n_c; CCA ring-major by (ring, n_c).
+    Circular layouts place element n_c at azimuth 2*pi*n_c / N_ring.
     """
 
     kind: ArrayKind
     wavelength: float
-    n_z: int = 0
-    d_z: float = 0.5
-    n_x: int = 0
-    n_y: int = 0
-    d_x: float = 0.5
-    d_y: float = 0.5
-    n_circ: int = 0
-    radius: float = 0.0
-    ring_radii: tuple[float, ...] = field(default_factory=tuple)
-    ring_counts: tuple[int, ...] = field(default_factory=tuple)
+    positions: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.wavelength < np.inf:
-            raise ValueError("wavelength must be finite and positive, got "
-                             f"{self.wavelength:g}")
-        if self.kind is ArrayKind.ULA:
-            if self.n_z < 1 or self.d_z <= 0:
-                raise ValueError("ULA needs n_z >= 1 and d_z > 0")
-        elif self.kind is ArrayKind.URA:
-            if self.n_x < 1 or self.n_y < 1:
-                raise ValueError("URA needs n_x, n_y >= 1")
-            if self.d_x <= 0 or self.d_y <= 0:
-                raise ValueError("URA spacings must be positive")
-        elif self.kind is ArrayKind.UCA:
-            if self.n_circ < 1 or self.radius <= 0:
-                raise ValueError("UCA needs n_circ >= 1 and radius > 0")
-        elif self.kind is ArrayKind.CCA:
-            if len(self.ring_radii) != len(self.ring_counts):
-                raise ValueError("CCA ring radius/count lists differ in length")
-            if not self.ring_radii:
-                raise ValueError("CCA needs at least one ring")
-            if any(r <= 0 for r in self.ring_radii):
-                raise ValueError("CCA ring radii must be positive")
-            if any(n < 1 for n in self.ring_counts):
-                raise ValueError("CCA ring counts must be >= 1")
+        self.positions.flags.writeable = False
 
     @property
     def n_elements(self) -> int:
-        if self.kind is ArrayKind.ULA:
-            return self.n_z
-        if self.kind is ArrayKind.URA:
-            return self.n_x * self.n_y
-        if self.kind is ArrayKind.UCA:
-            return self.n_circ
-        return int(sum(self.ring_counts))
+        return len(self.positions)
 
     @staticmethod
     def ula(n: int, wavelength: float, spacing: float = 0.5) -> "GeometrySpec":
-        return GeometrySpec(ArrayKind.ULA, wavelength, n_z=n, d_z=spacing)
+        _require_wavelength(wavelength)
+        if n < 1 or spacing <= 0:
+            raise ValueError("ULA needs n >= 1 and spacing > 0")
+        pos = np.zeros((n, 3))
+        pos[:, 2] = np.arange(n) * spacing * wavelength
+        return GeometrySpec(ArrayKind.ULA, wavelength, pos)
 
     @staticmethod
     def ura(n_x: int, n_y: int, wavelength: float,
             spacing: float = 0.5) -> "GeometrySpec":
-        return GeometrySpec(ArrayKind.URA, wavelength, n_x=n_x, n_y=n_y,
-                            d_x=spacing, d_y=spacing)
+        _require_wavelength(wavelength)
+        if n_x < 1 or n_y < 1 or spacing <= 0:
+            raise ValueError("URA needs n_x, n_y >= 1 and spacing > 0")
+        ix, iy = np.divmod(np.arange(n_x * n_y), n_y)
+        pos = np.zeros((n_x * n_y, 3))
+        pos[:, 0] = ix * spacing * wavelength
+        pos[:, 1] = iy * spacing * wavelength
+        return GeometrySpec(ArrayKind.URA, wavelength, pos)
 
     @staticmethod
     def uca(n: int, wavelength: float, radius: float | None = None) -> "GeometrySpec":
         # Default radius keeps ~half-wavelength arc spacing between elements.
         if radius is None:
             radius = n / (4.0 * np.pi)
-        return GeometrySpec(ArrayKind.UCA, wavelength, n_circ=n, radius=radius)
+        return GeometrySpec(ArrayKind.UCA, wavelength,
+                            _ring_positions((radius,), (n,), wavelength))
 
     @staticmethod
     def cca(ring_radii: tuple[float, ...], ring_counts: tuple[int, ...],
             wavelength: float) -> "GeometrySpec":
         return GeometrySpec(ArrayKind.CCA, wavelength,
-                            ring_radii=tuple(ring_radii),
-                            ring_counts=tuple(ring_counts))
+                            _ring_positions(ring_radii, ring_counts, wavelength))
 
 
-def element_positions(spec: GeometrySpec) -> np.ndarray:
-    """Element coordinates in meters, shape (N, 3).
+def _require_wavelength(wavelength: float) -> None:
+    if not 0.0 < wavelength < np.inf:
+        raise ValueError(f"wavelength must be finite and positive, got "
+                         f"{wavelength:g}")
 
-    Ordering is fixed: ULA by n_z; URA row-major by (n_x, n_y); UCA by
-    n_c; CCA ring-major by (ring, n_c).  Circular layouts place element
-    n_c at azimuth 2*pi*n_c / N_ring, one angle set per ring.
-    """
-    lam = spec.wavelength
-    if spec.kind is ArrayKind.ULA:
-        z = np.arange(spec.n_z) * spec.d_z * lam
-        pos = np.zeros((spec.n_z, 3))
-        pos[:, 2] = z
-        return pos
-    if spec.kind is ArrayKind.URA:
-        ix, iy = np.meshgrid(np.arange(spec.n_x), np.arange(spec.n_y),
-                             indexing="ij")
-        pos = np.zeros((spec.n_x * spec.n_y, 3))
-        pos[:, 0] = ix.ravel() * spec.d_x * lam
-        pos[:, 1] = iy.ravel() * spec.d_y * lam
-        return pos
-    if spec.kind is ArrayKind.UCA:
-        ang = 2.0 * np.pi * np.arange(spec.n_circ) / spec.n_circ
-        r = spec.radius * lam
-        return np.column_stack([r * np.cos(ang), r * np.sin(ang),
-                                np.zeros(spec.n_circ)])
+
+def _ring_positions(radii: tuple[float, ...], counts: tuple[int, ...],
+                    wavelength: float) -> np.ndarray:
+    """Concentric rings in the z = 0 plane, ring-major, (sum(counts), 3)."""
+    _require_wavelength(wavelength)
+    if len(radii) != len(counts):
+        raise ValueError("ring radius and count lists differ in length")
+    if not radii:
+        raise ValueError("need at least one ring")
+    if any(r <= 0 for r in radii) or any(n < 1 for n in counts):
+        raise ValueError("ring radii must be positive and counts >= 1")
     rings = []
-    for radius, count in zip(spec.ring_radii, spec.ring_counts):
+    for radius, count in zip(radii, counts):
         ang = 2.0 * np.pi * np.arange(count) / count
-        r = radius * lam
+        r = radius * wavelength
         rings.append(np.column_stack([r * np.cos(ang), r * np.sin(ang),
                                       np.zeros(count)]))
     return np.vstack(rings)
@@ -162,9 +130,7 @@ def steering(positions: np.ndarray, directions: np.ndarray,
     positions = np.asarray(positions, dtype=float)
     if positions.size == 0:
         raise ValueError("positions must be nonempty")
-    if not 0.0 < wavelength < np.inf:
-        raise ValueError(f"wavelength must be finite and positive, got "
-                         f"{wavelength:g}")
+    _require_wavelength(wavelength)
     k = (2.0 * np.pi / wavelength) * np.asarray(directions, dtype=float)
     return np.exp(1j * (positions @ k.T)) / np.sqrt(positions.shape[0])
 

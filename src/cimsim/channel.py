@@ -59,7 +59,7 @@ class ChannelConfig:
             raise ValueError(f"carrier_hz must be positive, got "
                              f"{self.carrier_hz:g}")
         if np.allclose(self.tx_position, self.rx_position):
-            raise ValueError("Tx and Rx positions must differ")
+            raise ValueError("tx_position and rx_position must differ")
 
     @property
     def wavelength(self) -> float:
@@ -90,10 +90,8 @@ class ChannelRealization:
     aod_el: np.ndarray
     aoa_az: np.ndarray
     aoa_el: np.ndarray
-    mean_aod_az: np.ndarray       # (C,) cluster means
-    mean_aod_el: np.ndarray
+    mean_aod_az: np.ndarray       # (C,) cluster mean azimuths
     mean_aoa_az: np.ndarray
-    mean_aoa_el: np.ndarray
     shadow_db: float
     gain_variance: float          # linear, 10**(-0.1 * PL)
     wavelength: float
@@ -171,8 +169,6 @@ def sample_realization(cfg: ChannelConfig, tx_positions: np.ndarray,
     return ChannelRealization(
         matrix=_combine_paths(gains, a_t, a_r), gains=gains,
         aod_az=aod_az, aod_el=aod_el, aoa_az=aoa_az, aoa_el=aoa_el,
-        mean_aod_az=mean_aod_az, mean_aod_el=mean_aod_el,
-        mean_aoa_az=mean_aoa_az, mean_aoa_el=mean_aoa_el,
-        shadow_db=shadow_db, gain_variance=variance,
-        wavelength=cfg.wavelength, a_t=a_t, a_r=a_r,
+        mean_aod_az=mean_aod_az, mean_aoa_az=mean_aoa_az, shadow_db=shadow_db,
+        gain_variance=variance, wavelength=cfg.wavelength, a_t=a_t, a_r=a_r,
     )

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrays import ArrayKind, element_positions, scenario_geometry
+from .arrays import ArrayKind, scenario_geometry
 from .channel import ChannelConfig, sample_realization
 from .codebook import FpsBank, build_codebook, quantize_weights
 from .harness import (SimConfig, _parse_powers, aggregate_and_emit,
@@ -128,7 +128,7 @@ def cmd_codebook(args: argparse.Namespace) -> int:
     spec = scenario_geometry(ArrayKind(geometries[0].upper()),
                              cfg.wavelength, args.n_elements)
     bank = FpsBank(args.nf) if args.nf is not None else None
-    positions = element_positions(spec)
+    positions = spec.positions
     realization = sample_realization(cfg, positions, positions,
                                      args.seed if args.seed is not None else 1)
     cb = build_codebook(realization, args.order)

@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .arrays import element_positions, scenario_geometry
+from .arrays import ArrayKind, scenario_geometry
 from .channel import ChannelConfig, require_finite, sample_realization
 from .codebook import FpsBank, build_codebook, quantize_codebook
 from .link import (array_gain_db, branch_amplitudes, count_bit_errors,
@@ -52,38 +52,19 @@ from .link import (array_gain_db, branch_amplitudes, count_bit_errors,
 DEFAULT_POWERS_DBM = tuple(float(p) for p in range(-10, 45, 5))
 
 
-@dataclass(frozen=True)
-class HardwareSpec:
-    """Analog network model: ideal phase shifters or an FPS bank."""
-
-    kind: str                  # "OP" or "HE"
-    n_shifters: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("OP", "HE"):
-            raise ValueError("hardware kind must be OP or HE")
-        if self.kind == "HE":
-            try:
-                FpsBank(self.n_shifters)
-            except ValueError as exc:
-                raise ValueError(f"hardware {self.label}: {exc}") from None
-
-    @staticmethod
-    def parse(token: str) -> "HardwareSpec":
-        name = token.strip().upper().replace("(", "").replace(")", "")
-        if name == "OP":
-            return HardwareSpec("OP")
-        if name.startswith("HE") and name[2:].isdecimal():
-            return HardwareSpec("HE", int(name[2:]))
-        raise ValueError(f"unknown hardware token: {token.strip()!r}")
-
-    @property
-    def label(self) -> str:
-        return "OP" if self.kind == "OP" else f"HE{self.n_shifters}"
-
-    @property
-    def bank(self) -> FpsBank | None:
-        return FpsBank(self.n_shifters) if self.kind == "HE" else None
+def parse_hardware(token: str) -> FpsBank | None:
+    """The analog network a hardware token names: None for ideal phase
+    shifters (``OP``), a fixed phase shifter bank for ``HE<n>``."""
+    name = token.strip().upper().replace("(", "").replace(")", "")
+    if name == "OP":
+        return None
+    if name.startswith("HE") and name[2:].isdecimal():
+        n_shifters = int(name[2:])
+        try:
+            return FpsBank(n_shifters)
+        except ValueError as exc:
+            raise ValueError(f"hardware HE{n_shifters}: {exc}") from None
+    raise ValueError(f"unknown hardware token: {token.strip()!r}")
 
 
 # Smallest accepted SimConfig counts and seed; load_config checks each
@@ -126,13 +107,20 @@ class SimConfig:
                 raise ValueError(f"geometry {g} with n_elements="
                                  f"{self.n_elements}: {exc}") from None
         for token in self.hardware:
-            HardwareSpec.parse(token)
+            parse_hardware(token)
         for order, constellation in self.signalings:
-            for v in (order, constellation):
-                if v < 1 or (v & (v - 1)) != 0:
-                    raise ValueError("B and M must be powers of two")
+            _check_signaling(order, constellation)
             if order > self.channel.clusters:
-                raise ValueError("B must not exceed the cluster count")
+                raise ValueError(
+                    f"signalings {order}x{constellation}: B must not exceed "
+                    f"clusters = {self.channel.clusters}")
+
+
+def _check_signaling(order: int, constellation: int) -> None:
+    for v in (order, constellation):
+        if v < 1 or (v & (v - 1)) != 0:
+            raise ValueError(f"B and M must be powers of two, got "
+                             f"{order}x{constellation}")
 
 
 @dataclass
@@ -186,12 +174,11 @@ def _sweep_pair(cfg: SimConfig, geometry_index: int,
     started = time.perf_counter()
     geometry = cfg.geometries[geometry_index]
     order, constellation = cfg.signalings[signaling_index]
-    hardware = [HardwareSpec.parse(token) for token in cfg.hardware]
-    banks = [hw.bank for hw in hardware]
+    banks = [parse_hardware(token) for token in cfg.hardware]
 
-    spec = scenario_geometry(geometry, cfg.channel.wavelength, cfg.n_elements)
-    positions = element_positions(spec)
-    n = spec.n_elements
+    positions = scenario_geometry(geometry, cfg.channel.wavelength,
+                                  cfg.n_elements).positions
+    n = len(positions)
     gain = db_to_linear(array_gain_db(n))
     noise_w = dbm_to_watt(cfg.noise_dbm)
     points = psk_constellation(constellation)
@@ -201,7 +188,7 @@ def _sweep_pair(cfg: SimConfig, geometry_index: int,
                            for p in cfg.powers_dbm])
 
     n_powers = len(cfg.powers_dbm)
-    errors = np.zeros((len(hardware), n_powers), dtype=np.int64)
+    errors = np.zeros((len(banks), n_powers), dtype=np.int64)
     used = np.zeros_like(errors)
     t_symbols = cfg.symbols_per_realization
     sigma = np.sqrt(noise_w / 2.0)
@@ -240,15 +227,16 @@ def _sweep_pair(cfg: SimConfig, geometry_index: int,
             used[h, active] += 1
 
     elapsed_s = (time.perf_counter() - started) / errors.size
+    n_shifters = [0 if bank is None else bank.n_shifters for bank in banks]
     return [BerResult(geometry=geometry, order=order,
-                      constellation=constellation, hardware=hw.label,
-                      n_shifters=hw.n_shifters,
+                      constellation=constellation,
+                      hardware=f"HE{n_f}" if n_f else "OP", n_shifters=n_f,
                       power_dbm=float(cfg.powers_dbm[i]),
                       bit_errors=int(errors[h, i]),
                       bits_total=int(used[h, i]) * t_symbols * bits_per_use,
                       seed=cfg.seed, realizations_used=int(used[h, i]),
                       elapsed_s=elapsed_s)
-            for h, hw in enumerate(hardware) for i in range(n_powers)]
+            for h, n_f in enumerate(n_shifters) for i in range(n_powers)]
 
 
 def run_sweep(cfg: SimConfig, workers: int = 1) -> list[BerResult]:
@@ -492,16 +480,30 @@ def _parse_powers(text: str) -> tuple[float, ...]:
 def _parse_signalings(text: str) -> tuple[tuple[int, int], ...]:
     pairs = []
     for token in text.split(","):
-        b, m = token.lower().split("x")
-        pairs.append((int(b), int(m)))
+        parts = token.strip().lower().split("x")
+        if len(parts) != 2:
+            raise ValueError(f"signaling must be BxM, got {token.strip()!r}")
+        pair = (int(parts[0]), int(parts[1]))
+        _check_signaling(*pair)
+        pairs.append(pair)
     return tuple(pairs)
 
 
 def load_config(path: "str | Path") -> SimConfig:
-    """Flat key=value config; '#' comments; unknown keys are an error."""
+    """Flat key=value config; '#' comments; unknown keys are an error.
+
+    A value that breaks a rule of its own key fails with
+    ``<path>:<line>: <key>: ...``; a rule between keys (signalings
+    against clusters, a geometry against n_elements, tx_position against
+    rx_position) fails with ``<path>: ...`` naming both keys."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read config file: "
+                         f"{exc.strerror}") from None
     sim_kwargs: dict = {}
     chan_kwargs: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -514,7 +516,10 @@ def load_config(path: "str | Path") -> SimConfig:
             _parse_entry(key, value, sim_kwargs, chan_kwargs)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
-    return SimConfig(channel=ChannelConfig(**chan_kwargs), **sim_kwargs)
+    try:
+        return SimConfig(channel=ChannelConfig(**chan_kwargs), **sim_kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _parse_entry(key: str, value: str, sim_kwargs: dict,
@@ -524,21 +529,23 @@ def _parse_entry(key: str, value: str, sim_kwargs: dict,
         sim_kwargs[key] = require_finite(key, _SIM_KEYS[key](value))
         _check_lower_bound(key, sim_kwargs[key])
     elif key in _CHANNEL_KEYS:
-        chan_kwargs[key] = require_finite(key, _CHANNEL_KEYS[key](value))
+        chan_kwargs[key] = _CHANNEL_KEYS[key](value)
+        ChannelConfig(**{key: chan_kwargs[key]})    # this key's own rules
     elif key == "geometries":
-        sim_kwargs["geometries"] = tuple(v.strip().upper()
+        sim_kwargs["geometries"] = tuple(ArrayKind(v.strip().upper()).value
                                          for v in value.split(","))
     elif key == "signalings":
         sim_kwargs["signalings"] = _parse_signalings(value)
     elif key == "hardware":
         sim_kwargs["hardware"] = tuple(v.strip() for v in value.split(","))
         for token in sim_kwargs["hardware"]:
-            HardwareSpec.parse(token)
+            parse_hardware(token)
     elif key == "powers_dbm":
         sim_kwargs["powers_dbm"] = require_finite(key, _parse_powers(value))
     elif key == "angular_spread_deg":
         chan_kwargs["angular_spread_rad"] = float(np.deg2rad(
             require_finite(key, float(value))))
+        ChannelConfig(angular_spread_rad=chan_kwargs["angular_spread_rad"])
     elif key in ("tx_position", "rx_position"):
         chan_kwargs[key] = require_finite(
             key, tuple(float(v) for v in value.split(",")))

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .arrays import (ArrayKind, GeometrySpec, element_positions, steering,
-                     unit_directions)
+from .arrays import ArrayKind, GeometrySpec, steering, unit_directions
 
 HALF_POWER_DB = 10.0 * np.log10(2.0)
 MAIN_LOBE_FLOOR_DB = 20.0  # main lobe = connected region above peak - 20 dB
@@ -107,7 +106,7 @@ def steering_weights(spec: GeometrySpec, az_off_deg: float = 0.0,
     az0 = np.deg2rad(az_off_deg)
     el0 = np.deg2rad(90.0 - el_off_deg)
     direction = chart_directions(az0, el0, frame)
-    return steering(element_positions(spec), direction, spec.wavelength)
+    return steering(spec.positions, direction, spec.wavelength)
 
 
 def _require_finite_offsets(az_off_deg: float, el_off_deg: float) -> None:
@@ -276,7 +275,7 @@ def steered_pattern(spec: GeometrySpec, az_off_deg: float = 0.0,
                     el_step_deg: float = 0.25) -> RadiationPattern:
     """Pattern of a geometry steered (az_off, el_off) from broadside."""
     weights = steering_weights(spec, az_off_deg, el_off_deg)
-    return compute_pattern(element_positions(spec), weights, spec.wavelength,
+    return compute_pattern(spec.positions, weights, spec.wavelength,
                            steer_az_deg=az_off_deg, steer_el_off_deg=el_off_deg,
                            az_step_deg=az_step_deg, el_step_deg=el_step_deg,
                            frame=pattern_frame(spec.kind))

@@ -14,8 +14,8 @@ from itertools import product
 
 import numpy as np
 
-from .arrays import (ArrayKind, GeometrySpec, element_positions,
-                     scenario_geometry, steering, unit_directions)
+from .arrays import (ArrayKind, GeometrySpec, scenario_geometry, steering,
+                     unit_directions)
 from .channel import ChannelConfig, path_loss, sample_realization
 from .codebook import (FpsBank, build_codebook, compose_switch_vector,
                        realized_phase, wrap_phase)
@@ -83,7 +83,7 @@ def check_steering_norms(seed: int = 7, samples: int = 200,
     rng = np.random.default_rng(seed)
     worst = 0.0
     for kind in ArrayKind:
-        pos = element_positions(scenario_geometry(kind, wavelength))
+        pos = scenario_geometry(kind, wavelength).positions
         az, el = rng.uniform(0.0, (2.0 * np.pi, np.pi), (samples, 2)).T
         a = steering(pos, unit_directions(az, el), wavelength)
         worst = max(worst, np.abs(np.linalg.norm(a, axis=0) - 1.0).max(),
@@ -105,7 +105,7 @@ def check_directivity_normalization() -> CheckResult:
     lam = 0.0107
     spec = GeometrySpec.ura(6, 6, lam)
     pat = steered_pattern(spec, 10.0, 20.0, az_step_deg=0.5, el_step_deg=0.5)
-    pos = element_positions(spec)
+    pos = spec.positions
     w = steering_weights(spec, 10.0, 20.0)
     diff = pos[:, None, :] - pos[None, :, :]
     arg = 2 * np.pi / lam * np.linalg.norm(diff, axis=-1)
@@ -140,7 +140,7 @@ def check_noiseless_detection(
     failures = 0
     for kind in geometries:
         spec = scenario_geometry(kind, channel.wavelength, n_elements)
-        pos = element_positions(spec)
+        pos = spec.positions
         realization = sample_realization(channel, pos, pos, seed)
         amplitude = db_to_linear(array_gain_db(spec.n_elements)) ** 2
         for order in orders:
@@ -158,7 +158,7 @@ def check_noiseless_detection(
 
 def check_best_path_bruteforce(seed: int = 3) -> CheckResult:
     """Greedy best-path pick equals an explicit per-path scan."""
-    pos = element_positions(GeometrySpec.ula(4, 0.0107))
+    pos = GeometrySpec.ula(4, 0.0107).positions
     cfg = ChannelConfig(clusters=3, paths_per_cluster=5)
     mismatches = 0
     for s in range(seed, seed + 10):

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from cimsim.arrays import GeometrySpec, element_positions, scenario_geometry
+from cimsim.arrays import GeometrySpec, scenario_geometry
 from cimsim.channel import ChannelConfig, sample_realization
 from cimsim.harness import SimConfig, results_to_csv, run_sweep
 from cimsim.patterns import steered_pattern, summarize
@@ -211,7 +211,7 @@ def test_criterion_9_he_error_floor(he_sweeps):
 def test_criterion_10_statistical_channel_checks():
     # gain variance against the closed-form path loss (shadowing off)
     cfg = ChannelConfig(shadowing_std_db=0.0)
-    positions = element_positions(GeometrySpec.ula(2, LAM))
+    positions = GeometrySpec.ula(2, LAM).positions
     acc = 0.0
     n_real = 10_000
     for seed in range(n_real):

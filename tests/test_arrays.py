@@ -1,9 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from cimsim.arrays import (ArrayKind, GeometrySpec, SPEED_OF_LIGHT,
-                           element_positions, scenario_geometry, steering,
-                           unit_directions)
+                           scenario_geometry, steering, unit_directions)
 
 LAM_28GHZ = SPEED_OF_LIGHT / 28e9
 
@@ -14,12 +15,12 @@ def table_specs(lam=LAM_28GHZ):
 
 class TestElementPositions:
     def test_ula_two_elements_half_wavelength(self):
-        pos = element_positions(GeometrySpec.ula(2, wavelength=1.0))
+        pos = GeometrySpec.ula(2, wavelength=1.0).positions
         np.testing.assert_allclose(pos, [[0, 0, 0], [0, 0, 0.5]])
 
     def test_cca_scenario_has_82_elements_on_four_rings(self):
         spec = scenario_geometry("CCA", LAM_28GHZ)
-        pos = element_positions(spec)
+        pos = spec.positions
         assert pos.shape == (82, 3)
         radii = np.linalg.norm(pos[:, :2], axis=1)
         expected = np.repeat([0.76, 1.36, 2.09, 2.99], [9, 17, 25, 31])
@@ -27,7 +28,7 @@ class TestElementPositions:
         assert np.all(pos[:, 2] == 0.0)
 
     def test_ura_9x9_half_wavelength_grid(self):
-        pos = element_positions(GeometrySpec.ura(9, 9, LAM_28GHZ))
+        pos = GeometrySpec.ura(9, 9, LAM_28GHZ).positions
         assert pos.shape == (81, 3)
         assert np.all(pos[:, 2] == 0.0)
         # row-major by (n_x, n_y): second entry advances n_y
@@ -38,16 +39,30 @@ class TestElementPositions:
 
     def test_uca_placement_angles(self):
         spec = GeometrySpec.uca(8, wavelength=1.0, radius=2.0)
-        pos = element_positions(spec)
+        pos = spec.positions
         ang = np.arctan2(pos[:, 1], pos[:, 0])
         expected = np.angle(np.exp(2j * np.pi * np.arange(8) / 8))
         np.testing.assert_allclose(ang, expected, atol=1e-12)
 
     def test_ordering_is_deterministic(self):
         for spec in table_specs():
-            a = element_positions(spec)
-            b = element_positions(spec)
+            a = spec.positions
+            b = spec.positions
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("kind,digest", [
+        ("ULA", "a5124494e41fb08c338b64af86e74d1d3fb4da842a87a9de7d14969455b39e4c"),
+        ("URA", "283ff51777d8ab7fb655276cbc3c6e2b31d826d9784d246d6d0fe2e0ec8a0e9e"),
+        ("UCA", "3c5e3dd60c84cf0bb777778d17e13b2687d3fc4435caf6260747848d46c8f94b"),
+        ("CCA", "3b48ec00032f1a647cddcf6b91379f7d2ad34ae4545444c73a0a4ec51c1aa0a3"),
+    ])
+    def test_scenario_positions_are_pinned_bytes(self, kind, digest):
+        # sha256 of the float64 bytes at 28 GHz: any change to the float
+        # operations building a layout, or to their order, fails here
+        pos = scenario_geometry(kind, LAM_28GHZ).positions
+        assert hashlib.sha256(pos.tobytes()).hexdigest() == digest
+        with pytest.raises(ValueError, match="read-only"):
+            pos[0, 0] = 1.0
 
     @pytest.mark.parametrize("bad", [
         lambda: GeometrySpec.ula(0, 1.0),
@@ -100,14 +115,14 @@ class TestWaveNumber:
 
 class TestSteeringVector:
     def test_ula_broadside_is_uniform(self):
-        pos = element_positions(GeometrySpec.ula(8, 1.0))
+        pos = GeometrySpec.ula(8, 1.0).positions
         a = steer(pos, 1.234, np.pi / 2, 1.0)
         np.testing.assert_allclose(a, np.full(8, 1 / np.sqrt(8)), atol=1e-12)
 
     def test_planar_arrays_uniform_at_zenith(self):
         for kind in (ArrayKind.URA, ArrayKind.UCA, ArrayKind.CCA):
             spec = scenario_geometry(kind, LAM_28GHZ)
-            pos = element_positions(spec)
+            pos = spec.positions
             a = steer(pos, 0.7, 0.0, LAM_28GHZ)
             n = spec.n_elements
             np.testing.assert_allclose(a, np.full(n, 1 / np.sqrt(n)),
@@ -118,7 +133,7 @@ class TestSteeringVector:
         np.testing.assert_allclose(a, [1.0])
 
     def test_ura_self_product_and_cauchy_schwarz(self):
-        pos = element_positions(GeometrySpec.ura(9, 9, LAM_28GHZ))
+        pos = GeometrySpec.ura(9, 9, LAM_28GHZ).positions
         a = steer(pos, np.deg2rad(15), np.deg2rad(30), LAM_28GHZ)
         assert abs(np.vdot(a, a) - 1.0) < 1e-12
         broadside = steer(pos, 0.0, 0.0, LAM_28GHZ)
@@ -127,7 +142,7 @@ class TestSteeringVector:
     def test_unit_norm_and_entry_magnitudes_everywhere(self):
         rng = np.random.default_rng(42)
         for spec in table_specs():
-            pos = element_positions(spec)
+            pos = spec.positions
             n = spec.n_elements
             for _ in range(50):
                 az = rng.uniform(-4 * np.pi, 4 * np.pi)
@@ -138,13 +153,13 @@ class TestSteeringVector:
                                            atol=1e-14)
 
     def test_ula_independent_of_azimuth(self):
-        pos = element_positions(GeometrySpec.ula(16, 1.0))
+        pos = GeometrySpec.ula(16, 1.0).positions
         a = steer(pos, 0.1, 0.7, 1.0)
         b = steer(pos, 2.9, 0.7, 1.0)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_permuting_elements_permutes_entries(self):
-        pos = element_positions(scenario_geometry("UCA", 1.0, 16))
+        pos = scenario_geometry("UCA", 1.0, 16).positions
         perm = np.random.default_rng(3).permutation(16)
         a = steer(pos, 0.4, 1.1, 1.0)
         b = steer(pos[perm], 0.4, 1.1, 1.0)
@@ -153,7 +168,7 @@ class TestSteeringVector:
     def test_direction_form_matches_angle_form(self):
         # one column per direction of a stack, each equal to the explicit
         # spherical-angle formula and to the single-direction call
-        pos = element_positions(GeometrySpec.ura(4, 4, 1.0))
+        pos = GeometrySpec.ura(4, 4, 1.0).positions
         az = np.array([0.8, 2.5, -1.0])
         el = np.array([1.1, 0.3, 2.9])
         stack = steering(pos, unit_directions(az, el), 1.0)

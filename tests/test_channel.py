@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from cimsim.arrays import (GeometrySpec, element_positions, steering,
-                           unit_directions)
+from cimsim.arrays import GeometrySpec, steering, unit_directions
 from cimsim.channel import ChannelConfig, path_loss, sample_realization
 
 LAM = 0.0107068735
 
 
 def small_positions(n=2):
-    return element_positions(GeometrySpec.ula(n, LAM))
+    return GeometrySpec.ula(n, LAM).positions
 
 
 def outer_product_sum(r, tx, rx):

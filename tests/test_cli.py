@@ -35,12 +35,15 @@ from cimsim.verify import ALL_CHECKS
      "steering offsets must be finite, got az 0, el inf deg"),
     (["codebook", "--nf", "0"], "need at least two fixed phase shifters"),
     (["codebook", "--nf", "-2"], "need at least two fixed phase shifters"),
+    (["ber", "--config", "{cfg}.missing"],
+     "cannot read config file: No such file or directory"),
+    (["ber", "--config", "{dir}"], "cannot read config file: Is a directory"),
 ])
 def test_bad_input_is_one_line_error(tmp_path, capsys, argv, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("geometries = CCA\nn_elements = 16\n")
     out = tmp_path / "out"
-    argv = [a.format(cfg=cfg) for a in argv]
+    argv = [a.format(cfg=cfg, dir=tmp_path) for a in argv]
     if argv[0] != "codebook":    # codebook writes no files
         argv += ["--out", str(out)]
     assert main(argv) == 2

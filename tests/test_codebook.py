@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cimsim.arrays import (GeometrySpec, element_positions, steering,
-                           unit_directions)
+from cimsim.arrays import GeometrySpec, steering, unit_directions
 from cimsim.channel import ChannelConfig, sample_realization
 from cimsim.codebook import (FpsBank, build_codebook, compose_switch_vector,
                              quantize_codebook, quantize_weights,
@@ -29,7 +28,7 @@ def exhaustive_best_phase(theta: float, bank: FpsBank) -> float:
 
 
 def make_realization(seed=1, clusters=8, paths=10, n=8):
-    pos = element_positions(GeometrySpec.ula(n, LAM))
+    pos = GeometrySpec.ula(n, LAM).positions
     cfg = ChannelConfig(clusters=clusters, paths_per_cluster=paths)
     return sample_realization(cfg, pos, pos, seed=seed), pos
 
@@ -205,7 +204,7 @@ class TestBestEffectivePath:
         assert build_codebook(realization, 1).best_paths[0] == 0
 
     def test_matches_bruteforce_on_random_instances(self):
-        pos = element_positions(GeometrySpec.ula(4, LAM))
+        pos = GeometrySpec.ula(4, LAM).positions
         cfg = ChannelConfig(clusters=3, paths_per_cluster=5)
         for seed in range(20):
             realization = sample_realization(cfg, pos, pos, seed=seed)

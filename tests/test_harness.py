@@ -12,11 +12,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cimsim import harness
-from cimsim.arrays import element_positions, scenario_geometry
+from cimsim.arrays import scenario_geometry
 from cimsim.channel import ChannelConfig, sample_realization
 from cimsim.codebook import build_codebook
-from cimsim.harness import (HardwareSpec, SimConfig, aggregate_and_emit,
-                            load_config, results_to_csv, run_sweep)
+from cimsim.harness import (SimConfig, aggregate_and_emit, load_config,
+                            parse_hardware, results_to_csv, run_sweep)
 from cimsim.link import (array_gain_db, db_to_linear, dbm_to_watt,
                          psk_constellation)
 
@@ -69,8 +69,11 @@ class TestHardwareSpec:
         ("he4", "HE", 4), ("HE(6)", "HE", 6),
     ])
     def test_parse(self, token, kind, nf):
-        spec = HardwareSpec.parse(token)
-        assert (spec.kind, spec.n_shifters) == (kind, nf)
+        bank = parse_hardware(token)
+        if kind == "OP":
+            assert bank is None
+        else:
+            assert bank.n_shifters == nf
 
     @pytest.mark.parametrize("token,message", [
         ("XX", "unknown hardware token: 'XX'"),
@@ -80,7 +83,7 @@ class TestHardwareSpec:
     ], ids=["XX", "HE1", "HE", "HEx"])
     def test_parse_rejects(self, token, message):
         with pytest.raises(ValueError, match=f"^{message}"):
-            HardwareSpec.parse(token)
+            parse_hardware(token)
 
 
 class TestSimConfig:
@@ -346,7 +349,7 @@ class TestRunSweep:
         result = run_sweep(cfg)[0]
 
         spec = scenario_geometry("ULA", cfg.channel.wavelength, 8)
-        positions = element_positions(spec)
+        positions = spec.positions
         gain = db_to_linear(array_gain_db(8))
         amplitude = np.sqrt(dbm_to_watt(-15.0)) * gain * gain
         points = psk_constellation(4)
@@ -564,12 +567,32 @@ class TestConfigFile:
         ("powers_dbm = 0:1", "powers_dbm range must be lo:hi:step, got '0:1'"),
         ("powers_dbm = 0:1:2:3",
          "powers_dbm range must be lo:hi:step, got '0:1:2:3'"),
+        ("signalings = 3x4", "B and M must be powers of two, got 3x4"),
+        ("signalings = 2x4x8", "signaling must be BxM, got '2x4x8'"),
+        ("signalings = 2x4,", "signaling must be BxM, got ''"),
+        ("clusters = 0", "need at least one cluster and one path"),
+        ("geometries = XYZ", "'XYZ' is not a valid ArrayKind"),
     ])
     def test_bad_value_names_key_and_line(self, tmp_path, line, message):
         path = tmp_path / "bad.cfg"
         path.write_text(f"geometries = ULA\n{line}\n")
         key = line.split()[0]
         with pytest.raises(ValueError, match=rf"bad\.cfg:2: {key}: {message}"):
+            load_config(path)
+
+    @pytest.mark.parametrize("lines,message", [
+        ("signalings = 16x4", "signalings 16x4: B must not exceed clusters = 8"),
+        ("clusters = 2\nsignalings = 4x4",
+         "signalings 4x4: B must not exceed clusters = 2"),
+        ("geometries = CCA\nn_elements = 16",
+         "geometry CCA with n_elements=16: CCA scenario layout is fixed"),
+        ("rx_position = 25, 25, 9", "tx_position and rx_position must differ"),
+    ])
+    def test_cross_key_error_names_file_and_both_keys(self, tmp_path, lines,
+                                                      message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(lines + "\n")
+        with pytest.raises(ValueError, match=rf"^.*bad\.cfg: {message}"):
             load_config(path)
 
     def test_malformed_line_rejected(self, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cimsim.arrays import GeometrySpec, element_positions
+from cimsim.arrays import GeometrySpec
 from cimsim.channel import ChannelConfig, sample_realization
 from cimsim.codebook import FpsBank, build_codebook, quantize_codebook
 from cimsim.link import (array_gain_db, branch_amplitudes, count_bit_errors,
@@ -16,7 +16,7 @@ LAM = 0.0107068735
 
 def make_link(seed=1, n=8, clusters=4, order=2, power_w=1.0):
     """Channel, codebook and amplitude sqrt(P) G_t G_r of a small ULA link."""
-    pos = element_positions(GeometrySpec.ula(n, LAM))
+    pos = GeometrySpec.ula(n, LAM).positions
     cfg = ChannelConfig(clusters=clusters, paths_per_cluster=4)
     realization = sample_realization(cfg, pos, pos, seed=seed)
     cb = build_codebook(realization, order)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cimsim.arrays import (ArrayKind, GeometrySpec, element_positions,
-                           scenario_geometry)
+from cimsim.arrays import ArrayKind, GeometrySpec, scenario_geometry
 from cimsim.patterns import (RadiationPattern, chart_directions,
                              compute_pattern, main_lobe_mask, pattern_frame,
                              sidelobe_directivities, steered_pattern,
@@ -84,7 +83,7 @@ class TestComputePattern:
 
     def test_normalization_against_sinc_oracle(self):
         spec = GeometrySpec.ura(6, 6, LAM)
-        pos = element_positions(spec)
+        pos = spec.positions
         w = steering_weights(spec, 10.0, 20.0)
         pat = steered_pattern(spec, 10.0, 20.0, az_step_deg=0.5,
                               el_step_deg=0.5)
@@ -132,7 +131,7 @@ class TestComputePattern:
     def test_scenario_geometries_match_direct_sum(self, kind):
         rng = np.random.default_rng(5)
         spec = scenario_geometry(kind, LAM)
-        pos = element_positions(spec)
+        pos = spec.positions
         w = random_weights(rng, spec.n_elements)
         pat = compute_pattern(pos, w, LAM, az_step_deg=1.0, el_step_deg=1.0,
                               frame=pattern_frame(kind))
@@ -166,7 +165,7 @@ class TestComputePattern:
         # at 0.7 deg the column 180 - az is never on the azimuth grid
         rng = np.random.default_rng(8)
         spec = scenario_geometry("URA", LAM, 16)
-        pos = element_positions(spec)
+        pos = spec.positions
         w = random_weights(rng, spec.n_elements)
         pat = compute_pattern(pos, w, LAM, az_step_deg=0.7, el_step_deg=0.7,
                               frame=pattern_frame("URA"))
@@ -196,7 +195,7 @@ class TestComputePattern:
 
     def test_ula_pattern_is_constant_along_azimuth(self):
         rng = np.random.default_rng(3)
-        pos = element_positions(GeometrySpec.ula(16, LAM))
+        pos = GeometrySpec.ula(16, LAM).positions
         pat = compute_pattern(pos, random_weights(rng, 16), LAM,
                               az_step_deg=0.5, el_step_deg=0.5,
                               frame=pattern_frame("ULA"))
@@ -204,7 +203,7 @@ class TestComputePattern:
 
     def test_rejects_coarse_grid_and_bad_weights(self):
         spec = GeometrySpec.ula(4, LAM)
-        pos = element_positions(spec)
+        pos = spec.positions
         with pytest.raises(ValueError):
             compute_pattern(pos, np.ones(4, complex) / 2, LAM, az_step_deg=2.0)
         with pytest.raises(ValueError):
