@@ -4,16 +4,15 @@ One task covers one (geometry, signaling) pair: every hardware model
 and every power point of it.  Each realization of a task is drawn once
 (channel, steering matrices, codebook selection, payload bits, noise and
 the detector's hypothesis values) and feeds the transmit path of every
-hardware model, so hardware models and power points share channel
-realizations, payload bits and noise (common random numbers).  One
-``detect`` call decides all live power points of a hardware model.  Early
-stopping stays per (hardware, power) point.
+hardware model.  One ``detect`` call decides all live power points of a
+hardware model.  Early stopping stays per (hardware, power) point.
 
-Seeding is position-based: the channel and payload streams of trial r of
-a (geometry, signaling) pair depend only on the master seed and the grid
-position, never on the worker schedule, the hardware model or the power
-point, so runs are bit-reproducible for any worker count and for any
-subset of the hardware models.
+Realization r draws its channel from ``SeedSequence([seed, r, 0])`` and
+its payload and noise from ``SeedSequence([seed, r, 1])``, never from a
+grid position: every geometry, signaling, hardware model and power point
+shares realization r's draws (common random numbers), and a row depends
+only on the config values and the seed, not on the worker schedule nor
+on the grid's other points or their order.
 
 The hardware-efficient (HE) model applies the quantized weights in the
 signal path while detection keeps the ideal-hardware hypothesis values,
@@ -37,6 +36,7 @@ import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -96,10 +96,11 @@ class SimConfig:
     def __post_init__(self) -> None:
         for key in _LOWER_BOUNDS:
             _check_lower_bound(key, getattr(self, key))
+        for key in ("geometries", "signalings", "hardware", "powers_dbm"):
+            if not getattr(self, key):
+                raise ValueError(f"{key} must be nonempty")
         for key in ("powers_dbm", "noise_dbm"):
             require_finite(key, getattr(self, key))
-        if not self.powers_dbm:
-            raise ValueError("power sweep must be nonempty")
         for g in self.geometries:
             try:
                 scenario_geometry(g, self.channel.wavelength, self.n_elements)
@@ -157,23 +158,22 @@ class BerResult:
         return float(np.sqrt(p * (1.0 - p) / self.bits_total))
 
 
-def _run_task(cfg: SimConfig, geometry_index: int,
-              signaling_index: int) -> list[BerResult]:
+def _run_task(cfg: SimConfig, geometry: str,
+              signaling: tuple[int, int]) -> list[BerResult]:
     """Every hardware and power point of one (geometry, signaling) pair,
     ordered hardware-major.  A failure names the pair that raised it."""
     try:
-        return _sweep_pair(cfg, geometry_index, signaling_index)
+        return _sweep_pair(cfg, geometry, signaling)
     except Exception as exc:
-        order, constellation = cfg.signalings[signaling_index]
-        raise RuntimeError(f"{cfg.geometries[geometry_index]} "
-                           f"{order}x{constellation}: {exc}") from exc
+        order, constellation = signaling
+        raise RuntimeError(f"{geometry} {order}x{constellation}: "
+                           f"{exc}") from exc
 
 
-def _sweep_pair(cfg: SimConfig, geometry_index: int,
-                signaling_index: int) -> list[BerResult]:
+def _sweep_pair(cfg: SimConfig, geometry: str,
+                signaling: tuple[int, int]) -> list[BerResult]:
     started = time.perf_counter()
-    geometry = cfg.geometries[geometry_index]
-    order, constellation = cfg.signalings[signaling_index]
+    order, constellation = signaling
     banks = [parse_hardware(token) for token in cfg.hardware]
 
     positions = scenario_geometry(geometry, cfg.channel.wavelength,
@@ -198,14 +198,13 @@ def _sweep_pair(cfg: SimConfig, geometry_index: int,
         live = errors < cfg.error_limit
         if not live.any():
             break
-        channel_seed = np.random.SeedSequence(
-            [cfg.seed, geometry_index, signaling_index, r, 0])
-        realization = sample_realization(cfg.channel, positions, positions,
-                                         channel_seed)
+        realization = sample_realization(
+            cfg.channel, positions, positions,
+            np.random.SeedSequence([cfg.seed, r, 0]))
         cb_detect = build_codebook(realization, order)
 
-        payload_rng = np.random.default_rng(np.random.SeedSequence(
-            [cfg.seed, geometry_index, signaling_index, r, 1]))
+        payload_rng = np.random.default_rng(
+            np.random.SeedSequence([cfg.seed, r, 1]))
         x0 = payload_rng.integers(0, order, t_symbols)
         x1 = payload_rng.integers(0, constellation, t_symbols)
         noise.real = payload_rng.normal(0.0, sigma, (t_symbols, n))
@@ -250,9 +249,7 @@ def run_sweep(cfg: SimConfig, workers: int = 1) -> list[BerResult]:
     also when a task fails."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    tasks = [(gi, si)
-             for gi in range(len(cfg.geometries))
-             for si in range(len(cfg.signalings))]
+    tasks = list(product(cfg.geometries, cfg.signalings))
     threads = _worker_blas_threads(workers, len(tasks))
     if threads is None:
         results = [_run_task(cfg, *task) for task in tasks]
@@ -264,16 +261,12 @@ def run_sweep(cfg: SimConfig, workers: int = 1) -> list[BerResult]:
             with ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
                                      initializer=_limit_blas_threads,
                                      initargs=(threads,)) as pool:
-                results = list(pool.map(_pool_task,
-                                        [(cfg, *task) for task in tasks]))
+                results = list(pool.map(_run_task, repeat(cfg, len(tasks)),
+                                        *zip(*tasks)))
         finally:
             for setter, count in capped:
                 setter(count)
     return [result for task in results for result in task]
-
-
-def _pool_task(payload: tuple) -> list[BerResult]:
-    return _run_task(*payload)
 
 
 def _usable_cpus() -> int:
@@ -490,19 +483,22 @@ def _parse_signalings(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def load_config(path: "str | Path") -> SimConfig:
-    """Flat key=value config; '#' comments; unknown keys are an error.
+    """Flat key=value config; '#' comments; unknown or repeated keys fail.
 
     A value that breaks a rule of its own key fails with
     ``<path>:<line>: <key>: ...``; a rule between keys (signalings
     against clusters, a geometry against n_elements, tx_position against
     rx_position) fails with ``<path>: ...`` naming both keys."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"{path}: cannot read config file: "
                          f"{exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: cannot read config file: {exc}") from None
     sim_kwargs: dict = {}
     chan_kwargs: dict = {}
+    first_lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -514,6 +510,9 @@ def load_config(path: "str | Path") -> SimConfig:
         value = value.strip()
         try:
             _parse_entry(key, value, sim_kwargs, chan_kwargs)
+            first = first_lines.setdefault(key, lineno)
+            if first != lineno:
+                raise ValueError(f"already set on line {first}")
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     try:

@@ -38,12 +38,17 @@ from cimsim.verify import ALL_CHECKS
     (["ber", "--config", "{cfg}.missing"],
      "cannot read config file: No such file or directory"),
     (["ber", "--config", "{dir}"], "cannot read config file: Is a directory"),
+    (["ber", "--config", "{binary}"],
+     "binary.cfg: cannot read config file: 'utf-8' codec can't decode "
+     "byte 0xff"),
 ])
 def test_bad_input_is_one_line_error(tmp_path, capsys, argv, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("geometries = CCA\nn_elements = 16\n")
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"\xff\xfe")
     out = tmp_path / "out"
-    argv = [a.format(cfg=cfg, dir=tmp_path) for a in argv]
+    argv = [a.format(cfg=cfg, dir=tmp_path, binary=binary) for a in argv]
     if argv[0] != "codebook":    # codebook writes no files
         argv += ["--out", str(out)]
     assert main(argv) == 2

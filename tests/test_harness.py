@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from itertools import product
 
 import numpy as np
 import pytest
@@ -23,6 +24,29 @@ from cimsim.link import (array_gain_db, db_to_linear, dbm_to_watt,
 TINY = dict(geometries=("ULA", "URA"), signalings=((2, 4),), hardware=("OP",),
             powers_dbm=(-20.0, -10.0), realizations=3,
             symbols_per_realization=8, seed=7, n_elements=16)
+
+
+# ULA/URA/UCA at 16 elements with early stops that differ between
+# points; the grid that subsets of geometries and signalings are run
+# against
+GRID = SimConfig(geometries=("ULA", "URA", "UCA"),
+                 signalings=((2, 4), (4, 8), (2, 2)), hardware=("OP", "HE4"),
+                 powers_dbm=(-20.0, -10.0, 10.0), realizations=6,
+                 symbols_per_realization=16, seed=13, n_elements=16,
+                 error_limit=40)
+
+
+def _rows(results) -> list[tuple]:
+    """((geometry, signaling, hardware, power), counts) of each result."""
+    return [((r.geometry, (r.order, r.constellation), r.hardware,
+              r.power_dbm),
+             (r.bit_errors, r.bits_total, r.realizations_used))
+            for r in results]
+
+
+@pytest.fixture(scope="module")
+def full_grid():
+    return GRID, dict(_rows(run_sweep(GRID)))
 
 
 def _cpus() -> int:
@@ -57,10 +81,12 @@ def _require_openblas() -> None:
         pytest.skip("numpy is not built against OpenBLAS")
 
 
-def _fork_pool(monkeypatch) -> None:
-    """Make the harness start its pool workers by fork."""
+def _start_pool_by(monkeypatch, method: str) -> None:
+    """Make the harness start its pool workers by ``method``."""
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"start method {method} is not available here")
     monkeypatch.setattr(harness, "ProcessPoolExecutor", functools.partial(
-        ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)))
 
 
 class TestHardwareSpec:
@@ -102,6 +128,9 @@ class TestSimConfig:
         dict(realizations=0),
         dict(seed=-1),
         dict(signalings=((2, 5),)),                # M not a power of two
+        dict(geometries=()),
+        dict(signalings=()),
+        dict(hardware=()),
     ])
     def test_invalid_configs_raise(self, kwargs):
         with pytest.raises(ValueError):
@@ -179,12 +208,12 @@ class TestRunSweep:
             assert abs(a.ber - b.ber) < 0.05
 
     def test_hardware_subset_gives_same_rows(self):
-        # error_limit 40 stops OP and HE4 after different realization
-        # counts at some ULA power points
+        # error_limit 50 stops OP and HE4 after different realization
+        # counts at some power points
         cfg = SimConfig(**{**TINY, "hardware": ("OP", "HE4"),
                            "powers_dbm": (-20.0, -10.0, 10.0),
                            "realizations": 12, "symbols_per_realization": 16,
-                           "error_limit": 40})
+                           "error_limit": 50})
 
         def rows(c):
             return [(r.geometry, r.hardware, r.power_dbm, r.bit_errors,
@@ -202,12 +231,12 @@ class TestRunSweep:
     @pytest.mark.parametrize("powers", [(10.0, -20.0), (-10.0,),
                                         (10.0, -10.0, -20.0)])
     def test_power_subset_and_order_give_same_rows(self, powers):
-        # the test_hardware_subset_gives_same_rows grid: error_limit 40
+        # the test_hardware_subset_gives_same_rows grid: error_limit 50
         # stops OP and HE4 after different realization counts
         cfg = SimConfig(**{**TINY, "hardware": ("OP", "HE4"),
                            "powers_dbm": (-20.0, -10.0, 10.0),
                            "realizations": 12, "symbols_per_realization": 16,
-                           "error_limit": 40})
+                           "error_limit": 50})
 
         def rows(c):
             return [((r.geometry, r.hardware, r.power_dbm),
@@ -234,31 +263,59 @@ class TestRunSweep:
                  r.power_dbm, r.bit_errors, r.realizations_used)
                 for r in run_sweep(cfg)]
         assert rows == [
-            ("URA", 2, 4, "OP", -10.0, 69, 4),
-            ("URA", 2, 4, "OP", 10.0, 1, 6),
+            ("URA", 2, 4, "OP", -10.0, 65, 4),
+            ("URA", 2, 4, "OP", 10.0, 0, 6),
             ("URA", 2, 4, "OP", 30.0, 0, 6),
-            ("URA", 2, 4, "HE4", -10.0, 70, 4),
-            ("URA", 2, 4, "HE4", 10.0, 16, 6),
-            ("URA", 2, 4, "HE4", 30.0, 12, 6),
-            ("URA", 4, 8, "OP", -10.0, 65, 3),
-            ("URA", 4, 8, "OP", 10.0, 9, 6),
+            ("URA", 2, 4, "HE4", -10.0, 69, 5),
+            ("URA", 2, 4, "HE4", 10.0, 4, 6),
+            ("URA", 2, 4, "HE4", 30.0, 0, 6),
+            ("URA", 4, 8, "OP", -10.0, 87, 2),
+            ("URA", 4, 8, "OP", 10.0, 17, 6),
             ("URA", 4, 8, "OP", 30.0, 0, 6),
-            ("URA", 4, 8, "HE4", -10.0, 61, 2),
-            ("URA", 4, 8, "HE4", 10.0, 34, 6),
-            ("URA", 4, 8, "HE4", 30.0, 17, 6),
-            ("ULA", 2, 4, "OP", -10.0, 60, 4),
+            ("URA", 4, 8, "HE4", -10.0, 84, 2),
+            ("URA", 4, 8, "HE4", 10.0, 44, 6),
+            ("URA", 4, 8, "HE4", 30.0, 15, 6),
+            ("ULA", 2, 4, "OP", -10.0, 70, 4),
             ("ULA", 2, 4, "OP", 10.0, 4, 6),
             ("ULA", 2, 4, "OP", 30.0, 0, 6),
-            ("ULA", 2, 4, "HE4", -10.0, 60, 4),
-            ("ULA", 2, 4, "HE4", 10.0, 8, 6),
-            ("ULA", 2, 4, "HE4", 30.0, 0, 6),
-            ("ULA", 4, 8, "OP", -10.0, 72, 3),
-            ("ULA", 4, 8, "OP", 10.0, 30, 6),
+            ("ULA", 2, 4, "HE4", -10.0, 85, 4),
+            ("ULA", 2, 4, "HE4", 10.0, 17, 6),
+            ("ULA", 2, 4, "HE4", 30.0, 18, 6),
+            ("ULA", 4, 8, "OP", -10.0, 70, 2),
+            ("ULA", 4, 8, "OP", 10.0, 47, 6),
             ("ULA", 4, 8, "OP", 30.0, 0, 6),
-            ("ULA", 4, 8, "HE4", -10.0, 81, 3),
-            ("ULA", 4, 8, "HE4", 10.0, 50, 6),
-            ("ULA", 4, 8, "HE4", 30.0, 31, 6),
+            ("ULA", 4, 8, "HE4", -10.0, 87, 2),
+            ("ULA", 4, 8, "HE4", 10.0, 62, 4),
+            ("ULA", 4, 8, "HE4", 30.0, 61, 3),
         ]
+
+    def test_geometry_rows_do_not_depend_on_the_other_geometries(self):
+        # seeded by grid position, URA read 525 errors in this grid and
+        # 519 when it ran alone
+        cfg = SimConfig(geometries=("ULA", "URA", "UCA"),
+                        signalings=((2, 4),), hardware=("OP",),
+                        powers_dbm=(-10.0,), realizations=20,
+                        symbols_per_realization=50, seed=5, n_elements=16)
+        in_grid = [r for r in run_sweep(cfg) if r.geometry == "URA"]
+        alone = run_sweep(dataclasses.replace(cfg, geometries=("URA",)))
+        assert results_to_csv(in_grid) == results_to_csv(alone)
+
+    @settings(max_examples=20, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_property_rows_do_not_depend_on_grid_subset_order_or_workers(
+            self, full_grid, data):
+        cfg, full = full_grid
+        geometries = tuple(data.draw(st.permutations(cfg.geometries))[
+            :data.draw(st.integers(1, len(cfg.geometries)))])
+        signalings = tuple(data.draw(st.permutations(cfg.signalings))[
+            :data.draw(st.integers(1, len(cfg.signalings)))])
+        workers = data.draw(st.integers(1, 3))
+        sub = dataclasses.replace(cfg, geometries=geometries,
+                                  signalings=signalings)
+        assert _rows(run_sweep(sub, workers=workers)) == [
+            (key, full[key]) for key in
+            product(geometries, signalings, cfg.hardware, cfg.powers_dbm)]
 
     def test_pool_with_more_tasks_than_workers(self):
         cfg = SimConfig(**{**TINY, "geometries": ("ULA", "URA", "UCA"),
@@ -272,20 +329,19 @@ class TestRunSweep:
                            match=f"workers must be at least 1, got {workers}"):
             run_sweep(SimConfig(**TINY), workers=workers)
 
+    @pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
     @pytest.mark.parametrize("workers,geometries", [
         (2, ("ULA", "URA")), (8, ("ULA", "URA", "UCA"))])
     def test_pool_workers_cap_blas_threads(self, monkeypatch, workers,
-                                           geometries):
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        if "openblas" not in str(blas.get("name")).lower():
-            pytest.skip("numpy is not built against OpenBLAS")
+                                           geometries, method):
+        _require_openblas()
         parent = _blas_thread_counts()
         assert parent, "numpy's OpenBLAS library not found in /proc/self/maps"
-        # each forked worker runs the task stub, which reports its BLAS
-        # thread counts instead of sweeping
+        # each worker runs the task stub, which reports its BLAS thread
+        # counts instead of sweeping; a forked worker inherits this
+        # process's cap, one started by spawn or forkserver sets its own
         monkeypatch.setattr(harness, "_run_task", _blas_thread_counts)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", functools.partial(
-            ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        _start_pool_by(monkeypatch, method)
         cfg = SimConfig(**{**TINY, "geometries": geometries})
         counts = run_sweep(cfg, workers=workers)
         expected = max(1, _cpus() // min(workers, len(geometries)))
@@ -300,7 +356,7 @@ class TestRunSweep:
         # each forked worker reports its OS threads instead of sweeping;
         # a BLAS thread started while capping the worker would add to them
         monkeypatch.setattr(harness, "_run_task", _os_thread_count)
-        _fork_pool(monkeypatch)
+        _start_pool_by(monkeypatch, "fork")
         cfg = SimConfig(**{**TINY, "geometries": ("ULA", "URA", "UCA")})
         assert run_sweep(cfg, workers=2) == [1, 1, 1]
 
@@ -323,7 +379,7 @@ class TestRunSweep:
             raise ZeroDivisionError("channel draw failed")
 
         monkeypatch.setattr(harness, "sample_realization", fail)
-        _fork_pool(monkeypatch)
+        _start_pool_by(monkeypatch, "fork")
         parent = _blas_thread_counts()
         assert parent, "numpy's OpenBLAS library not found in /proc/self/maps"
         with pytest.raises(RuntimeError, match="channel draw failed"):
@@ -358,12 +414,12 @@ class TestRunSweep:
         for r in range(4):
             realization = sample_realization(
                 cfg.channel, positions, positions,
-                np.random.SeedSequence([3, 0, 0, r, 0]))
+                np.random.SeedSequence([3, r, 0]))
             h = realization.matrix
             cb = build_codebook(realization, 2)
             hyp = [cb.combiners[:, c].conj() @ h @ cb.beamformers[:, c]
                    for c in range(2)]
-            rng = np.random.default_rng(np.random.SeedSequence([3, 0, 0, r, 1]))
+            rng = np.random.default_rng(np.random.SeedSequence([3, r, 1]))
             x0 = rng.integers(0, 2, 16)
             x1 = rng.integers(0, 4, 16)
             noise = rng.normal(0, sigma, (16, 8)) + 1j * rng.normal(0, sigma, (16, 8))
@@ -572,6 +628,7 @@ class TestConfigFile:
         ("signalings = 2x4,", "signaling must be BxM, got ''"),
         ("clusters = 0", "need at least one cluster and one path"),
         ("geometries = XYZ", "'XYZ' is not a valid ArrayKind"),
+        ("geometries = URA", "already set on line 1"),
     ])
     def test_bad_value_names_key_and_line(self, tmp_path, line, message):
         path = tmp_path / "bad.cfg"
