@@ -7,12 +7,22 @@ the detector's hypothesis values) and feeds the transmit path of every
 hardware model.  One ``detect`` call decides all live power points of a
 hardware model.  Early stopping stays per (hardware, power) point.
 
+Receive noise is drawn in branch space: one white (T, B) block per
+realization, which ``transmit`` maps through the R factor of each hardware
+model's combiners (W = QR).  Since n W^* = (n Q^*) R^* with n Q^* white,
+each model's combined noise has exactly the law of antenna noise n
+combined by its W, and depends on no other model of the grid.
+
 Realization r draws its channel from ``SeedSequence([seed, r, 0])`` and
 its payload and noise from ``SeedSequence([seed, r, 1])``, never from a
 grid position: every geometry, signaling, hardware model and power point
 shares realization r's draws (common random numbers), and a row depends
 only on the config values and the seed, not on the worker schedule nor
 on the grid's other points or their order.
+
+Each point keeps the sum and the sum of squares of its per-realization
+bit error counts, so its standard error can take the realization, not
+the bit, as the sampling unit (``BerResult.se_robust``).
 
 The hardware-efficient (HE) model applies the quantized weights in the
 signal path while detection keeps the ideal-hardware hypothesis values,
@@ -128,9 +138,12 @@ def _check_signaling(order: int, constellation: int) -> None:
 class BerResult:
     """One (geometry, signaling, hardware, power) point of a sweep.
 
-    ``elapsed_s`` is the wall time of the task that produced the point
-    split evenly over that task's hardware x power points, so summing it
-    over a sweep gives the summed task time.
+    ``error_squares`` is the sum over the used realizations of the
+    squared per-realization bit error count (float64: it can exceed the
+    int64 range at the largest accepted sizes).  ``elapsed_s`` is the
+    wall time of the task that produced the point split evenly over that
+    task's hardware x power points, so summing it over a sweep gives the
+    summed task time.
     """
 
     geometry: str
@@ -143,6 +156,7 @@ class BerResult:
     bits_total: int
     seed: int
     realizations_used: int
+    error_squares: float
     elapsed_s: float = 0.0
 
     @property
@@ -156,6 +170,28 @@ class BerResult:
             return float("nan")
         p = self.ber
         return float(np.sqrt(p * (1.0 - p) / self.bits_total))
+
+    @property
+    def se_robust(self) -> float:
+        """Standard error of the BER with the realization as the sampling
+        unit: the standard error of the mean per-realization error count
+        over bits per realization; NaN below two realizations.  Errors
+        cluster by channel draw, so it is usually wider than the binomial
+        ``standard_error``."""
+        n = self.realizations_used
+        if n < 2:
+            return float("nan")
+        mean = self.bit_errors / n
+        variance = max(self.error_squares - n * mean * mean, 0.0) / (n - 1)
+        bits_per_realization = self.bits_total / n
+        return float(np.sqrt(variance / n) / bits_per_realization)
+
+    @property
+    def ci95(self) -> tuple[float, float]:
+        """BER -+ 1.96 ``se_robust``, clipped to [0, 1]."""
+        half = 1.96 * self.se_robust
+        return (float(np.clip(self.ber - half, 0.0, 1.0)),
+                float(np.clip(self.ber + half, 0.0, 1.0)))
 
 
 def _run_task(cfg: SimConfig, geometry: str,
@@ -178,8 +214,7 @@ def _sweep_pair(cfg: SimConfig, geometry: str,
 
     positions = scenario_geometry(geometry, cfg.channel.wavelength,
                                   cfg.n_elements).positions
-    n = len(positions)
-    gain = db_to_linear(array_gain_db(n))
+    gain = db_to_linear(array_gain_db(len(positions)))
     noise_w = dbm_to_watt(cfg.noise_dbm)
     points = psk_constellation(constellation)
     bits_per_use = int(np.log2(order) + np.log2(constellation))
@@ -189,10 +224,11 @@ def _sweep_pair(cfg: SimConfig, geometry: str,
 
     n_powers = len(cfg.powers_dbm)
     errors = np.zeros((len(banks), n_powers), dtype=np.int64)
+    squares = np.zeros(errors.shape)
     used = np.zeros_like(errors)
     t_symbols = cfg.symbols_per_realization
     sigma = np.sqrt(noise_w / 2.0)
-    noise = np.empty((t_symbols, n), dtype=complex)
+    noise = np.empty((t_symbols, order), dtype=complex)    # branch space
 
     for r in range(cfg.realizations):
         live = errors < cfg.error_limit
@@ -207,8 +243,8 @@ def _sweep_pair(cfg: SimConfig, geometry: str,
             np.random.SeedSequence([cfg.seed, r, 1]))
         x0 = payload_rng.integers(0, order, t_symbols)
         x1 = payload_rng.integers(0, constellation, t_symbols)
-        noise.real = payload_rng.normal(0.0, sigma, (t_symbols, n))
-        noise.imag = payload_rng.normal(0.0, sigma, (t_symbols, n))
+        noise.real = payload_rng.normal(0.0, sigma, (t_symbols, order))
+        noise.imag = payload_rng.normal(0.0, sigma, (t_symbols, order))
         symbols = points[x1]
         hyp = branch_amplitudes(cb_detect, realization.matrix)  # (B,)
 
@@ -222,7 +258,9 @@ def _sweep_pair(cfg: SimConfig, geometry: str,
                                               symbols, noise)
             c_hat, s_hat = detect(signal, combined_noise, amplitudes[active],
                                   hyp, points)
-            errors[h, active] += count_bit_errors(x0, x1, c_hat, s_hat)
+            counts = count_bit_errors(x0, x1, c_hat, s_hat)
+            errors[h, active] += counts
+            squares[h, active] += np.square(counts, dtype=float)
             used[h, active] += 1
 
     elapsed_s = (time.perf_counter() - started) / errors.size
@@ -234,6 +272,7 @@ def _sweep_pair(cfg: SimConfig, geometry: str,
                       bit_errors=int(errors[h, i]),
                       bits_total=int(used[h, i]) * t_symbols * bits_per_use,
                       seed=cfg.seed, realizations_used=int(used[h, i]),
+                      error_squares=float(squares[h, i]),
                       elapsed_s=elapsed_s)
             for h, n_f in enumerate(n_shifters) for i in range(n_powers)]
 
@@ -374,15 +413,17 @@ def _environment(workers: int | None, n_tasks: int) -> dict:
 
 
 CSV_HEADER = ("geometry,B,M,hardware,N_F,P_dBm,bits_total,bit_errors,"
-              "ber,seed\n")
+              "ber,seed,se_robust,ci95_lo,ci95_hi\n")
 
 
 def results_to_csv(results: list[BerResult]) -> str:
     lines = [CSV_HEADER]
     for r in results:
+        lo, hi = r.ci95
         lines.append(f"{r.geometry},{r.order},{r.constellation},{r.hardware},"
                      f"{r.n_shifters},{r.power_dbm:.6g},{r.bits_total},"
-                     f"{r.bit_errors},{r.ber:.10e},{r.seed}\n")
+                     f"{r.bit_errors},{r.ber:.10e},{r.seed},"
+                     f"{r.se_robust:.10e},{lo:.10e},{hi:.10e}\n")
     return "".join(lines)
 
 
@@ -490,7 +531,7 @@ def load_config(path: "str | Path") -> SimConfig:
     against clusters, a geometry against n_elements, tx_position against
     rx_position) fails with ``<path>: ...`` naming both keys."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ValueError(f"{path}: cannot read config file: "
                          f"{exc.strerror}") from None

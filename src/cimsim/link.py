@@ -18,6 +18,12 @@ the three real terms do not depend on the power, so ``detect`` builds
 them once and decides every amplitude of a power sweep from them.
 ``transmit``, ``detect`` and ``count_bit_errors`` work on a batch of T
 channel uses; a single use is a batch of one.
+
+Receive noise n ~ CN(0, sigma^2 I_N) reaches the detector only as n W^*,
+so ``transmit`` takes it in branch space, as a white (T, B) draw z:
+with W = QR, n W^* = (n Q^*) R^* and n Q^* ~ CN(0, sigma^2 I_k), so
+z[:, :k] R^* (k = min(N_r, B)) has exactly the law of n W^*.  QR exists
+for every W, also a rank-deficient one (two equal columns).
 """
 
 from __future__ import annotations
@@ -63,14 +69,22 @@ def transmit(cb: CimCodebook, h: np.ndarray, x0: np.ndarray,
              noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Signal and combined noise of T channel uses through a codebook.
 
-    Use t sends PSK point ``symbols[t]`` on codeword ``x0[t]`` with
-    receive noise ``noise[t]`` (shape (T, N_r)).  Returns the unit-amplitude
-    signal (W^H H F)[:, x0[t]] symbols[t] and the combined noise
-    noise[t] @ W^*, each (T, B); at amplitude a = sqrt(P) G_t G_r the
-    combined receive vectors are z = a * signal + combined noise.
+    Use t sends PSK point ``symbols[t]`` on codeword ``x0[t]``; ``noise``
+    is a white (T, B) branch-space draw z with the per-antenna noise
+    variance.  Returns the unit-amplitude signal (W^H H F)[:, x0[t]]
+    symbols[t] and the combined noise z[:, :k] @ R^*, where W = QR and R
+    is (k, B) with k = min(N_r, B), each (T, B).  Since n @ W^* =
+    (n @ Q^*) @ R^* and n @ Q^* is white, this is distributed as the
+    antenna noise n (T, N_r) combined by W.  At amplitude
+    a = sqrt(P) G_t G_r the combined receive vectors are
+    z = a * signal + combined noise.
     """
     v = cb.combiners.conj().T @ h @ cb.beamformers
-    return v[:, x0].T * symbols[:, None], noise @ cb.combiners.conj()
+    if noise.shape != (len(x0), v.shape[0]):
+        raise ValueError(f"noise must be (T, B) = {(len(x0), v.shape[0])}, "
+                         f"got {noise.shape}")
+    r = np.linalg.qr(cb.combiners, mode="r")
+    return v[:, x0].T * symbols[:, None], noise[:, :len(r)] @ r.conj()
 
 
 def branch_amplitudes(cb: CimCodebook, h: np.ndarray) -> np.ndarray:

@@ -147,7 +147,7 @@ def check_noiseless_detection(
             cb = build_codebook(realization, order)
             x0, x1 = np.divmod(np.arange(order * points.size), points.size)
             signal, noise = transmit(cb, realization.matrix, x0, points[x1],
-                                     np.zeros((x0.size, spec.n_elements)))
+                                     np.zeros((x0.size, order)))
             c_hat, s_hat = detect(signal, noise, np.array([amplitude]),
                                   branch_amplitudes(cb, realization.matrix),
                                   points)

@@ -228,15 +228,42 @@ class TestRunSweep:
         assert any(used[g, "OP", p] != used[g, "HE4", p]
                    for g in cfg.geometries for p in cfg.powers_dbm)
 
+    def test_hardware_order_gives_same_rows(self):
+        # each model's combined noise comes from its own R factor, so
+        # listing HE8 first changes no row
+        cfg = SimConfig(**{**TINY, "hardware": ("OP", "HE8"),
+                           "powers_dbm": (-20.0, 0.0),
+                           "realizations": 4, "symbols_per_realization": 16})
+        forward = dict(_rows(run_sweep(cfg)))
+        backward = _rows(run_sweep(dataclasses.replace(
+            cfg, hardware=("HE8", "OP"))))
+        assert backward == [((g, (2, 4), h, p), forward[g, (2, 4), h, p])
+                            for g in cfg.geometries for h in ("HE8", "OP")
+                            for p in cfg.powers_dbm]
+
+    def test_fewer_receive_elements_than_branches(self):
+        # 4 elements, B = 8: R is (4, 8), so only 4 of the 8 branch
+        # noise columns reach the combiners
+        cfg = SimConfig(geometries=("ULA", "URA"), signalings=((8, 4),),
+                        hardware=("OP", "HE4"), powers_dbm=(-10.0, 20.0),
+                        realizations=3, symbols_per_realization=8, seed=2,
+                        n_elements=4)
+        serial = run_sweep(cfg)
+        assert len(serial) == 2 * 2 * 2
+        assert all(r.bits_total == 3 * 8 * 5 for r in serial)
+        assert (results_to_csv(serial)
+                == results_to_csv(run_sweep(cfg, workers=2)))
+
     @pytest.mark.parametrize("powers", [(10.0, -20.0), (-10.0,),
                                         (10.0, -10.0, -20.0)])
     def test_power_subset_and_order_give_same_rows(self, powers):
-        # the test_hardware_subset_gives_same_rows grid: error_limit 50
-        # stops OP and HE4 after different realization counts
+        # the test_hardware_subset_gives_same_rows grid with error_limit
+        # 53, which stops OP and HE4 after different realization counts
+        # at a power point of every parametrization
         cfg = SimConfig(**{**TINY, "hardware": ("OP", "HE4"),
                            "powers_dbm": (-20.0, -10.0, 10.0),
                            "realizations": 12, "symbols_per_realization": 16,
-                           "error_limit": 50})
+                           "error_limit": 53})
 
         def rows(c):
             return [((r.geometry, r.hardware, r.power_dbm),
@@ -263,29 +290,29 @@ class TestRunSweep:
                  r.power_dbm, r.bit_errors, r.realizations_used)
                 for r in run_sweep(cfg)]
         assert rows == [
-            ("URA", 2, 4, "OP", -10.0, 65, 4),
+            ("URA", 2, 4, "OP", -10.0, 60, 2),
             ("URA", 2, 4, "OP", 10.0, 0, 6),
             ("URA", 2, 4, "OP", 30.0, 0, 6),
-            ("URA", 2, 4, "HE4", -10.0, 69, 5),
-            ("URA", 2, 4, "HE4", 10.0, 4, 6),
+            ("URA", 2, 4, "HE4", -10.0, 60, 2),
+            ("URA", 2, 4, "HE4", 10.0, 2, 6),
             ("URA", 2, 4, "HE4", 30.0, 0, 6),
-            ("URA", 4, 8, "OP", -10.0, 87, 2),
-            ("URA", 4, 8, "OP", 10.0, 17, 6),
+            ("URA", 4, 8, "OP", -10.0, 78, 2),
+            ("URA", 4, 8, "OP", 10.0, 20, 6),
             ("URA", 4, 8, "OP", 30.0, 0, 6),
             ("URA", 4, 8, "HE4", -10.0, 84, 2),
-            ("URA", 4, 8, "HE4", 10.0, 44, 6),
+            ("URA", 4, 8, "HE4", 10.0, 30, 6),
             ("URA", 4, 8, "HE4", 30.0, 15, 6),
-            ("ULA", 2, 4, "OP", -10.0, 70, 4),
-            ("ULA", 2, 4, "OP", 10.0, 4, 6),
+            ("ULA", 2, 4, "OP", -10.0, 87, 4),
+            ("ULA", 2, 4, "OP", 10.0, 2, 6),
             ("ULA", 2, 4, "OP", 30.0, 0, 6),
-            ("ULA", 2, 4, "HE4", -10.0, 85, 4),
-            ("ULA", 2, 4, "HE4", 10.0, 17, 6),
-            ("ULA", 2, 4, "HE4", 30.0, 18, 6),
-            ("ULA", 4, 8, "OP", -10.0, 70, 2),
-            ("ULA", 4, 8, "OP", 10.0, 47, 6),
+            ("ULA", 2, 4, "HE4", -10.0, 66, 3),
+            ("ULA", 2, 4, "HE4", 10.0, 25, 6),
+            ("ULA", 2, 4, "HE4", 30.0, 16, 6),
+            ("ULA", 4, 8, "OP", -10.0, 86, 2),
+            ("ULA", 4, 8, "OP", 10.0, 60, 5),
             ("ULA", 4, 8, "OP", 30.0, 0, 6),
-            ("ULA", 4, 8, "HE4", -10.0, 87, 2),
-            ("ULA", 4, 8, "HE4", 10.0, 62, 4),
+            ("ULA", 4, 8, "HE4", -10.0, 78, 2),
+            ("ULA", 4, 8, "HE4", 10.0, 70, 3),
             ("ULA", 4, 8, "HE4", 30.0, 61, 3),
         ]
 
@@ -422,11 +449,12 @@ class TestRunSweep:
             rng = np.random.default_rng(np.random.SeedSequence([3, r, 1]))
             x0 = rng.integers(0, 2, 16)
             x1 = rng.integers(0, 4, 16)
-            noise = rng.normal(0, sigma, (16, 8)) + 1j * rng.normal(0, sigma, (16, 8))
+            # white branch-space noise through the R factor of W = QR
+            branch = rng.normal(0, sigma, (16, 2)) + 1j * rng.normal(0, sigma, (16, 2))
+            noise = branch @ np.linalg.qr(cb.combiners, mode="r").conj()
             for t in range(16):
-                y = amplitude * (h @ cb.beamformers[:, x0[t]]) * points[x1[t]] \
-                    + noise[t]
-                z = cb.combiners.conj().T @ y
+                y = amplitude * (h @ cb.beamformers[:, x0[t]]) * points[x1[t]]
+                z = cb.combiners.conj().T @ y + noise[t]
                 best = None
                 for c in range(2):
                     for s in range(4):
@@ -438,7 +466,61 @@ class TestRunSweep:
         assert total == result.bit_errors
 
 
+class TestRobustStandardError:
+    # URA, OP, 0 dBm: BER 0.25, with most errors from a few bad channel
+    # draws (the robust SE is 5.8 times the binomial one)
+    CLUSTERED = SimConfig(geometries=("URA",), signalings=((2, 4),),
+                          hardware=("OP",), powers_dbm=(0.0,),
+                          realizations=8, symbols_per_realization=50, seed=5,
+                          n_elements=16, error_limit=10 ** 9)
+
+    def test_equals_standard_error_of_per_realization_counts(self):
+        # realization r's count is the difference of the sweeps with r+1
+        # and r realizations, since realization r has its own seed
+        cfg = self.CLUSTERED
+        totals = [0] + [run_sweep(dataclasses.replace(
+            cfg, realizations=k))[0].bit_errors
+            for k in range(1, cfg.realizations + 1)]
+        counts = np.diff(totals)
+        result = run_sweep(cfg)[0]
+        assert result.error_squares == float(np.sum(counts ** 2))
+        bits_per_realization = 50 * 3
+        expected = (np.std(counts, ddof=1) / np.sqrt(cfg.realizations)
+                    / bits_per_realization)
+        assert result.se_robust == pytest.approx(expected, rel=1e-12)
+
+    def test_clustered_errors_widen_the_standard_error(self):
+        result = run_sweep(self.CLUSTERED)[0]
+        assert result.bit_errors > 0
+        assert result.se_robust > 3.0 * result.standard_error
+        lo, hi = result.ci95
+        assert lo == pytest.approx(max(0.0, result.ber
+                                       - 1.96 * result.se_robust))
+        assert hi == pytest.approx(result.ber + 1.96 * result.se_robust)
+
+    def test_one_realization_has_no_robust_error(self):
+        result = run_sweep(dataclasses.replace(self.CLUSTERED,
+                                               realizations=1))[0]
+        assert np.isnan(result.se_robust)
+        assert all(np.isnan(bound) for bound in result.ci95)
+
+    def test_interval_is_clipped_to_the_unit_range(self):
+        # counts 10 and 0 over 100 bits each: BER 0.05, and the mean
+        # count 5 has standard error 5, so SE 0.05 and BER - 1.96 SE < 0
+        result = harness.BerResult(
+            geometry="URA", order=2, constellation=4, hardware="OP",
+            n_shifters=0, power_dbm=0.0, bit_errors=10, bits_total=200,
+            seed=1, realizations_used=2, error_squares=100.0)
+        assert result.se_robust == pytest.approx(0.05, rel=1e-12)
+        assert result.ci95 == pytest.approx((0.0, 0.05 + 1.96 * 0.05))
+
+
 class TestEmit:
+    def test_csv_header(self):
+        assert results_to_csv([]) == (
+            "geometry,B,M,hardware,N_F,P_dBm,bits_total,bit_errors,ber,"
+            "seed,se_robust,ci95_lo,ci95_hi\n")
+
     def test_empty_results_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             aggregate_and_emit([], tmp_path, SimConfig(**TINY))
@@ -657,3 +739,8 @@ class TestConfigFile:
         path.write_text("geometries ULA\n")
         with pytest.raises(ValueError, match="key = value"):
             load_config(path)
+
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbfseed = 3\n")
+        assert load_config(path).seed == 3

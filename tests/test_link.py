@@ -33,7 +33,7 @@ def noiseless_decisions(realization, cb, amplitude, x0, x1, m=4):
     points = psk_constellation(m)
     h = realization.matrix
     signal, noise = transmit(cb, h, x0, points[x1],
-                             np.zeros((x0.size, h.shape[0])))
+                             np.zeros((x0.size, cb.combiners.shape[1])))
     c_hat, s_hat = detect(signal, noise, np.array([amplitude]),
                           branch_amplitudes(cb, h), points)
     return c_hat[0], s_hat[0]
@@ -86,7 +86,7 @@ class TestTransmitAndReceive:
         points = psk_constellation(4)
         h = realization.matrix
         signal, noise = transmit(cb, h, np.array([0]), points[[3]],
-                                 np.zeros((1, 8)))
+                                 np.zeros((1, 1)))
         z = amplitude * signal + noise
         w = cb.combiners[:, 0]
         f = cb.beamformers[:, 0]
@@ -101,8 +101,8 @@ class TestTransmitAndReceive:
         draws = 20_000
         rng = np.random.default_rng(42)
         sigma = np.sqrt(noise_w / 2.0)
-        noise = rng.normal(0.0, sigma, (draws, 8)) \
-            + 1j * rng.normal(0.0, sigma, (draws, 8))
+        noise = rng.normal(0.0, sigma, (draws, 2)) \
+            + 1j * rng.normal(0.0, sigma, (draws, 2))
         _, combined = transmit(cb, realization.matrix, np.zeros(draws, int),
                                np.ones(draws, complex), noise)
         measured = np.mean(np.abs(combined) ** 2, axis=0)
@@ -112,7 +112,7 @@ class TestTransmitAndReceive:
         realization, cb, _ = make_link()
         with pytest.raises(ValueError):
             transmit(cb, realization.matrix[:, :4], np.array([0]),
-                     psk_constellation(4)[:1], np.zeros((1, 8)))
+                     psk_constellation(4)[:1], np.zeros((1, 2)))
 
     def test_branch_amplitudes_are_per_branch_projections(self):
         realization, cb, _ = make_link(seed=5, order=4)
@@ -121,6 +121,60 @@ class TestTransmitAndReceive:
                     for c in range(4)]
         np.testing.assert_allclose(branch_amplitudes(cb, h), expected,
                                    rtol=1e-12, atol=0)
+
+
+class TestBranchNoise:
+    """``transmit`` maps white branch noise z through the R factor of
+    W = QR; fed z = n Q^*, it must return the antenna-space n W^*."""
+
+    @staticmethod
+    def codebooks():
+        """OP and HE8 at N_r > B, two equal combiner columns, N_r < B."""
+        realization, cb, _ = make_link(seed=4, order=4)
+        h = realization.matrix
+        duplicate = dataclasses.replace(
+            cb, combiners=cb.combiners[:, [0, 0, 2, 3]])
+        small, cb_small, _ = make_link(seed=4, n=2, order=4)
+        return [(h, cb), (h, quantize_codebook(cb, FpsBank(8))),
+                (h, duplicate), (small.matrix, cb_small)]
+
+    def test_equals_antenna_noise_through_the_combiners(self):
+        rng = np.random.default_rng(8)
+        for h, cb in self.codebooks():
+            n_r, order = cb.combiners.shape
+            antenna = receive_noise(rng, (30, n_r), 1.0)
+            q, _ = np.linalg.qr(cb.combiners)
+            # columns past min(N_r, B) must not reach the output
+            branch = receive_noise(rng, (30, order), 1.0)
+            branch[:, :q.shape[1]] = antenna @ q.conj()
+            _, combined = transmit(cb, h, np.zeros(30, int),
+                                   np.ones(30, complex), branch)
+            expected = antenna @ cb.combiners.conj()
+            assert (np.linalg.norm(combined - expected)
+                    <= 1e-12 * np.linalg.norm(expected))
+
+    def test_covariance_is_noise_power_times_gram(self):
+        # E[c^H c] of the combined row c = sigma^2 (W^H W)^*
+        draws = 20_000
+        noise_w = 2.0
+        rng = np.random.default_rng(12)
+        for h, cb in self.codebooks()[:3]:
+            order = cb.combiners.shape[1]
+            branch = receive_noise(rng, (draws, order), np.sqrt(noise_w / 2))
+            _, combined = transmit(cb, h, np.zeros(draws, int),
+                                   np.ones(draws, complex), branch)
+            measured = combined.conj().T @ combined / draws
+            gram = cb.combiners.conj().T @ cb.combiners
+            # each entry's sampling SD is at most sigma^2 max|w_c|^2 / sqrt(n)
+            tolerance = 5.0 * noise_w * gram.diagonal().real.max() \
+                / np.sqrt(draws)
+            assert np.abs(measured - noise_w * gram.conj()).max() < tolerance
+
+    def test_rejects_antenna_space_noise(self):
+        realization, cb, _ = make_link(order=2)
+        with pytest.raises(ValueError, match=r"noise must be \(T, B\)"):
+            transmit(cb, realization.matrix, np.array([0]),
+                     psk_constellation(4)[:1], np.zeros((1, 8)))
 
 
 class TestMlDetect:
@@ -158,7 +212,7 @@ class TestMlDetect:
         h = realization.matrix
         rng = np.random.default_rng(3)
         signal, combined = transmit(cb, h, np.array([2]), points[[1]],
-                                    receive_noise(rng, (1, 8),
+                                    receive_noise(rng, (1, 4),
                                                   np.sqrt(1e-9 / 2)))
         hyp = branch_amplitudes(cb, h)
         amplitudes = np.array([amplitude])
@@ -202,7 +256,8 @@ class TestMlDetect:
         h = realization.matrix
         rng = np.random.default_rng(seed)
         signal, combined = transmit(cb, h, x0, points[x1],
-                                    receive_noise(rng, (x0.size, 8), 1e-6))
+                                    receive_noise(rng, (x0.size, order),
+                                                  1e-6))
         hyp = branch_amplitudes(cb, h)
         amplitudes = amplitude * np.array([0.1, 1.0, 30.0])
         scale = 2.0 ** exponent
@@ -232,7 +287,7 @@ class TestMlDetect:
         sigma = 1e-6
         signal, noise = transmit(quantize_codebook(cb, FpsBank(n_f)), h, x0,
                                  points[x1],
-                                 receive_noise(rng, (uses, 8), sigma))
+                                 receive_noise(rng, (uses, order), sigma))
         hyp = branch_amplitudes(cb, h)
         amplitudes = (sigma / np.abs(hyp).mean()
                       * 10.0 ** np.array(snr_exponents))
@@ -280,8 +335,8 @@ class TestBitAccounting:
         x0 = rng.integers(0, 2, trials)
         x1 = rng.integers(0, 4, trials)
         sigma = np.sqrt(noise_w / 2)
-        noise = rng.normal(0, sigma, (trials, 8)) \
-            + 1j * rng.normal(0, sigma, (trials, 8))
+        noise = rng.normal(0, sigma, (trials, 2)) \
+            + 1j * rng.normal(0, sigma, (trials, 2))
         h = realization.matrix
         signal, combined = transmit(cb, h, x0, points[x1], noise)
         c_hat, s_hat = detect(signal, combined, np.array([amplitude]),
