@@ -14,8 +14,8 @@ from .arrays import (ArrayKind, GeometrySpec, SPEED_OF_LIGHT,
 from .channel import (ChannelConfig, ChannelRealization, path_loss,
                       sample_realization)
 from .codebook import (CimCodebook, FpsBank, build_codebook,
-                       compose_switch_vector, quantize_codebook,
-                       quantize_weights, realized_phase)
+                       compose_switch_vector, quantize_weights,
+                       realized_phase)
 from .link import (array_gain_db, branch_amplitudes, count_bit_errors,
                    dbm_to_watt, detect, psk_constellation, transmit)
 from .patterns import (PatternSummary, RadiationPattern, compute_pattern,

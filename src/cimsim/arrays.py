@@ -126,13 +126,22 @@ def steering(positions: np.ndarray, directions: np.ndarray,
     ``directions`` is one unit vector, shape (3,), giving an (N,) vector,
     or a stack of them, shape (K, 3), giving one column per direction,
     shape (N, K).
+
+    The phase is taken in cycles and reduced to [-1/2, 1/2] before the
+    cosine and sine, which is exact, so their arguments stay within pi.
     """
     positions = np.asarray(positions, dtype=float)
     if positions.size == 0:
         raise ValueError("positions must be nonempty")
     _require_wavelength(wavelength)
-    k = (2.0 * np.pi / wavelength) * np.asarray(directions, dtype=float)
-    return np.exp(1j * (positions @ k.T)) / np.sqrt(positions.shape[0])
+    cycles = (positions / wavelength) @ np.asarray(directions, dtype=float).T
+    cycles -= np.rint(cycles)
+    cycles *= 2.0 * np.pi
+    norm = np.sqrt(positions.shape[0])
+    response = np.empty(cycles.shape, dtype=complex)
+    response.real = np.cos(cycles) / norm
+    response.imag = np.sin(cycles) / norm
+    return response
 
 
 # Table-style scenario defaults: 82 elements (9x9 = 81 for URA), all

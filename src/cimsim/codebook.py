@@ -11,7 +11,7 @@ switches, which floors every phase to a 2*pi / 2**(n_shifters-1) grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,8 +153,3 @@ def build_codebook(realization: ChannelRealization, order: int) -> CimCodebook:
                        best_paths=best_paths,
                        effective_gains=cluster_gains[selected])
 
-
-def quantize_codebook(cb: CimCodebook, bank: FpsBank) -> CimCodebook:
-    """The same selection with its weights floored to the bank's phase grid."""
-    return replace(cb, beamformers=quantize_weights(cb.beamformers, bank),
-                   combiners=quantize_weights(cb.combiners, bank))

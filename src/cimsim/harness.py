@@ -4,8 +4,20 @@ One task covers one (geometry, signaling) pair: every hardware model
 and every power point of it.  Each realization of a task is drawn once
 (channel, steering matrices, codebook selection, payload bits, noise and
 the detector's hypothesis values) and feeds the transmit path of every
-hardware model.  One ``detect`` call decides all live power points of a
 hardware model.  Early stopping stays per (hardware, power) point.
+
+A task runs its realizations in blocks (``BLOCK_ELEMENTS`` and
+``BLOCK_CHANNEL_ELEMENTS`` set their size).  Each realization of a block
+is drawn on its own; then, per hardware model, one ``quantize_weights``,
+one ``transmit``, one ``detect`` and one ``count_bit_errors`` call, each
+over a leading realization axis, count the whole block at every power
+point live at the block's start.  The early stop is then replayed
+realization by realization: a point takes realization r's counts only
+while it is still below ``error_limit``.  Realization r's counts depend
+only on (seed, r), so this gives exactly the rows of a loop over single
+realizations, whatever the block size.  A block is computed only if
+some point is live at its start, so at most K - 1 realizations (K the
+block size) are drawn past a task's last stop, and none is counted.
 
 Receive noise is drawn in branch space: one white (T, B) block per
 realization, which ``transmit`` maps through the R factor of each hardware
@@ -54,12 +66,19 @@ import numpy as np
 from . import __version__
 from .arrays import ArrayKind, scenario_geometry
 from .channel import ChannelConfig, require_finite, sample_realization
-from .codebook import FpsBank, build_codebook, quantize_codebook
+from .codebook import FpsBank, build_codebook, quantize_weights
 from .link import (array_gain_db, branch_amplitudes, count_bit_errors,
                    db_to_linear, dbm_to_watt, detect, psk_constellation,
                    transmit)
 
 DEFAULT_POWERS_DBM = tuple(float(p) for p in range(-10, 45, 5))
+
+# Realizations per block: as many as keep the block's detector metric
+# (T B M entries per realization) within BLOCK_ELEMENTS and its stacked
+# channel matrices (N_r N_t entries each, 16 MiB in all) within
+# BLOCK_CHANNEL_ELEMENTS, and no more than the sweep's realizations.
+BLOCK_ELEMENTS = 16384
+BLOCK_CHANNEL_ELEMENTS = 1 << 20
 
 
 def parse_hardware(token: str) -> FpsBank | None:
@@ -228,40 +247,62 @@ def _sweep_pair(cfg: SimConfig, geometry: str,
     used = np.zeros_like(errors)
     t_symbols = cfg.symbols_per_realization
     sigma = np.sqrt(noise_w / 2.0)
-    noise = np.empty((t_symbols, order), dtype=complex)    # branch space
 
-    for r in range(cfg.realizations):
+    n = len(positions)
+    size = max(1, min(BLOCK_ELEMENTS // (t_symbols * order * constellation),
+                      BLOCK_CHANNEL_ELEMENTS // (n * n), cfg.realizations))
+    channels = np.empty((size, n, n), dtype=complex)
+    weights = np.empty((2, size, n, order), dtype=complex)    # F, W
+    hyp = np.empty((size, order), dtype=complex)
+    x0 = np.empty((size, t_symbols), dtype=np.int64)
+    x1 = np.empty_like(x0)
+    noise = np.empty((size, t_symbols, order), dtype=complex)  # branch space
+
+    for start in range(0, cfg.realizations, size):
         live = errors < cfg.error_limit
         if not live.any():
             break
-        realization = sample_realization(
-            cfg.channel, positions, positions,
-            np.random.SeedSequence([cfg.seed, r, 0]))
-        cb_detect = build_codebook(realization, order)
+        k = min(size, cfg.realizations - start)
+        for i, r in enumerate(range(start, start + k)):
+            realization = sample_realization(
+                cfg.channel, positions, positions,
+                np.random.SeedSequence([cfg.seed, r, 0]))
+            cb_detect = build_codebook(realization, order)
 
-        payload_rng = np.random.default_rng(
-            np.random.SeedSequence([cfg.seed, r, 1]))
-        x0 = payload_rng.integers(0, order, t_symbols)
-        x1 = payload_rng.integers(0, constellation, t_symbols)
-        noise.real = payload_rng.normal(0.0, sigma, (t_symbols, order))
-        noise.imag = payload_rng.normal(0.0, sigma, (t_symbols, order))
-        symbols = points[x1]
-        hyp = branch_amplitudes(cb_detect, realization.matrix)  # (B,)
+            payload_rng = np.random.default_rng(
+                np.random.SeedSequence([cfg.seed, r, 1]))
+            x0[i] = payload_rng.integers(0, order, t_symbols)
+            x1[i] = payload_rng.integers(0, constellation, t_symbols)
+            noise[i].real = payload_rng.normal(0.0, sigma, (t_symbols, order))
+            noise[i].imag = payload_rng.normal(0.0, sigma, (t_symbols, order))
+            hyp[i] = branch_amplitudes(cb_detect, realization.matrix)
+            channels[i] = realization.matrix
+            weights[0, i] = cb_detect.beamformers
+            weights[1, i] = cb_detect.combiners
+        symbols = points[x1[:k]]
 
+        # counts of the points live at the block's start, (k, hardware, P)
+        counts = np.zeros((k,) + errors.shape, dtype=np.int64)
         for h, bank in enumerate(banks):
             active = np.flatnonzero(live[h])
             if active.size == 0:
                 continue
-            cb_tx = cb_detect if bank is None \
-                else quantize_codebook(cb_detect, bank)
-            signal, combined_noise = transmit(cb_tx, realization.matrix, x0,
-                                              symbols, noise)
+            f, w = weights[:, :k] if bank is None \
+                else quantize_weights(weights[:, :k], bank)
+            signal, combined_noise = transmit(f, w, channels[:k], x0[:k],
+                                              symbols, noise[:k])
             c_hat, s_hat = detect(signal, combined_noise, amplitudes[active],
-                                  hyp, points)
-            counts = count_bit_errors(x0, x1, c_hat, s_hat)
-            errors[h, active] += counts
-            squares[h, active] += np.square(counts, dtype=float)
-            used[h, active] += 1
+                                  hyp[:k], points)
+            counts[:, h, active] = count_bit_errors(
+                x0[:k, None], x1[:k, None], c_hat, s_hat)
+
+        # the per-realization early stop, replayed in realization order
+        for count in counts:
+            live = errors < cfg.error_limit
+            np.add(errors, count, out=errors, where=live)
+            np.add(squares, np.square(count, dtype=float), out=squares,
+                   where=live)
+            used += live
 
     elapsed_s = (time.perf_counter() - started) / errors.size
     n_shifters = [0 if bank is None else bank.n_shifters for bank in banks]

@@ -17,7 +17,8 @@ d = signal - hyp(c) s, which expands to
 the three real terms do not depend on the power, so ``detect`` builds
 them once and decides every amplitude of a power sweep from them.
 ``transmit``, ``detect`` and ``count_bit_errors`` work on a batch of T
-channel uses; a single use is a batch of one.
+channel uses; a single use is a batch of one.  ``transmit`` and
+``detect`` also take leading axes that stack independent realizations.
 
 Receive noise n ~ CN(0, sigma^2 I_N) reaches the detector only as n W^*,
 so ``transmit`` takes it in branch space, as a white (T, B) draw z:
@@ -64,27 +65,36 @@ def psk_constellation(m: int) -> np.ndarray:
     return points
 
 
-def transmit(cb: CimCodebook, h: np.ndarray, x0: np.ndarray,
-             symbols: np.ndarray,
+def transmit(beamformers: np.ndarray, combiners: np.ndarray, h: np.ndarray,
+             x0: np.ndarray, symbols: np.ndarray,
              noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Signal and combined noise of T channel uses through a codebook.
+    """Signal and combined noise of T channel uses through beamformers F
+    (..., N_t, B) and combiners W (..., N_r, B) over channels h
+    (..., N_r, N_t).
 
-    Use t sends PSK point ``symbols[t]`` on codeword ``x0[t]``; ``noise``
-    is a white (T, B) branch-space draw z with the per-antenna noise
-    variance.  Returns the unit-amplitude signal (W^H H F)[:, x0[t]]
-    symbols[t] and the combined noise z[:, :k] @ R^*, where W = QR and R
-    is (k, B) with k = min(N_r, B), each (T, B).  Since n @ W^* =
-    (n @ Q^*) @ R^* and n @ Q^* is white, this is distributed as the
-    antenna noise n (T, N_r) combined by W.  At amplitude
-    a = sqrt(P) G_t G_r the combined receive vectors are
+    Use t sends PSK point ``symbols[..., t]`` on codeword ``x0[..., t]``;
+    ``noise`` is a white (..., T, B) branch-space draw z with the
+    per-antenna noise variance.  Returns the unit-amplitude signal
+    (W^H H F)[:, x0[t]] symbols[t] and the combined noise z[:, :k] @ R^*,
+    where W = QR and R is (k, B) with k = min(N_r, B), each (..., T, B).
+    Since n @ W^* = (n @ Q^*) @ R^* and n @ Q^* is white, this is
+    distributed as the antenna noise n (T, N_r) combined by W.  At
+    amplitude a = sqrt(P) G_t G_r the combined receive vectors are
     z = a * signal + combined noise.
+
+    Leading axes, the same on every argument, stack independent
+    realizations; a single realization has none.  Each realization's
+    results are bit-identical to a call on it alone.
     """
-    v = cb.combiners.conj().T @ h @ cb.beamformers
-    if noise.shape != (len(x0), v.shape[0]):
-        raise ValueError(f"noise must be (T, B) = {(len(x0), v.shape[0])}, "
+    v = combiners.conj().mT @ h @ beamformers                  # (..., B, B)
+    expected = x0.shape + v.shape[-1:]
+    if noise.shape != expected:
+        raise ValueError(f"noise must be (T, B) = {expected}, "
                          f"got {noise.shape}")
-    r = np.linalg.qr(cb.combiners, mode="r")
-    return v[:, x0].T * symbols[:, None], noise[:, :len(r)] @ r.conj()
+    r = np.linalg.qr(combiners, mode="r")
+    signal = np.take_along_axis(v.mT, x0[..., None], axis=-2)
+    return (signal * symbols[..., None],
+            noise[..., :r.shape[-2]] @ r.conj())
 
 
 def branch_amplitudes(cb: CimCodebook, h: np.ndarray) -> np.ndarray:
@@ -96,35 +106,38 @@ def detect(signal: np.ndarray, noise: np.ndarray, amplitudes: np.ndarray,
            hyp: np.ndarray,
            points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Joint ML (cluster, symbol) decisions of T channel uses at P
-    amplitudes, each (P, T).
+    amplitudes, each (..., P, T).
 
     ``signal`` and ``noise`` are the unit-amplitude signal and combined
-    noise of ``transmit``, (T, B); at amplitude a the decision is the
-    argmin over the B*M hypotheses of |a signal(c) + noise(c) -
-    a hyp[c] points[s]|^2, where ``hyp`` holds the branch amplitudes;
-    ties go to the lowest cluster, then symbol."""
-    d = signal[:, :, None] - hyp[:, None] * points                # (T, B, M)
-    noise = noise[:, :, None]
+    noise of ``transmit``, (..., T, B); at amplitude a the decision is
+    the argmin over the B*M hypotheses of |a signal(c) + noise(c) -
+    a hyp[c] points[s]|^2, where ``hyp`` (..., B) holds the branch
+    amplitudes; ties go to the lowest cluster, then symbol.  Leading
+    axes stack realizations as in ``transmit``."""
+    d = signal[..., None] - hyp[..., None, :, None] * points   # (..., T, B, M)
+    noise = noise[..., None]
     # |n|^2 repeated over the symbols: a broadcast add is slower
     noise_power = np.repeat(noise.real ** 2 + noise.imag ** 2, points.size,
-                            axis=2)
+                            axis=-1)
     cross = 2.0 * (noise.real * d.real + noise.imag * d.imag)
     distance = d.real ** 2 + d.imag ** 2
     metric = np.empty_like(distance)
-    flat = np.empty((len(amplitudes), signal.shape[0]), dtype=np.intp)
+    hypotheses = metric.reshape(signal.shape[:-1] + (-1,))
+    flat = np.empty(signal.shape[:-2] + (len(amplitudes), signal.shape[-2]),
+                    dtype=np.intp)
     for p, a in enumerate(amplitudes):
         np.multiply(distance, a, out=metric)
         metric += cross
         metric *= a
         metric += noise_power
-        flat[p] = metric.reshape(signal.shape[0], -1).argmin(axis=1)
+        flat[..., p, :] = hypotheses.argmin(axis=-1)
     return np.divmod(flat, points.size)
 
 
 def count_bit_errors(x0: np.ndarray, x1: np.ndarray, c_hat: np.ndarray,
                      s_hat: np.ndarray) -> np.ndarray:
     """Spatial plus constellation bit errors of T channel uses: decisions
-    (..., T) against the sent labels (T,) give one count per leading
-    index, shape (...)."""
+    (..., T) against the sent labels, broadcast against them, give one
+    count per leading index, shape (...)."""
     return (np.bitwise_count(x0 ^ c_hat).sum(axis=-1, dtype=np.int64)
             + np.bitwise_count(x1 ^ s_hat).sum(axis=-1, dtype=np.int64))

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .arrays import ArrayKind, GeometrySpec, steering, unit_directions
 
@@ -348,6 +347,8 @@ def main_lobe_mask(gain_db: np.ndarray,
                    target: tuple[int, int]) -> np.ndarray:
     """Connected region around grid cell ``target`` (el, az) above its
     value - 20 dB."""
+    # imported on use, so a process that only sweeps BER never loads it
+    from scipy import ndimage
     above = gain_db >= gain_db[target] - MAIN_LOBE_FLOOR_DB
     labels, _ = ndimage.label(above, structure=np.ones((3, 3), dtype=int))
     return labels == labels[target]
@@ -363,6 +364,7 @@ def sidelobe_directivities(pattern: RadiationPattern,
     |az| <= FORWARD_AZ_DEG, which excludes the mirror lobe behind a
     planar array.
     """
+    from scipy import ndimage
     g = pattern.gain_db
     candidates = ((g == _neighborhood(g, np.maximum))
                   & (g > _neighborhood(g, np.minimum)) & ~main_lobe)

@@ -146,7 +146,8 @@ def check_noiseless_detection(
         for order in orders:
             cb = build_codebook(realization, order)
             x0, x1 = np.divmod(np.arange(order * points.size), points.size)
-            signal, noise = transmit(cb, realization.matrix, x0, points[x1],
+            signal, noise = transmit(cb.beamformers, cb.combiners,
+                                     realization.matrix, x0, points[x1],
                                      np.zeros((x0.size, order)))
             c_hat, s_hat = detect(signal, noise, np.array([amplitude]),
                                   branch_amplitudes(cb, realization.matrix),

@@ -165,6 +165,27 @@ class TestSteeringVector:
         b = steer(pos[perm], 0.4, 1.1, 1.0)
         np.testing.assert_allclose(b, a[perm], atol=1e-14)
 
+    def test_long_ula_matches_extended_precision(self):
+        # 83 half-wavelength-spaced elements span 41 wavelengths, so the
+        # phases reach 2 pi x 41; the reference evaluates the same float
+        # inputs in extended precision
+        if np.finfo(np.longdouble).precision < 18:
+            pytest.skip("np.longdouble is no wider than float64 here")
+        pos = GeometrySpec.ula(83, LAM_28GHZ).positions
+        rng = np.random.default_rng(41)
+        directions = np.vstack([
+            [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]],
+            unit_directions(rng.uniform(0, 2 * np.pi, 200),
+                            rng.uniform(0, np.pi, 200))])
+        a = steering(pos, directions, LAM_28GHZ)
+        wide = np.longdouble
+        phase = (2 * np.arccos(wide(-1)) / wide(LAM_28GHZ)
+                 * (pos.astype(wide) @ directions.T.astype(wide)))
+        norm = np.sqrt(wide(len(pos)))
+        error = np.hypot(a.real - np.cos(phase) / norm,
+                         a.imag - np.sin(phase) / norm)
+        assert error.max() <= 1e-14
+
     def test_direction_form_matches_angle_form(self):
         # one column per direction of a stack, each equal to the explicit
         # spherical-angle formula and to the single-direction call

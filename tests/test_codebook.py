@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from cimsim.arrays import GeometrySpec, steering, unit_directions
 from cimsim.channel import ChannelConfig, sample_realization
 from cimsim.codebook import (FpsBank, build_codebook, compose_switch_vector,
-                             quantize_codebook, quantize_weights,
-                             realized_phase, wrap_phase)
+                             quantize_weights, realized_phase, wrap_phase)
 
 LAM = 0.0107068735
 
@@ -253,20 +252,27 @@ class TestBuildCodebook:
 
     def test_he_codewords_on_phase_grid(self):
         realization, _ = make_realization(seed=3)
-        cb = quantize_codebook(build_codebook(realization, 4), FpsBank(8))
+        cb = build_codebook(realization, 4)
         step = 2 * np.pi / 2 ** 7
-        for w in (cb.beamformers, cb.combiners):
+        for w in quantize_weights(np.stack([cb.beamformers, cb.combiners]),
+                                  FpsBank(8)):
             phases = np.mod(np.angle(w), 2 * np.pi)
             steps = phases / step
             assert np.all(np.abs(steps - np.round(steps)) < 1e-6)
 
     def test_he_selection_matches_ideal_selection(self):
         realization, _ = make_realization(seed=7)
+        # the HE network keeps the ideal selection: each quantized
+        # codeword is its ideal codeword with every phase floored by
+        # less than one step
         ideal = build_codebook(realization, 4)
-        quantized = quantize_codebook(build_codebook(realization, 4),
-                                      FpsBank(4))
-        assert ideal.clusters == quantized.clusters
-        assert np.array_equal(ideal.best_paths, quantized.best_paths)
+        bank = FpsBank(4)
+        for w in (ideal.beamformers, ideal.combiners):
+            quantized = quantize_weights(w, bank)
+            np.testing.assert_allclose(np.abs(quantized), np.abs(w),
+                                       rtol=1e-15)
+            lag = np.angle(w * quantized.conj())
+            assert np.all((lag > -1e-12) & (lag < bank.phase_step))
 
     def test_codewords_are_selected_path_steering_columns(self):
         realization, pos = make_realization(seed=9)
@@ -285,14 +291,17 @@ class TestBuildCodebook:
         realization, _ = make_realization(seed=9)
         bank = FpsBank(4)
         ideal = build_codebook(realization, 4)
-        he = quantize_codebook(build_codebook(realization, 4), bank)
-        assert he.clusters == ideal.clusters
-        assert np.array_equal(he.best_paths, ideal.best_paths)
-        assert np.array_equal(he.effective_gains, ideal.effective_gains)
-        assert np.array_equal(he.beamformers,
-                              quantize_weights(ideal.beamformers, bank))
-        assert np.array_equal(he.combiners,
-                              quantize_weights(ideal.combiners, bank))
+        other = build_codebook(make_realization(seed=10)[0], 4)
+        # beamformers and combiners of two realizations in one call, as
+        # the sweep stacks them: (2, realizations, N, B)
+        he = quantize_weights(np.stack([
+            [ideal.beamformers, other.beamformers],
+            [ideal.combiners, other.combiners]]), bank)
+        for i, cb in enumerate((ideal, other)):
+            assert np.array_equal(he[0, i],
+                                  quantize_weights(cb.beamformers, bank))
+            assert np.array_equal(he[1, i],
+                                  quantize_weights(cb.combiners, bank))
 
     def test_order_validation(self):
         realization, _ = make_realization(clusters=4, paths=2)

@@ -4,6 +4,8 @@ import functools
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from itertools import product
@@ -68,6 +70,26 @@ def _blas_thread_counts(*_task) -> list[tuple[str, int]]:
         getter.restype = ctypes.c_int
         counts.append((lib._name, getter()))
     return counts
+
+
+def _blas_thread_report(*_task) -> list[dict[str, int]]:
+    """A task's one row: the thread count of each OpenBLAS library the
+    harness finds mapped into this process, by path."""
+    return [dict(_blas_thread_counts())]
+
+
+@functools.cache
+def _numpy_openblas_paths() -> frozenset[str]:
+    """Paths of the OpenBLAS libraries that a fresh interpreter maps
+    once it has imported numpy alone."""
+    script = ("import numpy\n"
+              "for line in open('/proc/self/maps'):\n"
+              "    fields = line.split(None, 5)\n"
+              "    if len(fields) == 6 and 'openblas' in fields[5]:\n"
+              "        print(fields[5].strip())\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    return frozenset(out.split())
 
 
 def _os_thread_count(*_task) -> list[int]:
@@ -277,6 +299,33 @@ class TestRunSweep:
         assert any(full[g, "OP", p][2] != full[g, "HE4", p][2]
                    for g in cfg.geometries for p in powers)
 
+    def test_rows_do_not_depend_on_the_block_size(self, monkeypatch):
+        # 16 x 2 x 4 = 128 detector metric entries and 16 x 16 = 256
+        # channel entries per realization: blocks of all 10 realizations,
+        # of 1, and of 3 (which does not divide 10) set by either bound;
+        # error_limit 80 stops points after 4, 5 and 7 realizations,
+        # inside blocks of 3
+        cfg = SimConfig(**{**TINY, "hardware": ("OP", "HE4"),
+                           "powers_dbm": (-20.0, -10.0, 10.0),
+                           "realizations": 10, "symbols_per_realization": 16,
+                           "error_limit": 80})
+        assert harness.BLOCK_ELEMENTS // 128 >= cfg.realizations
+        assert harness.BLOCK_CHANNEL_ELEMENTS // 256 >= cfg.realizations
+
+        def rows(**bounds):
+            with monkeypatch.context() as patch:
+                for name, value in bounds.items():
+                    patch.setattr(harness, name, value)
+                results = run_sweep(cfg)
+            return results_to_csv(results), [
+                (r.error_squares, r.realizations_used) for r in results]
+
+        default = rows()
+        assert rows(BLOCK_ELEMENTS=128) == default
+        assert rows(BLOCK_ELEMENTS=3 * 128) == default
+        assert rows(BLOCK_CHANNEL_ELEMENTS=3 * 256) == default
+        assert {used % 3 for _, used in default[1] if used < 10} == {1, 2}
+
     def test_golden_counts(self):
         # (geometry, B, M, hardware, P_dBm, bit_errors, realizations_used)
         # of a fixed sweep with early stopping live; any change to the
@@ -363,17 +412,22 @@ class TestRunSweep:
                                            geometries, method):
         _require_openblas()
         parent = _blas_thread_counts()
-        assert parent, "numpy's OpenBLAS library not found in /proc/self/maps"
+        numpy_paths = _numpy_openblas_paths()
+        assert numpy_paths, "numpy's OpenBLAS library not found"
+        assert numpy_paths <= dict(parent).keys()
         # each worker runs the task stub, which reports its BLAS thread
         # counts instead of sweeping; a forked worker inherits this
-        # process's cap, one started by spawn or forkserver sets its own
-        monkeypatch.setattr(harness, "_run_task", _blas_thread_counts)
+        # process's cap and every library it maps, one started by spawn
+        # or forkserver maps what its imports load and sets its own cap
+        monkeypatch.setattr(harness, "_run_task", _blas_thread_report)
         _start_pool_by(monkeypatch, method)
         cfg = SimConfig(**{**TINY, "geometries": geometries})
-        counts = run_sweep(cfg, workers=workers)
+        reports = run_sweep(cfg, workers=workers)
         expected = max(1, _cpus() // min(workers, len(geometries)))
-        assert counts == [(path, expected) for _ in geometries
-                          for path, _count in parent]
+        assert len(reports) == len(geometries)
+        for report in reports:
+            assert set(report.values()) == {expected}
+            assert numpy_paths <= report.keys() <= dict(parent).keys()
         assert _blas_thread_counts() == parent    # this process: untouched
 
     def test_forked_pool_workers_start_single_threaded(self, monkeypatch):

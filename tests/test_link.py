@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cimsim.arrays import GeometrySpec
 from cimsim.channel import ChannelConfig, sample_realization
-from cimsim.codebook import FpsBank, build_codebook, quantize_codebook
+from cimsim.codebook import FpsBank, build_codebook, quantize_weights
 from cimsim.link import (array_gain_db, branch_amplitudes, count_bit_errors,
                          db_to_linear, dbm_to_watt, detect, gray_code,
                          psk_constellation, transmit)
@@ -32,7 +32,8 @@ def all_hypotheses(order, m):
 def noiseless_decisions(realization, cb, amplitude, x0, x1, m=4):
     points = psk_constellation(m)
     h = realization.matrix
-    signal, noise = transmit(cb, h, x0, points[x1],
+    signal, noise = transmit(cb.beamformers, cb.combiners, h, x0,
+                             points[x1],
                              np.zeros((x0.size, cb.combiners.shape[1])))
     c_hat, s_hat = detect(signal, noise, np.array([amplitude]),
                           branch_amplitudes(cb, h), points)
@@ -85,7 +86,8 @@ class TestTransmitAndReceive:
         realization, cb, amplitude = make_link(order=1)
         points = psk_constellation(4)
         h = realization.matrix
-        signal, noise = transmit(cb, h, np.array([0]), points[[3]],
+        signal, noise = transmit(cb.beamformers, cb.combiners, h,
+                                 np.array([0]), points[[3]],
                                  np.zeros((1, 1)))
         z = amplitude * signal + noise
         w = cb.combiners[:, 0]
@@ -103,7 +105,8 @@ class TestTransmitAndReceive:
         sigma = np.sqrt(noise_w / 2.0)
         noise = rng.normal(0.0, sigma, (draws, 2)) \
             + 1j * rng.normal(0.0, sigma, (draws, 2))
-        _, combined = transmit(cb, realization.matrix, np.zeros(draws, int),
+        _, combined = transmit(cb.beamformers, cb.combiners,
+                               realization.matrix, np.zeros(draws, int),
                                np.ones(draws, complex), noise)
         measured = np.mean(np.abs(combined) ** 2, axis=0)
         np.testing.assert_allclose(measured, noise_w, rtol=0.03)
@@ -111,8 +114,9 @@ class TestTransmitAndReceive:
     def test_dimension_mismatch_rejected(self):
         realization, cb, _ = make_link()
         with pytest.raises(ValueError):
-            transmit(cb, realization.matrix[:, :4], np.array([0]),
-                     psk_constellation(4)[:1], np.zeros((1, 2)))
+            transmit(cb.beamformers, cb.combiners, realization.matrix[:, :4],
+                     np.array([0]), psk_constellation(4)[:1],
+                     np.zeros((1, 2)))
 
     def test_branch_amplitudes_are_per_branch_projections(self):
         realization, cb, _ = make_link(seed=5, order=4)
@@ -135,7 +139,10 @@ class TestBranchNoise:
         duplicate = dataclasses.replace(
             cb, combiners=cb.combiners[:, [0, 0, 2, 3]])
         small, cb_small, _ = make_link(seed=4, n=2, order=4)
-        return [(h, cb), (h, quantize_codebook(cb, FpsBank(8))),
+        he8 = dataclasses.replace(
+            cb, beamformers=quantize_weights(cb.beamformers, FpsBank(8)),
+            combiners=quantize_weights(cb.combiners, FpsBank(8)))
+        return [(h, cb), (h, he8),
                 (h, duplicate), (small.matrix, cb_small)]
 
     def test_equals_antenna_noise_through_the_combiners(self):
@@ -147,8 +154,9 @@ class TestBranchNoise:
             # columns past min(N_r, B) must not reach the output
             branch = receive_noise(rng, (30, order), 1.0)
             branch[:, :q.shape[1]] = antenna @ q.conj()
-            _, combined = transmit(cb, h, np.zeros(30, int),
-                                   np.ones(30, complex), branch)
+            _, combined = transmit(cb.beamformers, cb.combiners, h,
+                                   np.zeros(30, int), np.ones(30, complex),
+                                   branch)
             expected = antenna @ cb.combiners.conj()
             assert (np.linalg.norm(combined - expected)
                     <= 1e-12 * np.linalg.norm(expected))
@@ -161,7 +169,8 @@ class TestBranchNoise:
         for h, cb in self.codebooks()[:3]:
             order = cb.combiners.shape[1]
             branch = receive_noise(rng, (draws, order), np.sqrt(noise_w / 2))
-            _, combined = transmit(cb, h, np.zeros(draws, int),
+            _, combined = transmit(cb.beamformers, cb.combiners, h,
+                                   np.zeros(draws, int),
                                    np.ones(draws, complex), branch)
             measured = combined.conj().T @ combined / draws
             gram = cb.combiners.conj().T @ cb.combiners
@@ -173,8 +182,9 @@ class TestBranchNoise:
     def test_rejects_antenna_space_noise(self):
         realization, cb, _ = make_link(order=2)
         with pytest.raises(ValueError, match=r"noise must be \(T, B\)"):
-            transmit(cb, realization.matrix, np.array([0]),
-                     psk_constellation(4)[:1], np.zeros((1, 8)))
+            transmit(cb.beamformers, cb.combiners, realization.matrix,
+                     np.array([0]), psk_constellation(4)[:1],
+                     np.zeros((1, 8)))
 
 
 class TestMlDetect:
@@ -211,7 +221,8 @@ class TestMlDetect:
         points = psk_constellation(4)
         h = realization.matrix
         rng = np.random.default_rng(3)
-        signal, combined = transmit(cb, h, np.array([2]), points[[1]],
+        signal, combined = transmit(cb.beamformers, cb.combiners, h,
+                                    np.array([2]), points[[1]],
                                     receive_noise(rng, (1, 4),
                                                   np.sqrt(1e-9 / 2)))
         hyp = branch_amplitudes(cb, h)
@@ -255,7 +266,8 @@ class TestMlDetect:
         points = psk_constellation(m)
         h = realization.matrix
         rng = np.random.default_rng(seed)
-        signal, combined = transmit(cb, h, x0, points[x1],
+        signal, combined = transmit(cb.beamformers, cb.combiners, h, x0,
+                                    points[x1],
                                     receive_noise(rng, (x0.size, order),
                                                   1e-6))
         hyp = branch_amplitudes(cb, h)
@@ -285,8 +297,9 @@ class TestMlDetect:
         x0 = rng.integers(0, order, uses)
         x1 = rng.integers(0, m, uses)
         sigma = 1e-6
-        signal, noise = transmit(quantize_codebook(cb, FpsBank(n_f)), h, x0,
-                                 points[x1],
+        he_weights = np.stack([cb.beamformers, cb.combiners])
+        signal, noise = transmit(*quantize_weights(he_weights, FpsBank(n_f)),
+                                 h, x0, points[x1],
                                  receive_noise(rng, (uses, order), sigma))
         hyp = branch_amplitudes(cb, h)
         amplitudes = (sigma / np.abs(hyp).mean()
@@ -308,6 +321,55 @@ class TestMlDetect:
         for row, p in enumerate(subset):
             assert np.array_equal(some[0][row], every[0][p])
             assert np.array_equal(some[1][row], every[1][p])
+
+
+class TestStackedRealizations:
+    """Leading axes of ``transmit`` and ``detect`` stack realizations, as
+    the sweep's blocks do; each realization's results equal a call on it
+    alone, bit for bit."""
+
+    @pytest.mark.parametrize("n, n_f", [(8, None), (8, 8), (2, None)],
+                             ids=["OP", "HE8", "N_r<B"])
+    def test_equals_single_realization_calls(self, n, n_f):
+        order, uses = 4, 20
+        points = psk_constellation(4)
+        links = [make_link(seed=seed, n=n, order=order)[:2]
+                 for seed in (1, 2, 3)]
+        h = np.stack([realization.matrix for realization, _ in links])
+        weights = np.stack([[cb.beamformers for _, cb in links],
+                            [cb.combiners for _, cb in links]])
+        if n_f is not None:
+            weights = quantize_weights(weights, FpsBank(n_f))
+        hyp = np.stack([branch_amplitudes(cb, realization.matrix)
+                        for realization, cb in links])
+        rng = np.random.default_rng(6)
+        x0 = rng.integers(0, order, (len(links), uses))
+        x1 = rng.integers(0, points.size, (len(links), uses))
+        sigma = 1e-6
+        noise = receive_noise(rng, (len(links), uses, order), sigma)
+        # mean branch amplitude 0.1 to 100 times the noise SD
+        amplitudes = sigma / np.abs(hyp).mean() * np.array([0.1, 1.0, 100.0])
+
+        signal, combined = transmit(*weights, h, x0, points[x1], noise)
+        c_hat, s_hat = detect(signal, combined, amplitudes, hyp, points)
+        assert c_hat.shape == s_hat.shape == (len(links), 3, uses)
+        for i in range(len(links)):
+            one = transmit(weights[0, i], weights[1, i], h[i], x0[i],
+                           points[x1[i]], noise[i])
+            assert np.array_equal(signal[i], one[0])
+            assert np.array_equal(combined[i], one[1])
+            c_one, s_one = detect(*one, amplitudes, hyp[i], points)
+            assert np.array_equal(c_hat[i], c_one)
+            assert np.array_equal(s_hat[i], s_one)
+        assert np.any(c_hat != x0[:, None]) and np.any(c_hat == x0[:, None])
+
+    def test_rejects_noise_of_another_stack(self):
+        realization, cb, _ = make_link(order=2)
+        stack = np.stack([cb.beamformers, cb.beamformers])
+        with pytest.raises(ValueError, match=r"noise must be \(T, B\)"):
+            transmit(stack, np.stack([cb.combiners] * 2),
+                     np.stack([realization.matrix] * 2), np.zeros((2, 3), int),
+                     np.ones((2, 3), complex), np.zeros((3, 3, 2)))
 
 
 class TestBitAccounting:
@@ -338,7 +400,8 @@ class TestBitAccounting:
         noise = rng.normal(0, sigma, (trials, 2)) \
             + 1j * rng.normal(0, sigma, (trials, 2))
         h = realization.matrix
-        signal, combined = transmit(cb, h, x0, points[x1], noise)
+        signal, combined = transmit(cb.beamformers, cb.combiners, h, x0,
+                                    points[x1], noise)
         c_hat, s_hat = detect(signal, combined, np.array([amplitude]),
                               branch_amplitudes(cb, h), points)
         (ber,) = count_bit_errors(x0, x1, c_hat, s_hat) / (3 * trials)

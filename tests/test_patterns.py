@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cimsim
 from cimsim.arrays import ArrayKind, GeometrySpec, scenario_geometry
 from cimsim.patterns import (RadiationPattern, chart_directions,
                              compute_pattern, main_lobe_mask, pattern_frame,
@@ -302,3 +308,16 @@ class TestSummarize:
                                steer_az_deg=0.0, steer_el_deg=90.0)
         lobes = sidelobe_directivities(pat, np.zeros(gain.shape, bool))
         assert lobes.tolist() == [3.0]
+
+
+def test_importing_cimsim_leaves_scipy_ndimage_unloaded():
+    # patterns imports scipy.ndimage where it labels lobes, so a process
+    # that only sweeps BER never pays for loading it
+    src = str(Path(cimsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cimsim; print('scipy.ndimage' in sys.modules)"],
+        capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path}).stdout
+    assert out.split() == ["False"]
