@@ -90,21 +90,11 @@ class ChannelRealization:
     aod_el: np.ndarray
     aoa_az: np.ndarray
     aoa_el: np.ndarray
-    mean_aod_az: np.ndarray       # (C,) cluster mean azimuths
-    mean_aoa_az: np.ndarray
     shadow_db: float
     gain_variance: float          # linear, 10**(-0.1 * PL)
     wavelength: float
     a_t: np.ndarray = field(repr=False)   # (N_t, C*L) path steering columns
     a_r: np.ndarray = field(repr=False)   # (N_r, C*L), path c*L + l
-
-    @property
-    def n_clusters(self) -> int:
-        return self.gains.shape[0]
-
-    @property
-    def n_paths(self) -> int:
-        return self.gains.shape[1]
 
 
 def _combine_paths(gains: np.ndarray, a_t: np.ndarray,
@@ -169,6 +159,6 @@ def sample_realization(cfg: ChannelConfig, tx_positions: np.ndarray,
     return ChannelRealization(
         matrix=_combine_paths(gains, a_t, a_r), gains=gains,
         aod_az=aod_az, aod_el=aod_el, aoa_az=aoa_az, aoa_el=aoa_el,
-        mean_aod_az=mean_aod_az, mean_aoa_az=mean_aoa_az, shadow_db=shadow_db,
-        gain_variance=variance, wavelength=cfg.wavelength, a_t=a_t, a_r=a_r,
+        shadow_db=shadow_db, gain_variance=variance,
+        wavelength=cfg.wavelength, a_t=a_t, a_r=a_r,
     )

@@ -129,7 +129,7 @@ def build_codebook(realization: ChannelRealization, order: int) -> CimCodebook:
     realization's steering matrices.  ``best_paths[c]`` is the path
     maximizing |w^H H f|^2 in cluster c (lowest wins ties), for every c.
     """
-    c_count = realization.n_clusters
+    c_count, l_count = realization.gains.shape
     if order > c_count:
         raise ValueError("codebook order exceeds cluster count")
     if order < 1 or (order & (order - 1)) != 0:
@@ -146,7 +146,7 @@ def build_codebook(realization: ChannelRealization, order: int) -> CimCodebook:
         selected.append(best)
         remaining.remove(best)
 
-    columns = np.asarray(selected) * realization.n_paths + best_paths[selected]
+    columns = np.asarray(selected) * l_count + best_paths[selected]
     return CimCodebook(order=order, clusters=tuple(selected),
                        beamformers=realization.a_t[:, columns],
                        combiners=realization.a_r[:, columns],

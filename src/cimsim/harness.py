@@ -108,6 +108,24 @@ def _check_lower_bound(key: str, value: int) -> None:
         raise ValueError(f"{key} must be at least {low}, got {value}")
 
 
+_GRID_KEYS = ("geometries", "signalings", "hardware", "powers_dbm")
+
+
+def _check_axis(key: str, values: tuple) -> None:
+    """A grid axis of a SimConfig lists at least one value and none twice,
+    since a repeated value only repeats rows.  Hardware tokens are parsed,
+    which validates them, and compared as the banks they name: HE8 and
+    he(8) are the same value."""
+    if not values:
+        raise ValueError(f"{key} must be nonempty")
+    seen = set()
+    for value in values:
+        same = parse_hardware(value) if key == "hardware" else value
+        if same in seen:
+            raise ValueError(f"{key} repeats {value!r}")
+        seen.add(same)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     channel: ChannelConfig = field(default_factory=ChannelConfig)
@@ -125,9 +143,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         for key in _LOWER_BOUNDS:
             _check_lower_bound(key, getattr(self, key))
-        for key in ("geometries", "signalings", "hardware", "powers_dbm"):
-            if not getattr(self, key):
-                raise ValueError(f"{key} must be nonempty")
+        for key in _GRID_KEYS:
+            _check_axis(key, getattr(self, key))
         for key in ("powers_dbm", "noise_dbm"):
             require_finite(key, getattr(self, key))
         for g in self.geometries:
@@ -136,8 +153,6 @@ class SimConfig:
             except ValueError as exc:
                 raise ValueError(f"geometry {g} with n_elements="
                                  f"{self.n_elements}: {exc}") from None
-        for token in self.hardware:
-            parse_hardware(token)
         for order, constellation in self.signalings:
             _check_signaling(order, constellation)
             if order > self.channel.clusters:
@@ -619,8 +634,6 @@ def _parse_entry(key: str, value: str, sim_kwargs: dict,
         sim_kwargs["signalings"] = _parse_signalings(value)
     elif key == "hardware":
         sim_kwargs["hardware"] = tuple(v.strip() for v in value.split(","))
-        for token in sim_kwargs["hardware"]:
-            parse_hardware(token)
     elif key == "powers_dbm":
         sim_kwargs["powers_dbm"] = require_finite(key, _parse_powers(value))
     elif key == "angular_spread_deg":
@@ -632,3 +645,5 @@ def _parse_entry(key: str, value: str, sim_kwargs: dict,
             key, tuple(float(v) for v in value.split(",")))
     else:
         raise ValueError("unknown key")
+    if key in _GRID_KEYS:
+        _check_axis(key, sim_kwargs[key])

@@ -1,4 +1,4 @@
-"""Far-field array-factor patterns: directivity, HPBW and side-lobe stats.
+"""Far-field array-factor patterns: directivity, HPBW and side-lobe level.
 
 The pattern is sampled on a spherical (az, el) grid expressed in the
 array's *pattern chart*: a rotated polar frame whose equator passes
@@ -83,17 +83,16 @@ class RadiationPattern:
 
 @dataclass
 class PatternSummary:
-    """HPBW widths are in chart degrees; side lobes in absolute dBi.
+    """HPBW widths are in chart degrees; directivities in absolute dBi.
 
     ``asld_db`` is the geometric mean (dB average) of the side-lobe
     directivity sampled over every forward-hemisphere grid cell outside
-    the main lobe; ``sidelobe_dbi`` lists the distinct lobe peaks.
+    the main lobe.
     """
 
     directivity_dbi: float       # directivity at the steering target
     hpbw_az_deg: float           # half-power width along the azimuth cut
     hpbw_el_deg: float           # half-power width along the elevation cut
-    sidelobe_dbi: np.ndarray     # peak directivity of each detected side lobe
     asld_db: float               # dB mean over sampled side-lobe directivity
 
 
@@ -324,7 +323,7 @@ def _elevation_circle(pattern: RadiationPattern, ia: int) -> np.ndarray:
 
 
 def summarize(pattern: RadiationPattern) -> PatternSummary:
-    """Peak directivity, half-power widths and side-lobe statistics."""
+    """Peak directivity, half-power widths and average side-lobe level."""
     ie, ia = target = pattern.target_index()
     peak_db = float(pattern.gain_db[target])
     threshold = peak_db - HALF_POWER_DB
@@ -338,8 +337,6 @@ def summarize(pattern: RadiationPattern) -> PatternSummary:
     main_lobe = main_lobe_mask(pattern.gain_db, target)
     return PatternSummary(directivity_dbi=peak_db, hpbw_az_deg=hpbw_az,
                           hpbw_el_deg=hpbw_el,
-                          sidelobe_dbi=sidelobe_directivities(pattern,
-                                                              main_lobe),
                           asld_db=average_sidelobe_db(pattern, main_lobe))
 
 
@@ -352,46 +349,6 @@ def main_lobe_mask(gain_db: np.ndarray,
     above = gain_db >= gain_db[target] - MAIN_LOBE_FLOOR_DB
     labels, _ = ndimage.label(above, structure=np.ones((3, 3), dtype=int))
     return labels == labels[target]
-
-
-def sidelobe_directivities(pattern: RadiationPattern,
-                           main_lobe: np.ndarray) -> np.ndarray:
-    """Side-lobe peak directivities (dBi) over the forward hemisphere.
-
-    Side lobes are local maxima of the grid (no greater and some smaller
-    cell in the 3 x 3 neighborhood, wrapping in az; a plateau such as an
-    azimuth-constant ring counts once) outside ``main_lobe`` and within
-    |az| <= FORWARD_AZ_DEG, which excludes the mirror lobe behind a
-    planar array.
-    """
-    from scipy import ndimage
-    g = pattern.gain_db
-    candidates = ((g == _neighborhood(g, np.maximum))
-                  & (g > _neighborhood(g, np.minimum)) & ~main_lobe)
-    labels, n_lobes = ndimage.label(candidates, structure=np.ones((3, 3), int))
-    in_window = np.zeros(n_lobes + 1, dtype=bool)
-    in_window[labels[:, np.abs(pattern.az_deg) <= FORWARD_AZ_DEG]] = True
-    in_window[0] = False
-    # each of two adjacent local maxima is >= the other, so every cell of
-    # a lobe holds the lobe's peak and any one of them gives it
-    peaks = np.empty(n_lobes + 1)
-    peaks[labels[candidates]] = g[candidates]
-    return np.sort(peaks[in_window])[::-1]
-
-
-def _neighborhood(g: np.ndarray, extreme: np.ufunc) -> np.ndarray:
-    """Extreme of ``g`` over each cell's 3 x 3 neighborhood, edge rows
-    repeated and azimuth wrapped, from shifted slices of ``g``."""
-    pairs = extreme(g[:-1], g[1:])                  # rows e and e + 1
-    rows = np.empty_like(g)
-    extreme(pairs[:-1], pairs[1:], out=rows[1:-1])
-    rows[0], rows[-1] = pairs[0], pairs[-1]
-    pairs = np.empty_like(g)                        # columns a and a + 1
-    extreme(rows[:, :-1], rows[:, 1:], out=pairs[:, :-1])
-    extreme(rows[:, -1], rows[:, 0], out=pairs[:, -1])
-    extreme(pairs[:, :-1], pairs[:, 1:], out=rows[:, 1:])
-    extreme(pairs[:, -1], pairs[:, 0], out=rows[:, 0])
-    return rows
 
 
 def average_sidelobe_db(pattern: RadiationPattern,

@@ -5,7 +5,9 @@ once per session and shared.  Run with ``pytest -s`` to see the report
 lines as they complete.
 """
 
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +123,20 @@ def test_criterion_3_asld_ordering(broadside, steered):
     report("criterion 3 (ASLD ordering)", ok, detail)
 
 
+def test_summaries_match_benchmark_references(broadside, steered):
+    # the benchmark checks its pattern_grid units against these values,
+    # so a summary that drifts from them fails here first
+    refs = json.loads((Path(__file__).resolve().parents[1] / "cimbench"
+                       / "pattern_refs.json").read_text())
+    summaries = {f"{kind}@0,0": s for kind, (s, _) in broadside.items()}
+    summaries.update({f"{kind}@15,30": s for kind, s in steered.items()})
+    assert summaries.keys() == refs.keys()
+    for key, summary in summaries.items():
+        for name, expected in refs[key].items():
+            assert getattr(summary, name) == pytest.approx(
+                expected, rel=0.0, abs=1e-9), f"{key} {name}"
+
+
 def test_criterion_4_fps_oracle_equivalence():
     # exhaustive subset-sum maximization in rational arithmetic
     t0 = time.perf_counter()
@@ -226,7 +242,14 @@ def test_criterion_10_statistical_channel_checks():
     offsets = []
     for seed in range(100):
         r = sample_realization(spread_cfg, positions, positions, seed=seed)
-        raw = r.aoa_az - r.mean_aoa_az[:, None]
+        # the cluster mean AoA azimuths: the third uniform draw of the
+        # realization's angle stream
+        angle_rng = np.random.default_rng(
+            np.random.SeedSequence(seed).spawn(3)[0])
+        angle_rng.uniform(0.0, 2.0 * np.pi, spread_cfg.clusters)
+        angle_rng.uniform(0.0, np.pi, spread_cfg.clusters)
+        mean_aoa_az = angle_rng.uniform(0.0, 2.0 * np.pi, spread_cfg.clusters)
+        raw = r.aoa_az - mean_aoa_az[:, None]
         offsets.append(np.angle(np.exp(1j * raw)).ravel())
     std_deg = float(np.rad2deg(np.std(np.concatenate(offsets))))
     spread_ok = abs(std_deg - 7.5) / 7.5 < 0.03

@@ -11,6 +11,15 @@ def small_positions(n=2):
     return GeometrySpec.ula(n, LAM).positions
 
 
+def cluster_mean_azimuths(cfg, seed):
+    """The (AoD, AoA) cluster mean azimuths sample_realization draws for
+    an int seed: the first and third uniform draws of its angle stream."""
+    angle_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[0])
+    aod = angle_rng.uniform(0.0, 2.0 * np.pi, cfg.clusters)
+    angle_rng.uniform(0.0, np.pi, cfg.clusters)
+    return aod, angle_rng.uniform(0.0, 2.0 * np.pi, cfg.clusters)
+
+
 def outer_product_sum(r, tx, rx):
     """H rebuilt path by path from the stored gains and angles:
     sqrt(N_t N_r / (C L)) sum_{c,l} gain a_r a_t^H, each response
@@ -95,7 +104,9 @@ class TestSampleRealization:
         s = np.linalg.svd(r.matrix, compute_uv=False)
         assert s[1] < 1e-12 * s[0]
         # offsets vanish, so path angles sit on the cluster means
-        assert abs(r.aod_az[0, 0] - r.mean_aod_az[0]) < 1e-9
+        aod_mean, aoa_mean = cluster_mean_azimuths(cfg, 9)
+        assert abs(r.aod_az[0, 0] - aod_mean[0]) < 1e-9
+        assert abs(r.aoa_az[0, 0] - aoa_mean[0]) < 1e-9
 
     def test_matrix_shape_matches_arrays(self):
         cfg = ChannelConfig()
@@ -168,7 +179,7 @@ class TestSampleRealization:
         offsets = []
         for seed in range(100):
             r = sample_realization(cfg, pos, pos, seed=seed)
-            raw = r.aod_az - r.mean_aod_az[:, None]
+            raw = r.aod_az - cluster_mean_azimuths(cfg, seed)[0][:, None]
             offsets.append(np.angle(np.exp(1j * raw)))
         std = np.std(np.concatenate([o.ravel() for o in offsets]))
         assert abs(np.rad2deg(std) - 7.5) / 7.5 < 0.03

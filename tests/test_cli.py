@@ -41,14 +41,24 @@ from cimsim.verify import ALL_CHECKS
     (["ber", "--config", "{binary}"],
      "binary.cfg: cannot read config file: 'utf-8' codec can't decode "
      "byte 0xff"),
+    (["ber", "--geometry", "URA", "--geometry", "ura"],
+     "geometries repeats 'URA'"),
+    (["ber", "--hardware", "OP", "--hardware", "op"], "hardware repeats 'op'"),
+    (["ber", "--hardware", "HE8", "--nf", "8"], "hardware repeats 'HE8'"),
+    (["ber", "--power-range=-10,-10"], "powers_dbm repeats -10.0"),
+    (["ber", "--config", "{dup}"],
+     "dup.cfg:2: signalings: signalings repeats (2, 4)"),
 ])
 def test_bad_input_is_one_line_error(tmp_path, capsys, argv, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("geometries = CCA\nn_elements = 16\n")
     binary = tmp_path / "binary.cfg"
     binary.write_bytes(b"\xff\xfe")
+    dup = tmp_path / "dup.cfg"
+    dup.write_text("geometries = URA\nsignalings = 2x4, 2x4\n")
     out = tmp_path / "out"
-    argv = [a.format(cfg=cfg, dir=tmp_path, binary=binary) for a in argv]
+    argv = [a.format(cfg=cfg, dir=tmp_path, binary=binary, dup=dup)
+            for a in argv]
     if argv[0] != "codebook":    # codebook writes no files
         argv += ["--out", str(out)]
     assert main(argv) == 2

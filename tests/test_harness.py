@@ -153,6 +153,11 @@ class TestSimConfig:
         dict(geometries=()),
         dict(signalings=()),
         dict(hardware=()),
+        dict(geometries=("URA", "URA")),
+        dict(signalings=((2, 4), (4, 4), (2, 4))),
+        dict(hardware=("HE8", "OP", "he(8)")),
+        dict(powers_dbm=(-10.0, 0.0, -10.0)),
+        dict(powers_dbm=(0.0, -0.0)),
     ])
     def test_invalid_configs_raise(self, kwargs):
         with pytest.raises(ValueError):
@@ -681,16 +686,18 @@ class TestConfigFile:
         kinds = ["ULA", "URA", "UCA"] + (["CCA"] if n_elements == 82 else [])
         sim = dict(
             geometries=tuple(data.draw(st.lists(st.sampled_from(kinds),
-                                                min_size=1, max_size=4))),
+                                                min_size=1, max_size=4,
+                                                unique=True))),
             signalings=tuple(data.draw(st.lists(st.tuples(
                 st.sampled_from([b for b in (1, 2, 4, 8, 16)
                                  if b <= clusters]),
-                st.sampled_from([2, 4, 8, 16])), min_size=1, max_size=3))),
+                st.sampled_from([2, 4, 8, 16])), min_size=1, max_size=3,
+                unique=True))),
             hardware=tuple(data.draw(st.lists(st.sampled_from(
                 ["OP"] + [f"HE{n}" for n in range(2, 54)]),
-                min_size=1, max_size=3))),
+                min_size=1, max_size=3, unique=True))),
             powers_dbm=tuple(data.draw(st.lists(floats, min_size=1,
-                                                max_size=5))),
+                                                max_size=5, unique=True))),
             realizations=data.draw(st.integers(1, 10 ** 6)),
             symbols_per_realization=data.draw(st.integers(1, 10 ** 6)),
             seed=data.draw(st.integers(0, 2 ** 63)),
@@ -765,6 +772,9 @@ class TestConfigFile:
         ("clusters = 0", "need at least one cluster and one path"),
         ("geometries = XYZ", "'XYZ' is not a valid ArrayKind"),
         ("geometries = URA", "already set on line 1"),
+        ("signalings = 2x4, 4x4, 2x4", r"signalings repeats \(2, 4\)"),
+        ("hardware = HE8, OP, he(8)", r"hardware repeats 'he\(8\)'"),
+        ("powers_dbm = -10, 0, -10", "powers_dbm repeats -10.0"),
     ])
     def test_bad_value_names_key_and_line(self, tmp_path, line, message):
         path = tmp_path / "bad.cfg"

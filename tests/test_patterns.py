@@ -9,9 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import cimsim
 from cimsim.arrays import ArrayKind, GeometrySpec, scenario_geometry
-from cimsim.patterns import (RadiationPattern, chart_directions,
-                             compute_pattern, main_lobe_mask, pattern_frame,
-                             sidelobe_directivities, steered_pattern,
+from cimsim.patterns import (chart_directions, compute_pattern,
+                             main_lobe_mask, pattern_frame, steered_pattern,
                              steering_weights, summarize)
 
 LAM = 0.0107068735
@@ -245,10 +244,7 @@ class TestSummarize:
         s = summarize(pat)
         assert s.hpbw_az_deg > 0 and s.hpbw_el_deg > 0
         assert s.directivity_dbi >= pat.gain_db.max() - 1e-9
-        assert s.sidelobe_dbi.size > 0
-        assert s.asld_db <= s.sidelobe_dbi.max()
-        assert np.all(np.diff(s.sidelobe_dbi) <= 0)
-        assert np.all(s.sidelobe_dbi < s.directivity_dbi)
+        assert s.asld_db < s.directivity_dbi
 
     def test_main_lobe_contains_target_and_excludes_sidelobes(self):
         spec = GeometrySpec.ura(9, 9, LAM)
@@ -257,8 +253,10 @@ class TestSummarize:
         mask = main_lobe_mask(pat.gain_db, (ie, ia))
         assert mask[ie, ia]
         assert mask.sum() < mask.size * 0.02
-        lobes = sidelobe_directivities(pat, mask)
-        assert lobes.max() < pat.gain_db[ie, ia]
+        forward = np.abs(pat.az_deg) <= 90.0
+        outside = pat.gain_db[~mask & forward[None, :]]
+        assert outside.size > 0
+        assert np.all(outside < pat.gain_db[ie, ia])
 
     def test_asld_uses_forward_hemisphere(self):
         spec = GeometrySpec.ura(9, 9, LAM)
@@ -269,45 +267,6 @@ class TestSummarize:
         assert np.isfinite(expected)
         assert summarize(pat).asld_db == pytest.approx(expected, rel=1e-12)
         assert expected != pat.gain_db[side].mean()
-
-    @staticmethod
-    def brute_force_peaks(gain_db, az_deg):
-        """Cells no smaller than any of their 8 neighbors and larger than
-        one (az wraps, el clamps to the edge row), with |az| <= 90."""
-        n_el, n_az = gain_db.shape
-        peaks = []
-        for e in range(n_el):
-            for a in range(n_az):
-                if abs(az_deg[a]) > 90.0:
-                    continue
-                nbs = [gain_db[min(max(e + de, 0), n_el - 1), (a + da) % n_az]
-                       for de in (-1, 0, 1) for da in (-1, 0, 1)
-                       if (de, da) != (0, 0)]
-                g = gain_db[e, a]
-                if all(g >= nb for nb in nbs) and any(g > nb for nb in nbs):
-                    peaks.append(g)
-        return sorted(peaks, reverse=True)
-
-    def test_local_maxima_match_brute_force(self):
-        # distinct values: every local maximum is its own lobe
-        rng = np.random.default_rng(12)
-        az = np.arange(-180.0, 180.0, 10.0)
-        el = np.arange(0.0, 181.0, 10.0)
-        gain = rng.normal(size=(el.size, az.size))
-        pat = RadiationPattern(az_deg=az, el_deg=el, gain_db=gain,
-                               steer_az_deg=0.0, steer_el_deg=90.0)
-        lobes = sidelobe_directivities(pat, np.zeros(gain.shape, bool))
-        assert lobes.size > 10
-        assert lobes.tolist() == self.brute_force_peaks(gain, az)
-
-    def test_azimuth_constant_ring_is_one_lobe(self):
-        az = np.arange(-180.0, 180.0, 10.0)
-        el = np.arange(0.0, 181.0, 10.0)
-        gain = np.where(el == 60.0, 3.0, 0.0)[:, None] + np.zeros(az.size)
-        pat = RadiationPattern(az_deg=az, el_deg=el, gain_db=gain,
-                               steer_az_deg=0.0, steer_el_deg=90.0)
-        lobes = sidelobe_directivities(pat, np.zeros(gain.shape, bool))
-        assert lobes.tolist() == [3.0]
 
 
 def test_importing_cimsim_leaves_scipy_ndimage_unloaded():
