@@ -127,8 +127,11 @@ def steering(positions: np.ndarray, directions: np.ndarray,
     or a stack of them, shape (K, 3), giving one column per direction,
     shape (N, K).
 
-    The phase is taken in cycles and reduced to [-1/2, 1/2] before the
-    cosine and sine, which is exact, so their arguments stay within pi.
+    The phase c, in cycles, is reduced to [-1/2, 1/2] exactly; with the
+    half-angle tangent t = tan(pi c) the entry is ((1 - t^2) + 2jt) /
+    (sqrt(N) (1 + t^2)), within about 5e-16 / sqrt(N) of exp(j 2 pi c) /
+    sqrt(N), as a relative error e in t moves the phase 2 arctan(t) by at
+    most e.  At c = +-1/2, t is about +-1.6e16, and the entry -1/sqrt(N).
     """
     positions = np.asarray(positions, dtype=float)
     if positions.size == 0:
@@ -136,11 +139,13 @@ def steering(positions: np.ndarray, directions: np.ndarray,
     _require_wavelength(wavelength)
     cycles = (positions / wavelength) @ np.asarray(directions, dtype=float).T
     cycles -= np.rint(cycles)
-    cycles *= 2.0 * np.pi
-    norm = np.sqrt(positions.shape[0])
+    t = np.tan(np.multiply(cycles, np.pi, out=cycles), out=cycles)
+    square = t * t
+    den = square + 1.0
+    den *= np.sqrt(len(positions))                      # sqrt(N) (1 + t^2)
     response = np.empty(cycles.shape, dtype=complex)
-    response.real = np.cos(cycles) / norm
-    response.imag = np.sin(cycles) / norm
+    np.divide(np.subtract(1.0, square, out=square), den, out=response.real)
+    np.divide(np.multiply(t, 2.0, out=t), den, out=response.imag)
     return response
 
 

@@ -17,8 +17,8 @@ import numpy as np
 from .arrays import ArrayKind, scenario_geometry
 from .channel import ChannelConfig, sample_realization
 from .codebook import FpsBank, build_codebook, quantize_weights
-from .harness import (SimConfig, _parse_powers, aggregate_and_emit,
-                      load_config, run_sweep)
+from .harness import (SimConfig, _check_axis, _parse_powers,
+                      aggregate_and_emit, load_config, run_sweep)
 from .patterns import pattern_to_rows, steered_pattern, summarize
 from .verify import run_all
 
@@ -95,6 +95,7 @@ def characteristics_table(rows: list[tuple]) -> str:
 def cmd_pattern(args: argparse.Namespace) -> int:
     geometries = tuple(g.upper() for g in (args.geometry or
                                            ("ULA", "URA", "UCA", "CCA")))
+    _check_axis("geometries", geometries)
     wavelength = ChannelConfig(carrier_hz=args.carrier_ghz * 1e9).wavelength
     az_off, el_off = args.steer
     specs = [scenario_geometry(ArrayKind(g), wavelength, args.n_elements)

@@ -272,6 +272,7 @@ def _sweep_pair(cfg: SimConfig, geometry: str,
     x0 = np.empty((size, t_symbols), dtype=np.int64)
     x1 = np.empty_like(x0)
     noise = np.empty((size, t_symbols, order), dtype=complex)  # branch space
+    workspace = np.empty((4, size, t_symbols, order, constellation))
 
     for start in range(0, cfg.realizations, size):
         live = errors < cfg.error_limit
@@ -307,7 +308,7 @@ def _sweep_pair(cfg: SimConfig, geometry: str,
             signal, combined_noise = transmit(f, w, channels[:k], x0[:k],
                                               symbols, noise[:k])
             c_hat, s_hat = detect(signal, combined_noise, amplitudes[active],
-                                  hyp[:k], points)
+                                  hyp[:k], points, workspace[:, :k])
             counts[:, h, active] = count_bit_errors(
                 x0[:k, None], x1[:k, None], c_hat, s_hat)
 

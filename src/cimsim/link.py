@@ -103,8 +103,9 @@ def branch_amplitudes(cb: CimCodebook, h: np.ndarray) -> np.ndarray:
 
 
 def detect(signal: np.ndarray, noise: np.ndarray, amplitudes: np.ndarray,
-           hyp: np.ndarray,
-           points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+           hyp: np.ndarray, points: np.ndarray,
+           workspace: np.ndarray | None = None
+           ) -> tuple[np.ndarray, np.ndarray]:
     """Joint ML (cluster, symbol) decisions of T channel uses at P
     amplitudes, each (..., P, T).
 
@@ -113,16 +114,25 @@ def detect(signal: np.ndarray, noise: np.ndarray, amplitudes: np.ndarray,
     the argmin over the B*M hypotheses of |a signal(c) + noise(c) -
     a hyp[c] points[s]|^2, where ``hyp`` (..., B) holds the branch
     amplitudes; ties go to the lowest cluster, then symbol.  Leading
-    axes stack realizations as in ``transmit``."""
-    d = signal[..., None] - hyp[..., None, :, None] * points   # (..., T, B, M)
+    axes stack realizations as in ``transmit``.  The metric's terms are
+    built in a float (4, ..., T, B, M) ``workspace``, allocated here
+    unless given: a caller that detects block after block passes one."""
+    metric, distance, cross, noise_power = (
+        np.empty((4,) + signal.shape + points.shape) if workspace is None
+        else workspace)
+    # d = signal - hyp points: its real part in metric, imaginary in distance
+    hp = hyp[..., None, :, None] * points
+    np.subtract(signal.real[..., None], hp.real, out=metric)
+    np.subtract(signal.imag[..., None], hp.imag, out=distance)
     noise = noise[..., None]
-    # |n|^2 repeated over the symbols: a broadcast add is slower
-    noise_power = np.repeat(noise.real ** 2 + noise.imag ** 2, points.size,
-                            axis=-1)
-    cross = 2.0 * (noise.real * d.real + noise.imag * d.imag)
-    distance = d.real ** 2 + d.imag ** 2
-    metric = np.empty_like(distance)
-    hypotheses = metric.reshape(signal.shape[:-1] + (-1,))
+    np.multiply(noise.real, metric, out=cross)
+    cross += np.multiply(noise.imag, distance, out=noise_power)
+    cross *= 2.0
+    distance **= 2
+    distance += np.square(metric, out=metric)
+    # |n|^2 repeated over the symbols: a broadcast add in the loop is slower
+    noise_power[...] = noise.real ** 2 + noise.imag ** 2
+    hypotheses = signal.shape[:-1] + (-1,)                 # (..., T, B M)
     flat = np.empty(signal.shape[:-2] + (len(amplitudes), signal.shape[-2]),
                     dtype=np.intp)
     for p, a in enumerate(amplitudes):
@@ -130,7 +140,7 @@ def detect(signal: np.ndarray, noise: np.ndarray, amplitudes: np.ndarray,
         metric += cross
         metric *= a
         metric += noise_power
-        flat[..., p, :] = hypotheses.argmin(axis=-1)
+        flat[..., p, :] = metric.reshape(hypotheses).argmin(axis=-1)
     return np.divmod(flat, points.size)
 
 

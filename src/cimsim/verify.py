@@ -9,6 +9,7 @@ their own sizes and bounds.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from itertools import product
 
@@ -78,18 +79,27 @@ def check_quantization_bound(max_shifters: int = 8,
 
 def check_steering_norms(seed: int = 7, samples: int = 200,
                          wavelength: float = 0.0107) -> CheckResult:
-    """Steering vectors of the four scenario arrays are unit norm with
-    1/sqrt(N) entry magnitudes, toward ``samples`` random directions each."""
+    """Steering vectors of the four scenario arrays toward ``samples``
+    random directions each: unit norm, 1/sqrt(N) entry magnitudes and each
+    entry within 1e-13 of cmath.exp(2j pi p.d / lambda) / sqrt(N)."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst = entry_error = 0.0
     for kind in ArrayKind:
         pos = scenario_geometry(kind, wavelength).positions
         az, el = rng.uniform(0.0, (2.0 * np.pi, np.pi), (samples, 2)).T
-        a = steering(pos, unit_directions(az, el), wavelength)
+        directions = unit_directions(az, el)
+        a = steering(pos, directions, wavelength)
         worst = max(worst, np.abs(np.linalg.norm(a, axis=0) - 1.0).max(),
                     np.abs(np.abs(a) - 1 / np.sqrt(len(pos))).max())
-    return CheckResult("steering vectors unit-norm", worst <= 1e-12,
-                       f"max deviation = {worst:.2e}")
+        scalar = [[cmath.exp(2j * cmath.pi * (x * u + y * v + z * w)
+                             / wavelength) for u, v, w in directions.tolist()]
+                  for x, y, z in pos.tolist()]
+        entry_error = max(entry_error, np.abs(
+            a - np.array(scalar) / np.sqrt(len(pos))).max())
+    return CheckResult("steering vectors unit-norm, entries match scalar exp",
+                       worst <= 1e-12 and entry_error <= 1e-13,
+                       f"max norm deviation = {worst:.2e}, "
+                       f"max entry error = {entry_error:.2e}")
 
 
 def check_path_loss() -> CheckResult:

@@ -13,6 +13,21 @@ def table_specs(lam=LAM_28GHZ):
     return [scenario_geometry(k, lam) for k in ArrayKind]
 
 
+def extended_precision_error(pos, directions, lam=LAM_28GHZ):
+    """Largest distance of the steering entries from exp(j 2 pi p.d /
+    lambda) / sqrt(N) evaluated on the same float inputs in extended
+    precision."""
+    if np.finfo(np.longdouble).precision < 18:
+        pytest.skip("np.longdouble is no wider than float64 here")
+    a = steering(pos, directions, lam)
+    wide = np.longdouble
+    phase = (2 * np.arccos(wide(-1)) / wide(lam)
+             * (pos.astype(wide) @ directions.T.astype(wide)))
+    norm = np.sqrt(wide(len(pos)))
+    return np.hypot(a.real - np.cos(phase) / norm,
+                    a.imag - np.sin(phase) / norm).max()
+
+
 class TestElementPositions:
     def test_ula_two_elements_half_wavelength(self):
         pos = GeometrySpec.ula(2, wavelength=1.0).positions
@@ -169,22 +184,33 @@ class TestSteeringVector:
         # 83 half-wavelength-spaced elements span 41 wavelengths, so the
         # phases reach 2 pi x 41; the reference evaluates the same float
         # inputs in extended precision
-        if np.finfo(np.longdouble).precision < 18:
-            pytest.skip("np.longdouble is no wider than float64 here")
         pos = GeometrySpec.ula(83, LAM_28GHZ).positions
         rng = np.random.default_rng(41)
         directions = np.vstack([
             [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]],
             unit_directions(rng.uniform(0, 2 * np.pi, 200),
                             rng.uniform(0, np.pi, 200))])
-        a = steering(pos, directions, LAM_28GHZ)
-        wide = np.longdouble
-        phase = (2 * np.arccos(wide(-1)) / wide(LAM_28GHZ)
-                 * (pos.astype(wide) @ directions.T.astype(wide)))
-        norm = np.sqrt(wide(len(pos)))
-        error = np.hypot(a.real - np.cos(phase) / norm,
-                         a.imag - np.sin(phase) / norm)
-        assert error.max() <= 1e-14
+        assert extended_precision_error(pos, directions) <= 1e-14
+
+    @pytest.mark.parametrize("kind", list(ArrayKind))
+    def test_scenario_arrays_match_extended_precision(self, kind):
+        pos = scenario_geometry(kind, LAM_28GHZ).positions
+        rng = np.random.default_rng(17)
+        directions = unit_directions(rng.uniform(0, 2 * np.pi, 300),
+                                     rng.uniform(0, np.pi, 300))
+        assert extended_precision_error(pos, directions) <= 1e-14
+
+    def test_exact_phases(self):
+        # quarter-wavelength steps toward +-z give phases of exactly 0,
+        # +-1/4 and +-1/2 cycle (the half cycles on both sides of the
+        # reduction), where the tangent is 0, +-1 and about +-1.6e16
+        n = 9
+        pos = GeometrySpec.ula(n, 1.0, spacing=0.25).positions
+        a = steering(pos, np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]), 1.0)
+        quarter_turns = np.array([1, 1j, -1, -1j])[np.arange(n) % 4]
+        expected = np.column_stack([quarter_turns, quarter_turns.conj()])
+        assert np.all(np.isfinite(a))
+        assert np.abs(a - expected / np.sqrt(n)).max() <= 1e-16
 
     def test_direction_form_matches_angle_form(self):
         # one column per direction of a stack, each equal to the explicit

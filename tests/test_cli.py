@@ -48,6 +48,8 @@ from cimsim.verify import ALL_CHECKS
     (["ber", "--power-range=-10,-10"], "powers_dbm repeats -10.0"),
     (["ber", "--config", "{dup}"],
      "dup.cfg:2: signalings: signalings repeats (2, 4)"),
+    (["pattern", "--geometry", "URA", "--geometry", "ura"],
+     "geometries repeats 'URA'"),
 ])
 def test_bad_input_is_one_line_error(tmp_path, capsys, argv, message):
     cfg = tmp_path / "bad.cfg"

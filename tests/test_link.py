@@ -353,6 +353,13 @@ class TestStackedRealizations:
         signal, combined = transmit(*weights, h, x0, points[x1], noise)
         c_hat, s_hat = detect(signal, combined, amplitudes, hyp, points)
         assert c_hat.shape == s_hat.shape == (len(links), 3, uses)
+        # the sweep passes a slice of a larger workspace, reused dirty
+        workspace = np.full((4, len(links) + 2, uses, order, points.size),
+                            np.nan)
+        reused = detect(signal, combined, amplitudes, hyp, points,
+                        workspace[:, :len(links)])
+        assert np.array_equal(reused[0], c_hat)
+        assert np.array_equal(reused[1], s_hat)
         for i in range(len(links)):
             one = transmit(weights[0, i], weights[1, i], h[i], x0[i],
                            points[x1[i]], noise[i])
