@@ -2,8 +2,9 @@
 
 Supported layouts: uniform linear (ULA, along z), uniform rectangular
 (URA, x-y plane), uniform circular (UCA) and concentric circular (CCA),
-both in the z = 0 plane.  Element spacings and radii are given in
-wavelengths; positions come out in meters.
+both in the z = 0 plane.  ULA and URA elements are half a wavelength
+apart, and the UCA radius gives half-wavelength arc spacing; CCA ring
+radii are given in wavelengths.  Positions come out in meters.
 
 Angle convention: ``el`` is the polar angle measured from the +z axis,
 ``az`` the azimuth in the x-y plane from +x.  Angles are taken as given
@@ -32,8 +33,8 @@ class GeometrySpec:
     """One array: its kind, its wavelength in meters and its element
     positions in meters, shape (N, 3), which are made read-only.
 
-    Build one with ``ula``/``ura``/``uca``/``cca``; they take spacings
-    and radii in wavelengths.  Element order is fixed: ULA by n_z; URA
+    Build one with ``ula``/``ura``/``uca``/``cca``; only ``cca`` takes
+    radii (in wavelengths).  Element order is fixed: ULA by n_z; URA
     row-major by (n_x, n_y); UCA by n_c; CCA ring-major by (ring, n_c).
     Circular layouts place element n_c at azimuth 2*pi*n_c / N_ring.
     """
@@ -50,33 +51,30 @@ class GeometrySpec:
         return len(self.positions)
 
     @staticmethod
-    def ula(n: int, wavelength: float, spacing: float = 0.5) -> "GeometrySpec":
+    def ula(n: int, wavelength: float) -> "GeometrySpec":
         _require_wavelength(wavelength)
-        if n < 1 or spacing <= 0:
-            raise ValueError("ULA needs n >= 1 and spacing > 0")
+        if n < 1:
+            raise ValueError("ULA needs n >= 1")
         pos = np.zeros((n, 3))
-        pos[:, 2] = np.arange(n) * spacing * wavelength
+        pos[:, 2] = np.arange(n) * 0.5 * wavelength
         return GeometrySpec(ArrayKind.ULA, wavelength, pos)
 
     @staticmethod
-    def ura(n_x: int, n_y: int, wavelength: float,
-            spacing: float = 0.5) -> "GeometrySpec":
+    def ura(n_x: int, n_y: int, wavelength: float) -> "GeometrySpec":
         _require_wavelength(wavelength)
-        if n_x < 1 or n_y < 1 or spacing <= 0:
-            raise ValueError("URA needs n_x, n_y >= 1 and spacing > 0")
+        if n_x < 1 or n_y < 1:
+            raise ValueError("URA needs n_x, n_y >= 1")
         ix, iy = np.divmod(np.arange(n_x * n_y), n_y)
         pos = np.zeros((n_x * n_y, 3))
-        pos[:, 0] = ix * spacing * wavelength
-        pos[:, 1] = iy * spacing * wavelength
+        pos[:, 0] = ix * 0.5 * wavelength
+        pos[:, 1] = iy * 0.5 * wavelength
         return GeometrySpec(ArrayKind.URA, wavelength, pos)
 
     @staticmethod
-    def uca(n: int, wavelength: float, radius: float | None = None) -> "GeometrySpec":
-        # Default radius keeps ~half-wavelength arc spacing between elements.
-        if radius is None:
-            radius = n / (4.0 * np.pi)
-        return GeometrySpec(ArrayKind.UCA, wavelength,
-                            _ring_positions((radius,), (n,), wavelength))
+    def uca(n: int, wavelength: float) -> "GeometrySpec":
+        # radius n / (4 pi) wavelengths: half-wavelength arc spacing
+        return GeometrySpec(ArrayKind.UCA, wavelength, _ring_positions(
+            (n / (4.0 * np.pi),), (n,), wavelength))
 
     @staticmethod
     def cca(ring_radii: tuple[float, ...], ring_counts: tuple[int, ...],

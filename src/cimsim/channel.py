@@ -8,9 +8,10 @@ Gaussian gain with variance set by the link path loss, and assembles
 
     H = sqrt(N_t N_r / (C L)) * sum_{c,l} gain_{c,l} a_r a_t^H
 
-from the transmit/receive steering vectors of the element layouts.
-Shadowing is drawn once per realization (slow fading); no line-of-sight
-component is ever generated.
+from the transmit/receive steering vectors.  Both ends of the link use
+the same element layout, so N_t = N_r = N.  Shadowing is drawn once
+per realization (slow fading); no line-of-sight component is ever
+generated.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class ChannelConfig:
 
     clusters: int = 8
     paths_per_cluster: int = 10
-    angular_spread_rad: float = np.deg2rad(7.5)
+    angular_spread_deg: float = 7.5
     pathloss_intercept_db: float = 72.0
     pathloss_exponent: float = 2.92
     shadowing_std_db: float = 8.7
@@ -45,13 +46,13 @@ class ChannelConfig:
     carrier_hz: float = 28e9
 
     def __post_init__(self) -> None:
-        for key in ("angular_spread_rad", "pathloss_intercept_db",
+        for key in ("angular_spread_deg", "pathloss_intercept_db",
                     "pathloss_exponent", "shadowing_std_db", "tx_position",
                     "rx_position", "carrier_hz"):
             require_finite(key, getattr(self, key))
         if self.clusters < 1 or self.paths_per_cluster < 1:
             raise ValueError("need at least one cluster and one path")
-        if self.angular_spread_rad <= 0:
+        if self.angular_spread_deg <= 0:
             raise ValueError("angular spread must be positive")
         if self.shadowing_std_db < 0:
             raise ValueError("shadowing std must be nonnegative")
@@ -71,8 +72,8 @@ class ChannelConfig:
                                     - np.asarray(self.tx_position)))
 
 
-def path_loss(distance: float, intercept_db: float = 72.0,
-              exponent: float = 2.92, shadow_db: float = 0.0) -> float:
+def path_loss(distance: float, intercept_db: float, exponent: float,
+              shadow_db: float) -> float:
     """Link path loss in dB: intercept + 10*exponent*log10(d) + shadowing."""
     if distance <= 0:
         raise ValueError("distance must be positive")
@@ -84,7 +85,7 @@ class ChannelRealization:
     """One channel drop: per-path geometry/gains, their steering matrices
     and the assembled matrix."""
 
-    matrix: np.ndarray            # (N_r, N_t) complex
+    matrix: np.ndarray            # (N, N) complex, receive by transmit
     gains: np.ndarray             # (C, L) complex
     aod_az: np.ndarray            # (C, L) radians
     aod_el: np.ndarray
@@ -93,8 +94,8 @@ class ChannelRealization:
     shadow_db: float
     gain_variance: float          # linear, 10**(-0.1 * PL)
     wavelength: float
-    a_t: np.ndarray = field(repr=False)   # (N_t, C*L) path steering columns
-    a_r: np.ndarray = field(repr=False)   # (N_r, C*L), path c*L + l
+    a_t: np.ndarray = field(repr=False)   # (N, C*L) path steering columns
+    a_r: np.ndarray = field(repr=False)   # (N, C*L), path c*L + l
 
 
 def _combine_paths(gains: np.ndarray, a_t: np.ndarray,
@@ -111,20 +112,20 @@ def _fold_elevation(el: np.ndarray) -> np.ndarray:
     return np.where(el > np.pi, 2.0 * np.pi - el, el)
 
 
-def sample_realization(cfg: ChannelConfig, tx_positions: np.ndarray,
-                       rx_positions: np.ndarray,
-                       seed: "int | np.random.SeedSequence") -> ChannelRealization:
-    """Draw one seeded channel realization.
+def sample_realization(cfg: ChannelConfig, positions: np.ndarray,
+                       seed: "int | list[int]") -> ChannelRealization:
+    """Draw one seeded channel realization between two arrays that both
+    have the element ``positions``.
 
-    Sub-streams for angles, gains and shadowing are spawned
-    deterministically from the seed, so every field is reproducible
-    bit-for-bit for a fixed seed.  The per-path steering matrices the
-    channel matrix is assembled from are kept as ``a_t`` / ``a_r``, so
-    the codebook reuses them instead of rebuilding them.
+    ``seed`` is anything ``np.random.SeedSequence`` takes.  Sub-streams
+    for angles, gains and shadowing are spawned deterministically from
+    it, so every field is reproducible bit-for-bit for a fixed seed.
+    The per-path steering matrices the channel matrix is assembled from
+    are kept as ``a_t`` / ``a_r``, so the codebook reuses them instead
+    of rebuilding them.
     """
-    ss = seed if isinstance(seed, np.random.SeedSequence) \
-        else np.random.SeedSequence(seed)
-    angle_rng, gain_rng, shadow_rng = map(np.random.default_rng, ss.spawn(3))
+    angle_rng, gain_rng, shadow_rng = map(
+        np.random.default_rng, np.random.SeedSequence(seed).spawn(3))
 
     c_count, l_count = cfg.clusters, cfg.paths_per_cluster
     mean_aod_az = angle_rng.uniform(0.0, 2.0 * np.pi, c_count)
@@ -133,7 +134,7 @@ def sample_realization(cfg: ChannelConfig, tx_positions: np.ndarray,
     mean_aoa_el = angle_rng.uniform(0.0, np.pi, c_count)
 
     # Laplacian offsets with std equal to the angular spread.
-    lap_scale = cfg.angular_spread_rad / np.sqrt(2.0)
+    lap_scale = np.deg2rad(cfg.angular_spread_deg) / np.sqrt(2.0)
     offsets = angle_rng.laplace(0.0, lap_scale, size=(4, c_count, l_count))
     aod_az = np.mod(mean_aod_az[:, None] + offsets[0], 2.0 * np.pi)
     aod_el = _fold_elevation(mean_aod_el[:, None] + offsets[1])
@@ -150,10 +151,10 @@ def sample_realization(cfg: ChannelConfig, tx_positions: np.ndarray,
     gains = gain_rng.normal(0.0, sigma, (c_count, l_count)) \
         + 1j * gain_rng.normal(0.0, sigma, (c_count, l_count))
 
-    a_t = steering(tx_positions,
+    a_t = steering(positions,
                    unit_directions(aod_az.ravel(), aod_el.ravel()),
                    cfg.wavelength)
-    a_r = steering(rx_positions,
+    a_r = steering(positions,
                    unit_directions(aoa_az.ravel(), aoa_el.ravel()),
                    cfg.wavelength)
     return ChannelRealization(

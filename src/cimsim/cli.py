@@ -34,8 +34,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="array kind, repeatable (ULA/URA/UCA/CCA)")
     p.add_argument("--hardware", action="append",
                    help="analog network: OP or HE<n>, repeatable")
-    p.add_argument("--nf", type=int,
-                   help="shorthand for --hardware HE<n>")
     p.add_argument("--power-range", dest="power_range",
                    help="dBm sweep, lo:hi:step or comma list")
 
@@ -45,11 +43,8 @@ def _resolve_config(args: argparse.Namespace) -> SimConfig:
     updates: dict = {}
     if args.geometry:
         updates["geometries"] = tuple(g.upper() for g in args.geometry)
-    hardware = list(args.hardware or [])
-    if args.nf is not None:
-        hardware.append(f"HE{args.nf}")
-    if hardware:
-        updates["hardware"] = tuple(hardware)
+    if args.hardware:
+        updates["hardware"] = tuple(args.hardware)
     if args.power_range:
         updates["powers_dbm"] = _parse_powers(args.power_range)
     if args.seed is not None:
@@ -129,9 +124,7 @@ def cmd_codebook(args: argparse.Namespace) -> int:
     spec = scenario_geometry(ArrayKind(geometries[0].upper()),
                              cfg.wavelength, args.n_elements)
     bank = FpsBank(args.nf) if args.nf is not None else None
-    positions = spec.positions
-    realization = sample_realization(cfg, positions, positions,
-                                     args.seed if args.seed is not None else 1)
+    realization = sample_realization(cfg, spec.positions, args.seed)
     cb = build_codebook(realization, args.order)
     print(f"geometry={spec.kind.value} N={spec.n_elements} "
           f"order={cb.order} seed={args.seed}")

@@ -2,11 +2,13 @@
 
 The codebook indexes B of the C channel clusters.  Per cluster the best
 effective path maximizes |w^H H f|^2 with the beamformer/combiner
-steered at that path; clusters are then picked greedily in descending
-effective gain.  Two hardware models synthesize the analog weights:
-ideal single phase shifters (continuous phases) and a
-hardware-efficient bank of fixed phase shifters combined through
-switches, which floors every phase to a 2*pi / 2**(n_shifters-1) grid.
+steered at that path; the B clusters of largest effective gain are then
+taken in descending gain.  Beamformer and combiner are steering vectors
+of the one element layout both ends share.  Two hardware models
+synthesize the analog weights: ideal single phase shifters (continuous
+phases) and a hardware-efficient bank of fixed phase shifters combined
+through switches, which floors every phase to a 2*pi / 2**(n_shifters-1)
+grid.
 """
 
 from __future__ import annotations
@@ -107,8 +109,8 @@ class CimCodebook:
 
     order: int                    # B, number of indexed clusters
     clusters: tuple[int, ...]     # selected cluster ids, descending gain
-    beamformers: np.ndarray       # (N_t, B) complex
-    combiners: np.ndarray         # (N_r, B) complex
+    beamformers: np.ndarray       # (N, B) complex
+    combiners: np.ndarray         # (N, B) complex
     best_paths: np.ndarray        # (C,) best path index per cluster
     effective_gains: np.ndarray   # (B,) |w^H H f|^2 of the selected clusters
 
@@ -122,7 +124,8 @@ def _per_path_gains(realization: ChannelRealization) -> np.ndarray:
 
 
 def build_codebook(realization: ChannelRealization, order: int) -> CimCodebook:
-    """Greedy gain-descending codebook of ``order`` clusters.
+    """Codebook of the ``order`` clusters of largest effective gain, in
+    descending gain; among equal gains the lower cluster comes first.
 
     Selection always uses the ideal (continuous-phase) steering vectors,
     and the codewords are the selected paths' columns of the
@@ -139,15 +142,10 @@ def build_codebook(realization: ChannelRealization, order: int) -> CimCodebook:
     best_paths = np.argmax(path_gains, axis=1)
     cluster_gains = path_gains[np.arange(c_count), best_paths]
 
-    selected: list[int] = []
-    remaining = list(range(c_count))
-    for _ in range(order):
-        best = max(remaining, key=lambda c: (cluster_gains[c], -c))
-        selected.append(best)
-        remaining.remove(best)
-
-    columns = np.asarray(selected) * l_count + best_paths[selected]
-    return CimCodebook(order=order, clusters=tuple(selected),
+    # descending gain, the lower cluster first among equal gains
+    selected = np.argsort(-cluster_gains, kind="stable")[:order]
+    columns = selected * l_count + best_paths[selected]
+    return CimCodebook(order=order, clusters=tuple(selected.tolist()),
                        beamformers=realization.a_t[:, columns],
                        combiners=realization.a_r[:, columns],
                        best_paths=best_paths,

@@ -280,9 +280,8 @@ def _sweep_pair(cfg: SimConfig, geometry: str,
             break
         k = min(size, cfg.realizations - start)
         for i, r in enumerate(range(start, start + k)):
-            realization = sample_realization(
-                cfg.channel, positions, positions,
-                np.random.SeedSequence([cfg.seed, r, 0]))
+            realization = sample_realization(cfg.channel, positions,
+                                             [cfg.seed, r, 0])
             cb_detect = build_codebook(realization, order)
 
             payload_rng = np.random.default_rng(
@@ -473,13 +472,19 @@ CSV_HEADER = ("geometry,B,M,hardware,N_F,P_dBm,bits_total,bit_errors,"
               "ber,seed,se_robust,ci95_lo,ci95_hi\n")
 
 
+def _power_text(power_dbm: float) -> str:
+    """The shortest text that reads back as the same float, so two
+    distinct powers never print alike."""
+    return np.format_float_positional(power_dbm, trim="-")
+
+
 def results_to_csv(results: list[BerResult]) -> str:
     lines = [CSV_HEADER]
     for r in results:
         lo, hi = r.ci95
         lines.append(f"{r.geometry},{r.order},{r.constellation},{r.hardware},"
-                     f"{r.n_shifters},{r.power_dbm:.6g},{r.bits_total},"
-                     f"{r.bit_errors},{r.ber:.10e},{r.seed},"
+                     f"{r.n_shifters},{_power_text(r.power_dbm)},"
+                     f"{r.bits_total},{r.bit_errors},{r.ber:.10e},{r.seed},"
                      f"{r.se_robust:.10e},{lo:.10e},{hi:.10e}\n")
     return "".join(lines)
 
@@ -503,12 +508,13 @@ def aggregate_and_emit(results: list[BerResult], out_dir: "str | Path",
     manifest = {
         "version": __version__,
         "environment": _environment(workers, n_tasks),
-        "config": _config_dict(cfg),
+        "config": dataclasses.asdict(cfg),
         "elements": _element_counts(cfg),
         "points": len(results),
-        "realizations_used": {f"{r.geometry}/{r.order}x{r.constellation}/"
-                              f"{r.hardware}/{r.power_dbm:g}": r.realizations_used
-                              for r in results},
+        "realizations_used": {
+            f"{r.geometry}/{r.order}x{r.constellation}/{r.hardware}/"
+            f"{_power_text(r.power_dbm)}": r.realizations_used
+            for r in results},
     }
     manifest_path = out / "run_manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
@@ -523,18 +529,12 @@ def _element_counts(cfg: SimConfig) -> dict[str, int]:
             for g in cfg.geometries}
 
 
-def _config_dict(cfg: SimConfig) -> dict:
-    d = dataclasses.asdict(cfg)
-    d["channel"]["angular_spread_deg"] = float(
-        np.rad2deg(cfg.channel.angular_spread_rad))
-    return d
-
-
 # --- flat key=value config files -------------------------------------------
 
 _CHANNEL_KEYS = {
     "clusters": int,
     "paths_per_cluster": int,
+    "angular_spread_deg": float,
     "pathloss_intercept_db": float,
     "pathloss_exponent": float,
     "shadowing_std_db": float,
@@ -637,10 +637,6 @@ def _parse_entry(key: str, value: str, sim_kwargs: dict,
         sim_kwargs["hardware"] = tuple(v.strip() for v in value.split(","))
     elif key == "powers_dbm":
         sim_kwargs["powers_dbm"] = require_finite(key, _parse_powers(value))
-    elif key == "angular_spread_deg":
-        chan_kwargs["angular_spread_rad"] = float(np.deg2rad(
-            require_finite(key, float(value))))
-        ChannelConfig(angular_spread_rad=chan_kwargs["angular_spread_rad"])
     elif key in ("tx_position", "rx_position"):
         chan_kwargs[key] = require_finite(
             key, tuple(float(v) for v in value.split(",")))

@@ -150,8 +150,7 @@ def check_noiseless_detection(
     failures = 0
     for kind in geometries:
         spec = scenario_geometry(kind, channel.wavelength, n_elements)
-        pos = spec.positions
-        realization = sample_realization(channel, pos, pos, seed)
+        realization = sample_realization(channel, spec.positions, seed)
         amplitude = db_to_linear(array_gain_db(spec.n_elements)) ** 2
         for order in orders:
             cb = build_codebook(realization, order)
@@ -173,7 +172,7 @@ def check_best_path_bruteforce(seed: int = 3) -> CheckResult:
     cfg = ChannelConfig(clusters=3, paths_per_cluster=5)
     mismatches = 0
     for s in range(seed, seed + 10):
-        r = sample_realization(cfg, pos, pos, s)
+        r = sample_realization(cfg, pos, s)
         best_paths = build_codebook(r, 1).best_paths
         lam = r.wavelength
         for c in range(cfg.clusters):

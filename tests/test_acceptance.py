@@ -231,7 +231,7 @@ def test_criterion_10_statistical_channel_checks():
     acc = 0.0
     n_real = 10_000
     for seed in range(n_real):
-        r = sample_realization(cfg, positions, positions, seed=seed)
+        r = sample_realization(cfg, positions, seed=seed)
         acc += float(np.mean(np.abs(r.gains) ** 2))
     mean_gain = acc / n_real
     expected = 10 ** (-0.1 * 135.5418647644259)
@@ -241,7 +241,7 @@ def test_criterion_10_statistical_channel_checks():
     spread_cfg = ChannelConfig(clusters=4, paths_per_cluster=250)
     offsets = []
     for seed in range(100):
-        r = sample_realization(spread_cfg, positions, positions, seed=seed)
+        r = sample_realization(spread_cfg, positions, seed=seed)
         # the cluster mean AoA azimuths: the third uniform draw of the
         # realization's angle stream
         angle_rng = np.random.default_rng(

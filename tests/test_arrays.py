@@ -53,7 +53,7 @@ class TestElementPositions:
         np.testing.assert_allclose(steps_x, LAM_28GHZ / 2)
 
     def test_uca_placement_angles(self):
-        spec = GeometrySpec.uca(8, wavelength=1.0, radius=2.0)
+        spec = GeometrySpec.uca(8, wavelength=1.0)
         pos = spec.positions
         ang = np.arctan2(pos[:, 1], pos[:, 0])
         expected = np.angle(np.exp(2j * np.pi * np.arange(8) / 8))
@@ -81,9 +81,8 @@ class TestElementPositions:
 
     @pytest.mark.parametrize("bad", [
         lambda: GeometrySpec.ula(0, 1.0),
-        lambda: GeometrySpec.ula(4, 1.0, spacing=-0.5),
         lambda: GeometrySpec.ura(0, 3, 1.0),
-        lambda: GeometrySpec.uca(4, 1.0, radius=-1.0),
+        lambda: GeometrySpec.uca(0, 1.0),
         lambda: GeometrySpec.cca((0.5, 1.0), (4,), 1.0),
         lambda: GeometrySpec.cca((0.5, -1.0), (4, 4), 1.0),
         lambda: GeometrySpec.ula(4, wavelength=0.0),
@@ -201,11 +200,12 @@ class TestSteeringVector:
         assert extended_precision_error(pos, directions) <= 1e-14
 
     def test_exact_phases(self):
-        # quarter-wavelength steps toward +-z give phases of exactly 0,
-        # +-1/4 and +-1/2 cycle (the half cycles on both sides of the
+        # a ULA built for wavelength 0.5 and steered at wavelength 1 has
+        # quarter-wavelength steps; toward +-z they give phases of exactly
+        # 0, +-1/4 and +-1/2 cycle (the half cycles on both sides of the
         # reduction), where the tangent is 0, +-1 and about +-1.6e16
         n = 9
-        pos = GeometrySpec.ula(n, 1.0, spacing=0.25).positions
+        pos = GeometrySpec.ula(n, 0.5).positions
         a = steering(pos, np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]), 1.0)
         quarter_turns = np.array([1, 1j, -1, -1j])[np.arange(n) % 4]
         expected = np.column_stack([quarter_turns, quarter_turns.conj()])

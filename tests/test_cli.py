@@ -44,7 +44,8 @@ from cimsim.verify import ALL_CHECKS
     (["ber", "--geometry", "URA", "--geometry", "ura"],
      "geometries repeats 'URA'"),
     (["ber", "--hardware", "OP", "--hardware", "op"], "hardware repeats 'op'"),
-    (["ber", "--hardware", "HE8", "--nf", "8"], "hardware repeats 'HE8'"),
+    (["ber", "--hardware", "HE8", "--hardware", "he(8)"],
+     "hardware repeats 'he(8)'"),
     (["ber", "--power-range=-10,-10"], "powers_dbm repeats -10.0"),
     (["ber", "--config", "{dup}"],
      "dup.cfg:2: signalings: signalings repeats (2, 4)"),

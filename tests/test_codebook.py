@@ -29,7 +29,7 @@ def exhaustive_best_phase(theta: float, bank: FpsBank) -> float:
 def make_realization(seed=1, clusters=8, paths=10, n=8):
     pos = GeometrySpec.ula(n, LAM).positions
     cfg = ChannelConfig(clusters=clusters, paths_per_cluster=paths)
-    return sample_realization(cfg, pos, pos, seed=seed), pos
+    return sample_realization(cfg, pos, seed=seed), pos
 
 
 class TestFpsBank:
@@ -206,7 +206,7 @@ class TestBestEffectivePath:
         pos = GeometrySpec.ula(4, LAM).positions
         cfg = ChannelConfig(clusters=3, paths_per_cluster=5)
         for seed in range(20):
-            realization = sample_realization(cfg, pos, pos, seed=seed)
+            realization = sample_realization(cfg, pos, seed=seed)
             best_paths = build_codebook(realization, 1).best_paths
             for c in range(3):
                 metrics = []
@@ -244,6 +244,18 @@ class TestBuildCodebook:
             scan.append(max(metrics))
         expected = tuple(int(i) for i in np.argsort(scan)[::-1][:2])
         assert cb.clusters == expected
+
+    def test_equal_gains_select_lower_cluster_first(self):
+        # unit steering columns and a diagonal channel make the cluster
+        # gains exactly the squared diagonal: 1, 9, 4, 9
+        realization, _ = make_realization(clusters=4, paths=1, n=4)
+        realization.a_t = realization.a_r = np.eye(4, dtype=complex)
+        realization.matrix = np.diag([1.0, 3.0, 2.0, 3.0]).astype(complex)
+        assert build_codebook(realization, 2).clusters == (1, 3)
+        cb = build_codebook(realization, 4)
+        assert cb.clusters == (1, 3, 2, 0)
+        assert all(type(c) is int for c in cb.clusters)
+        assert cb.effective_gains.tolist() == [9.0, 9.0, 4.0, 1.0]
 
     def test_greedy_gains_non_increasing(self):
         realization, _ = make_realization(seed=13)

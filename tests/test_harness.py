@@ -498,9 +498,8 @@ class TestRunSweep:
         sigma = np.sqrt(dbm_to_watt(cfg.noise_dbm) / 2.0)
         total = 0
         for r in range(4):
-            realization = sample_realization(
-                cfg.channel, positions, positions,
-                np.random.SeedSequence([3, r, 0]))
+            realization = sample_realization(cfg.channel, positions,
+                                             [3, r, 0])
             h = realization.matrix
             cb = build_codebook(realization, 2)
             hyp = [cb.combiners[:, c].conj() @ h @ cb.beamformers[:, c]
@@ -633,6 +632,20 @@ class TestEmit:
         assert manifest["elements"] == {"ULA": 82, "URA": 81, "UCA": 82,
                                         "CCA": 82}
 
+    def test_distinct_powers_print_distinctly(self, tmp_path):
+        # two powers that agree to 6 significant digits keep their own
+        # CSV cell and manifest entry
+        cfg = SimConfig(geometries=("ULA",), powers_dbm=(-10.0, -10.0000001),
+                        realizations=2, symbols_per_realization=4,
+                        n_elements=16)
+        results = run_sweep(cfg)
+        csv_path, manifest_path = aggregate_and_emit(results, tmp_path, cfg)
+        rows = csv_path.read_text().splitlines()[1:]
+        powers = {row.split(",")[5] for row in rows}
+        assert powers == {"-10", "-10.0000001"}
+        used = json.loads(manifest_path.read_text())["realizations_used"]
+        assert len(used) == len(results)
+
     def test_same_config_same_bytes(self, tmp_path):
         cfg = SimConfig(**{**TINY, "realizations": 2})
         a = aggregate_and_emit(run_sweep(cfg), tmp_path / "a",
@@ -674,7 +687,7 @@ class TestConfigFile:
         assert cfg.powers_dbm == (-20.0, -10.0, 0.0)
         assert cfg.realizations == 5 and cfg.seed == 42
         assert cfg.channel.clusters == 8
-        assert np.rad2deg(cfg.channel.angular_spread_rad) == pytest.approx(7.5)
+        assert cfg.channel.angular_spread_deg == 7.5
 
     @settings(max_examples=30, deadline=None, derandomize=True,
               database=None)
@@ -704,9 +717,9 @@ class TestConfigFile:
             n_elements=n_elements,
             noise_dbm=data.draw(floats),
             error_limit=data.draw(st.integers(1, 10 ** 9)))
-        spread_deg = data.draw(st.floats(1e-3, 90.0))
         channel = dict(
             clusters=clusters,
+            angular_spread_deg=data.draw(st.floats(1e-3, 90.0)),
             paths_per_cluster=data.draw(st.integers(1, 50)),
             pathloss_intercept_db=data.draw(floats),
             pathloss_exponent=data.draw(floats),
@@ -722,15 +735,13 @@ class TestConfigFile:
                 return ", ".join(map(text, value))
             return repr(value) if isinstance(value, float) else str(value)
 
-        entries = {**sim, **channel, "angular_spread_deg": spread_deg,
+        entries = {**sim, **channel,
                    "signalings": tuple(f"{b}x{m}"
                                        for b, m in sim["signalings"])}
         lines = [f"{key} = {text(value)}" for key, value in entries.items()]
         path = tmp_path_factory.mktemp("cfg") / "sim.cfg"
         path.write_text("\n".join(lines) + "\n")
-        expected = SimConfig(channel=ChannelConfig(
-            angular_spread_rad=float(np.deg2rad(spread_deg)), **channel),
-            **sim)
+        expected = SimConfig(channel=ChannelConfig(**channel), **sim)
         assert load_config(path) == expected
 
     def test_unknown_key_rejected(self, tmp_path):

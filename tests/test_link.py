@@ -18,7 +18,7 @@ def make_link(seed=1, n=8, clusters=4, order=2, power_w=1.0):
     """Channel, codebook and amplitude sqrt(P) G_t G_r of a small ULA link."""
     pos = GeometrySpec.ula(n, LAM).positions
     cfg = ChannelConfig(clusters=clusters, paths_per_cluster=4)
-    realization = sample_realization(cfg, pos, pos, seed=seed)
+    realization = sample_realization(cfg, pos, seed=seed)
     cb = build_codebook(realization, order)
     gain = db_to_linear(array_gain_db(n))
     return realization, cb, np.sqrt(power_w) * gain * gain
