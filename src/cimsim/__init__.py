@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 from .arrays import (ArrayKind, GeometrySpec, SPEED_OF_LIGHT,
                      scenario_geometry, steering, unit_directions)
-from .channel import (ChannelConfig, ChannelRealization, path_loss,
-                      sample_realization)
+from .channel import (ChannelConfig, ChannelPaths, ChannelRealization,
+                      draw_paths, path_loss, sample_realization)
 from .codebook import (CimCodebook, FpsBank, build_codebook,
                        compose_switch_vector, quantize_weights,
                        realized_phase)

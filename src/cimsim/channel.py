@@ -3,8 +3,10 @@
 A realization draws C cluster mean angles (azimuth uniform on [0, 2*pi),
 polar elevation uniform on [0, pi)), spreads L paths per cluster with
 independent Laplacian offsets whose standard deviation equals the
-configured angular spread, gives every path an i.i.d. circular complex
-Gaussian gain with variance set by the link path loss, and assembles
+configured angular spread and gives every path an i.i.d. circular
+complex Gaussian gain with variance set by the link path loss
+(``draw_paths``).  None of that depends on the arrays, so one draw
+serves every element layout: per layout, ``sample_realization`` assembles
 
     H = sqrt(N_t N_r / (C L)) * sum_{c,l} gain_{c,l} a_r a_t^H
 
@@ -81,11 +83,10 @@ def path_loss(distance: float, intercept_db: float, exponent: float,
 
 
 @dataclass
-class ChannelRealization:
-    """One channel drop: per-path geometry/gains, their steering matrices
-    and the assembled matrix."""
+class ChannelPaths:
+    """The layout-free part of one channel drop: per-path angles, their
+    unit directions, gains, shadowing and gain variance."""
 
-    matrix: np.ndarray            # (N, N) complex, receive by transmit
     gains: np.ndarray             # (C, L) complex
     aod_az: np.ndarray            # (C, L) radians
     aod_el: np.ndarray
@@ -94,6 +95,16 @@ class ChannelRealization:
     shadow_db: float
     gain_variance: float          # linear, 10**(-0.1 * PL)
     wavelength: float
+    aod_dirs: np.ndarray = field(repr=False)   # (C*L, 3), path c*L + l
+    aoa_dirs: np.ndarray = field(repr=False)
+
+
+@dataclass
+class ChannelRealization(ChannelPaths):
+    """One channel drop between two arrays of one element layout: its
+    paths, their steering matrices and the assembled matrix."""
+
+    matrix: np.ndarray            # (N, N) complex, receive by transmit
     a_t: np.ndarray = field(repr=False)   # (N, C*L) path steering columns
     a_r: np.ndarray = field(repr=False)   # (N, C*L), path c*L + l
 
@@ -112,17 +123,14 @@ def _fold_elevation(el: np.ndarray) -> np.ndarray:
     return np.where(el > np.pi, 2.0 * np.pi - el, el)
 
 
-def sample_realization(cfg: ChannelConfig, positions: np.ndarray,
-                       seed: "int | list[int]") -> ChannelRealization:
-    """Draw one seeded channel realization between two arrays that both
-    have the element ``positions``.
+def draw_paths(cfg: ChannelConfig, seed: "int | list[int]") -> ChannelPaths:
+    """Draw the paths of one seeded channel realization.
 
     ``seed`` is anything ``np.random.SeedSequence`` takes.  Sub-streams
     for angles, gains and shadowing are spawned deterministically from
     it, so every field is reproducible bit-for-bit for a fixed seed.
-    The per-path steering matrices the channel matrix is assembled from
-    are kept as ``a_t`` / ``a_r``, so the codebook reuses them instead
-    of rebuilding them.
+    Nothing here depends on an element layout, so one draw serves every
+    geometry through ``sample_realization``.
     """
     angle_rng, gain_rng, shadow_rng = map(
         np.random.default_rng, np.random.SeedSequence(seed).spawn(3))
@@ -150,16 +158,24 @@ def sample_realization(cfg: ChannelConfig, positions: np.ndarray,
     sigma = np.sqrt(variance / 2.0)
     gains = gain_rng.normal(0.0, sigma, (c_count, l_count)) \
         + 1j * gain_rng.normal(0.0, sigma, (c_count, l_count))
+    return ChannelPaths(
+        gains=gains, aod_az=aod_az, aod_el=aod_el, aoa_az=aoa_az,
+        aoa_el=aoa_el, shadow_db=shadow_db, gain_variance=variance,
+        wavelength=cfg.wavelength,
+        aod_dirs=unit_directions(aod_az.ravel(), aod_el.ravel()),
+        aoa_dirs=unit_directions(aoa_az.ravel(), aoa_el.ravel()))
 
-    a_t = steering(positions,
-                   unit_directions(aod_az.ravel(), aod_el.ravel()),
-                   cfg.wavelength)
-    a_r = steering(positions,
-                   unit_directions(aoa_az.ravel(), aoa_el.ravel()),
-                   cfg.wavelength)
-    return ChannelRealization(
-        matrix=_combine_paths(gains, a_t, a_r), gains=gains,
-        aod_az=aod_az, aod_el=aod_el, aoa_az=aoa_az, aoa_el=aoa_el,
-        shadow_db=shadow_db, gain_variance=variance,
-        wavelength=cfg.wavelength, a_t=a_t, a_r=a_r,
-    )
+
+def sample_realization(paths: ChannelPaths,
+                       positions: np.ndarray) -> ChannelRealization:
+    """The realization of drawn ``paths`` between two arrays that both
+    have the element ``positions``.
+
+    The per-path steering matrices the channel matrix is assembled from
+    are kept as ``a_t`` / ``a_r``, so the codebook reuses them instead
+    of rebuilding them.
+    """
+    a_t = steering(positions, paths.aod_dirs, paths.wavelength)
+    a_r = steering(positions, paths.aoa_dirs, paths.wavelength)
+    return ChannelRealization(**vars(paths), a_t=a_t, a_r=a_r,
+                              matrix=_combine_paths(paths.gains, a_t, a_r))

@@ -15,10 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from .arrays import ArrayKind, scenario_geometry
-from .channel import ChannelConfig, sample_realization
+from .channel import ChannelConfig, draw_paths, sample_realization
 from .codebook import FpsBank, build_codebook, quantize_weights
-from .harness import (SimConfig, _check_axis, _parse_powers,
-                      aggregate_and_emit, load_config, run_sweep)
+from .harness import (SimConfig, _check_axis, _check_lower_bound,
+                      _parse_powers, aggregate_and_emit, load_config,
+                      run_sweep)
 from .patterns import pattern_to_rows, steered_pattern, summarize
 from .verify import run_all
 
@@ -116,6 +117,7 @@ def cmd_pattern(args: argparse.Namespace) -> int:
 
 
 def cmd_codebook(args: argparse.Namespace) -> int:
+    _check_lower_bound("seed", args.seed)
     cfg = ChannelConfig(carrier_hz=args.carrier_ghz * 1e9)
     geometries = args.geometry or ["URA"]
     if len(geometries) > 1:
@@ -124,7 +126,8 @@ def cmd_codebook(args: argparse.Namespace) -> int:
     spec = scenario_geometry(ArrayKind(geometries[0].upper()),
                              cfg.wavelength, args.n_elements)
     bank = FpsBank(args.nf) if args.nf is not None else None
-    realization = sample_realization(cfg, spec.positions, args.seed)
+    realization = sample_realization(draw_paths(cfg, args.seed),
+                                     spec.positions)
     cb = build_codebook(realization, args.order)
     print(f"geometry={spec.kind.value} N={spec.n_elements} "
           f"order={cb.order} seed={args.seed}")

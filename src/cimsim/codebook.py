@@ -13,6 +13,7 @@ grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,9 @@ class FpsBank:
 
     @property
     def phase_step(self) -> float:
-        return TWO_PI / 2 ** (self.n_shifters - 1)
+        # exact for every accepted bank; for banks too large to realize
+        # it underflows toward 0 instead of overflowing
+        return math.ldexp(TWO_PI, 1 - self.n_shifters)
 
 
 def wrap_phase(theta: "float | np.ndarray") -> "float | np.ndarray":

@@ -1,23 +1,31 @@
 """Monte Carlo BER sweeps over (geometry, signaling, hardware, power).
 
-One task covers one (geometry, signaling) pair: every hardware model
-and every power point of it.  Each realization of a task is drawn once
-(channel, steering matrices, codebook selection, payload bits, noise and
-the detector's hypothesis values) and feeds the transmit path of every
-hardware model.  Early stopping stays per (hardware, power) point.
+A task covers a contiguous group of the grid's geometry-major (geometry,
+signaling) pairs: every hardware model and every power point of each.
+The serial sweep is one task of every pair; a pool of W workers runs
+min(W, pairs) tasks.  Each realization of a task draws its paths once
+(``draw_paths``), its payload bits and noise once per signaling, and is
+realized once per geometry (steering matrices and channel matrix).  Per
+pair, its codebook selection and the detector's hypothesis values then
+feed the transmit path of every hardware model.  Early stopping stays
+per (pair, hardware, power) point.
 
-A task runs its realizations in blocks (``BLOCK_ELEMENTS`` and
-``BLOCK_CHANNEL_ELEMENTS`` set their size).  Each realization of a block
-is drawn on its own; then, per hardware model, one ``quantize_weights``,
-one ``transmit``, one ``detect`` and one ``count_bit_errors`` call, each
-over a leading realization axis, count the whole block at every power
-point live at the block's start.  The early stop is then replayed
-realization by realization: a point takes realization r's counts only
-while it is still below ``error_limit``.  Realization r's counts depend
-only on (seed, r), so this gives exactly the rows of a loop over single
-realizations, whatever the block size.  A block is computed only if
-some point is live at its start, so at most K - 1 realizations (K the
-block size) are drawn past a task's last stop, and none is counted.
+A task draws its realizations in blocks of the largest of its pairs'
+block sizes (``BLOCK_ELEMENTS`` and ``BLOCK_CHANNEL_ELEMENTS`` set a
+pair's), and each pair counts a drawn block in blocks of its own size:
+per hardware model, one ``quantize_weights``, one ``transmit``, one
+``detect`` and one ``count_bit_errors`` call, each over a leading
+realization axis, count the pair's block at every power point live at
+its start.  The early stop is then replayed realization by realization:
+a point takes realization r's counts only while it is still below
+``error_limit``.  Realization r's counts depend only on (seed, r), so
+this gives exactly the rows of a loop over single realizations, whatever
+the block sizes or the pairs a task holds.  A block is drawn only if
+some point of the task is live at its start, realized on a geometry only
+if one of its pairs' points is, and counted for a pair only if one of
+the pair's points is, so at most K - 1 realizations (K the task's block
+size) are drawn and selected past a pair's last stop, and none is
+counted.  No draw outlives its block.
 
 Receive noise is drawn in branch space: one white (T, B) block per
 realization, which ``transmit`` maps through the R factor of each hardware
@@ -25,7 +33,7 @@ model's combiners (W = QR).  Since n W^* = (n Q^*) R^* with n Q^* white,
 each model's combined noise has exactly the law of antenna noise n
 combined by its W, and depends on no other model of the grid.
 
-Realization r draws its channel from ``SeedSequence([seed, r, 0])`` and
+Realization r draws its paths from ``SeedSequence([seed, r, 0])`` and
 its payload and noise from ``SeedSequence([seed, r, 1])``, never from a
 grid position: every geometry, signaling, hardware model and power point
 shares realization r's draws (common random numbers), and a row depends
@@ -53,19 +61,22 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import json
+import math
 import os
 import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import product, repeat
+from itertools import groupby, product, repeat
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .arrays import ArrayKind, scenario_geometry
-from .channel import ChannelConfig, require_finite, sample_realization
+from .channel import (ChannelConfig, ChannelRealization, draw_paths,
+                      require_finite, sample_realization)
 from .codebook import FpsBank, build_codebook, quantize_weights
 from .link import (array_gain_db, branch_amplitudes, count_bit_errors,
                    db_to_linear, dbm_to_watt, detect, psk_constellation,
@@ -176,8 +187,8 @@ class BerResult:
     squared per-realization bit error count (float64: it can exceed the
     int64 range at the largest accepted sizes).  ``elapsed_s`` is the
     wall time of the task that produced the point split evenly over that
-    task's hardware x power points, so summing it over a sweep gives the
-    summed task time.
+    task's points (its pairs x hardware x powers), so summing it over a
+    sweep gives the summed task time.
     """
 
     geometry: str
@@ -228,136 +239,234 @@ class BerResult:
                 float(np.clip(self.ber + half, 0.0, 1.0)))
 
 
-def _run_task(cfg: SimConfig, geometry: str,
-              signaling: tuple[int, int]) -> list[BerResult]:
-    """Every hardware and power point of one (geometry, signaling) pair,
-    ordered hardware-major.  A failure names the pair that raised it."""
-    try:
-        return _sweep_pair(cfg, geometry, signaling)
-    except Exception as exc:
-        order, constellation = signaling
-        raise RuntimeError(f"{geometry} {order}x{constellation}: "
-                           f"{exc}") from exc
+class _Pair:
+    """One (geometry, signaling) pair of a task: its element positions,
+    the running counts of its hardware x power points and its selections
+    (codebook weights and hypothesis values) of the task's block."""
+
+    def __init__(self, cfg: SimConfig, geometry: str,
+                 signaling: tuple[int, int]) -> None:
+        self.geometry = geometry
+        self.signaling = order, constellation = signaling
+        self.label = f"{geometry} {order}x{constellation}"
+        self.positions = scenario_geometry(
+            geometry, cfg.channel.wavelength, cfg.n_elements).positions
+        gain = db_to_linear(array_gain_db(len(self.positions)))
+        # sqrt(P) G_t G_r per power point
+        self.amplitudes = np.array([np.sqrt(dbm_to_watt(p)) * gain * gain
+                                    for p in cfg.powers_dbm])
+        self.points = psk_constellation(constellation)
+        shape = (len(cfg.hardware), len(cfg.powers_dbm))
+        self.errors = np.zeros(shape, dtype=np.int64)
+        self.squares = np.zeros(shape)
+        self.used = np.zeros_like(self.errors)
+        n = len(self.positions)
+        self.block_size = max(1, min(
+            BLOCK_ELEMENTS // (cfg.symbols_per_realization * order
+                               * constellation),
+            BLOCK_CHANNEL_ELEMENTS // (n * n), cfg.realizations))
+        self.workspace_shape = (4, self.block_size,
+                                cfg.symbols_per_realization, order,
+                                constellation)
+
+    def bind(self, size: int, workspace: np.ndarray) -> None:
+        """Allocate the selections of ``size`` realizations and view the
+        task's flat detector ``workspace`` for this pair's blocks."""
+        n = len(self.positions)
+        order = self.signaling[0]
+        self.weights = np.empty((2, size, n, order), dtype=complex)   # F, W
+        self.hyp = np.empty((size, order), dtype=complex)
+        self.workspace = workspace[:math.prod(self.workspace_shape)].reshape(
+            self.workspace_shape)
+
+    def live(self, cfg: SimConfig) -> bool:
+        return bool((self.errors < cfg.error_limit).any())
+
+    def select(self, i: int, realization: ChannelRealization) -> None:
+        """Codebook weights and hypothesis values of the block's
+        realization ``i``."""
+        cb_detect = build_codebook(realization, self.signaling[0])
+        self.hyp[i] = branch_amplitudes(cb_detect, realization.matrix)
+        self.weights[0, i] = cb_detect.beamformers
+        self.weights[1, i] = cb_detect.combiners
+
+    def count_block(self, cfg: SimConfig, banks: list[FpsBank | None],
+                    channels: np.ndarray,
+                    payload: tuple[np.ndarray, ...]) -> None:
+        """Count the selected realizations over ``channels`` in blocks of
+        this pair's own size: each block at every point live at its
+        start, its counts then added in realization order while each
+        point stays below ``error_limit``."""
+        drawn = len(channels)
+        for start in range(0, drawn, self.block_size):
+            block = slice(start, min(start + self.block_size, drawn))
+            # counts of the points live at the block's start, (k, hardware, P)
+            live = self.errors < cfg.error_limit
+            if not live.any():
+                return
+            x0, x1, noise = (a[block] for a in payload)
+            symbols = self.points[x1]
+            k = len(x0)
+            counts = np.zeros((k,) + self.errors.shape, dtype=np.int64)
+            for h, bank in enumerate(banks):
+                active = np.flatnonzero(live[h])
+                if active.size == 0:
+                    continue
+                weights = self.weights[:, block]
+                f, w = weights if bank is None \
+                    else quantize_weights(weights, bank)
+                signal, combined_noise = transmit(f, w, channels[block], x0,
+                                                  symbols, noise)
+                c_hat, s_hat = detect(signal, combined_noise,
+                                      self.amplitudes[active],
+                                      self.hyp[block], self.points,
+                                      self.workspace[:, :k])
+                counts[:, h, active] = count_bit_errors(
+                    x0[:, None], x1[:, None], c_hat, s_hat)
+
+            # the per-realization early stop, replayed in realization order
+            for count in counts:
+                live = self.errors < cfg.error_limit
+                np.add(self.errors, count, out=self.errors, where=live)
+                np.add(self.squares, np.square(count, dtype=float),
+                       out=self.squares, where=live)
+                self.used += live
+
+    def results(self, cfg: SimConfig, banks: list[FpsBank | None],
+                elapsed_s: float) -> list[BerResult]:
+        order, constellation = self.signaling
+        bits_per_use = int(np.log2(order) + np.log2(constellation))
+        n_shifters = [0 if bank is None else bank.n_shifters for bank in banks]
+        return [BerResult(geometry=self.geometry, order=order,
+                          constellation=constellation,
+                          hardware=f"HE{n_f}" if n_f else "OP",
+                          n_shifters=n_f, power_dbm=float(power),
+                          bit_errors=int(self.errors[h, i]),
+                          bits_total=int(self.used[h, i])
+                          * cfg.symbols_per_realization * bits_per_use,
+                          seed=cfg.seed,
+                          realizations_used=int(self.used[h, i]),
+                          error_squares=float(self.squares[h, i]),
+                          elapsed_s=elapsed_s)
+                for h, n_f in enumerate(n_shifters)
+                for i, power in enumerate(cfg.powers_dbm)]
 
 
-def _sweep_pair(cfg: SimConfig, geometry: str,
-                signaling: tuple[int, int]) -> list[BerResult]:
-    started = time.perf_counter()
+def _draw_payload(cfg: SimConfig, signaling: tuple[int, int], start: int,
+                  out: tuple[np.ndarray, ...]) -> None:
+    """Codeword indices, PSK indices and white branch-space noise of
+    realizations ``start``, ``start + 1``, ... into the rows of ``out``."""
     order, constellation = signaling
-    banks = [parse_hardware(token) for token in cfg.hardware]
-
-    positions = scenario_geometry(geometry, cfg.channel.wavelength,
-                                  cfg.n_elements).positions
-    gain = db_to_linear(array_gain_db(len(positions)))
-    noise_w = dbm_to_watt(cfg.noise_dbm)
-    points = psk_constellation(constellation)
-    bits_per_use = int(np.log2(order) + np.log2(constellation))
-    # sqrt(P) G_t G_r per power point
-    amplitudes = np.array([np.sqrt(dbm_to_watt(p)) * gain * gain
-                           for p in cfg.powers_dbm])
-
-    n_powers = len(cfg.powers_dbm)
-    errors = np.zeros((len(banks), n_powers), dtype=np.int64)
-    squares = np.zeros(errors.shape)
-    used = np.zeros_like(errors)
     t_symbols = cfg.symbols_per_realization
-    sigma = np.sqrt(noise_w / 2.0)
+    sigma = np.sqrt(dbm_to_watt(cfg.noise_dbm) / 2.0)
+    x0, x1, noise = out
+    for i in range(len(x0)):
+        payload_rng = np.random.default_rng(
+            np.random.SeedSequence([cfg.seed, start + i, 1]))
+        x0[i] = payload_rng.integers(0, order, t_symbols)
+        x1[i] = payload_rng.integers(0, constellation, t_symbols)
+        noise[i].real = payload_rng.normal(0.0, sigma, (t_symbols, order))
+        noise[i].imag = payload_rng.normal(0.0, sigma, (t_symbols, order))
 
-    n = len(positions)
-    size = max(1, min(BLOCK_ELEMENTS // (t_symbols * order * constellation),
-                      BLOCK_CHANNEL_ELEMENTS // (n * n), cfg.realizations))
-    channels = np.empty((size, n, n), dtype=complex)
-    weights = np.empty((2, size, n, order), dtype=complex)    # F, W
-    hyp = np.empty((size, order), dtype=complex)
-    x0 = np.empty((size, t_symbols), dtype=np.int64)
-    x1 = np.empty_like(x0)
-    noise = np.empty((size, t_symbols, order), dtype=complex)  # branch space
-    workspace = np.empty((4, size, t_symbols, order, constellation))
 
-    for start in range(0, cfg.realizations, size):
-        live = errors < cfg.error_limit
-        if not live.any():
-            break
-        k = min(size, cfg.realizations - start)
-        for i, r in enumerate(range(start, start + k)):
-            realization = sample_realization(cfg.channel, positions,
-                                             [cfg.seed, r, 0])
-            cb_detect = build_codebook(realization, order)
+def _run_task(cfg: SimConfig,
+              pairs: list[tuple[str, tuple[int, int]]]) -> list[BerResult]:
+    """Every hardware and power point of a group of (geometry, signaling)
+    pairs, pair by pair in the group's order, each ordered
+    hardware-major.  A failure names the pair that raised it, or every
+    pair that shares the draw or realization that raised it."""
+    started = time.perf_counter()
+    banks = [parse_hardware(token) for token in cfg.hardware]
+    group = [_Pair(cfg, geometry, signaling) for geometry, signaling in pairs]
+    size = max(pair.block_size for pair in group)
+    t_symbols = cfg.symbols_per_realization
+    n = max(len(pair.positions) for pair in group)
+    channel_buffer = np.empty(size * n * n, dtype=complex)
+    workspace = np.empty(max(math.prod(pair.workspace_shape)
+                             for pair in group))
+    for pair in group:
+        pair.bind(size, workspace)
+    payloads = {signaling: (np.empty((size, t_symbols), dtype=np.int64),
+                            np.empty((size, t_symbols), dtype=np.int64),
+                            np.empty((size, t_symbols, signaling[0]),
+                                     dtype=complex))
+                for signaling in dict.fromkeys(p.signaling for p in group)}
 
-            payload_rng = np.random.default_rng(
-                np.random.SeedSequence([cfg.seed, r, 1]))
-            x0[i] = payload_rng.integers(0, order, t_symbols)
-            x1[i] = payload_rng.integers(0, constellation, t_symbols)
-            noise[i].real = payload_rng.normal(0.0, sigma, (t_symbols, order))
-            noise[i].imag = payload_rng.normal(0.0, sigma, (t_symbols, order))
-            hyp[i] = branch_amplitudes(cb_detect, realization.matrix)
-            channels[i] = realization.matrix
-            weights[0, i] = cb_detect.beamformers
-            weights[1, i] = cb_detect.combiners
-        symbols = points[x1[:k]]
+    label = ", ".join(pair.label for pair in group)
+    try:
+        for start in range(0, cfg.realizations, size):
+            live = [pair for pair in group if pair.live(cfg)]
+            if not live:
+                break
+            label = ", ".join(pair.label for pair in live)
+            k = min(size, cfg.realizations - start)
+            paths = [draw_paths(cfg.channel, [cfg.seed, r, 0])
+                     for r in range(start, start + k)]
+            for signaling in dict.fromkeys(pair.signaling for pair in live):
+                _draw_payload(cfg, signaling, start,
+                              tuple(a[:k] for a in payloads[signaling]))
+            # live pairs of one geometry are adjacent: the pairs are
+            # geometry-major
+            for _, same in groupby(live, key=attrgetter("geometry")):
+                same = list(same)
+                label = ", ".join(pair.label for pair in same)
+                positions = same[0].positions
+                channels = channel_buffer[:k * len(positions) ** 2].reshape(
+                    k, len(positions), len(positions))
+                for i, drawn in enumerate(paths):
+                    realization = sample_realization(drawn, positions)
+                    channels[i] = realization.matrix
+                    for pair in same:
+                        pair.select(i, realization)
+                for pair in same:
+                    label = pair.label
+                    pair.count_block(cfg, banks, channels,
+                                     payloads[pair.signaling])
+    except Exception as exc:
+        raise RuntimeError(f"{label}: {exc}") from exc
 
-        # counts of the points live at the block's start, (k, hardware, P)
-        counts = np.zeros((k,) + errors.shape, dtype=np.int64)
-        for h, bank in enumerate(banks):
-            active = np.flatnonzero(live[h])
-            if active.size == 0:
-                continue
-            f, w = weights[:, :k] if bank is None \
-                else quantize_weights(weights[:, :k], bank)
-            signal, combined_noise = transmit(f, w, channels[:k], x0[:k],
-                                              symbols, noise[:k])
-            c_hat, s_hat = detect(signal, combined_noise, amplitudes[active],
-                                  hyp[:k], points, workspace[:, :k])
-            counts[:, h, active] = count_bit_errors(
-                x0[:k, None], x1[:k, None], c_hat, s_hat)
+    elapsed_s = (time.perf_counter() - started) / (
+        len(group) * len(banks) * len(cfg.powers_dbm))
+    return [result for pair in group
+            for result in pair.results(cfg, banks, elapsed_s)]
 
-        # the per-realization early stop, replayed in realization order
-        for count in counts:
-            live = errors < cfg.error_limit
-            np.add(errors, count, out=errors, where=live)
-            np.add(squares, np.square(count, dtype=float), out=squares,
-                   where=live)
-            used += live
 
-    elapsed_s = (time.perf_counter() - started) / errors.size
-    n_shifters = [0 if bank is None else bank.n_shifters for bank in banks]
-    return [BerResult(geometry=geometry, order=order,
-                      constellation=constellation,
-                      hardware=f"HE{n_f}" if n_f else "OP", n_shifters=n_f,
-                      power_dbm=float(cfg.powers_dbm[i]),
-                      bit_errors=int(errors[h, i]),
-                      bits_total=int(used[h, i]) * t_symbols * bits_per_use,
-                      seed=cfg.seed, realizations_used=int(used[h, i]),
-                      error_squares=float(squares[h, i]),
-                      elapsed_s=elapsed_s)
-            for h, n_f in enumerate(n_shifters) for i in range(n_powers)]
+def _split(pairs: list, n_groups: int) -> list[list]:
+    """``pairs`` cut into ``n_groups`` contiguous groups whose sizes differ
+    by at most one, the larger groups first."""
+    size, extra = divmod(len(pairs), n_groups)
+    bounds = [i * size + min(i, extra) for i in range(n_groups + 1)]
+    return [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def run_sweep(cfg: SimConfig, workers: int = 1) -> list[BerResult]:
     """Full grid sweep; results ordered geometry-major, then signaling,
     then hardware, power-minor.
 
-    With ``workers > 1`` and more than one task, ``min(workers, tasks)``
-    processes share the tasks with their BLAS threads capped at
+    A task is a contiguous group of the geometry-major (geometry,
+    signaling) pairs; the serial path runs one task of every pair.  With
+    ``workers > 1`` and more than one pair, ``min(workers, pairs)``
+    processes run one task each with their BLAS threads capped at
     ``_worker_blas_threads``.  This process holds the same cap while the
     pool runs and gets its own thread counts back when the pool closes,
     also when a task fails."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    tasks = list(product(cfg.geometries, cfg.signalings))
-    threads = _worker_blas_threads(workers, len(tasks))
+    pairs = list(product(cfg.geometries, cfg.signalings))
+    threads = _worker_blas_threads(workers, len(pairs))
     if threads is None:
-        results = [_run_task(cfg, *task) for task in tasks]
+        results = [_run_task(cfg, pairs)]
     else:
+        groups = _split(pairs, min(workers, len(pairs)))
         # forked workers inherit this cap and start no BLAS threads; the
         # initializer caps workers started by spawn or forkserver
         capped = _limit_blas_threads(threads)
         try:
-            with ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
+            with ProcessPoolExecutor(max_workers=len(groups),
                                      initializer=_limit_blas_threads,
                                      initargs=(threads,)) as pool:
-                results = list(pool.map(_run_task, repeat(cfg, len(tasks)),
-                                        *zip(*tasks)))
+                results = list(pool.map(_run_task, repeat(cfg, len(groups)),
+                                        groups))
         finally:
             for setter, count in capped:
                 setter(count)
@@ -373,11 +482,11 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _worker_blas_threads(workers: int, n_tasks: int) -> int | None:
+def _worker_blas_threads(workers: int, n_pairs: int) -> int | None:
     """BLAS threads per pool worker: the usable CPUs split over the
-    ``min(workers, n_tasks)`` worker processes, at least one.  None when
+    ``min(workers, n_pairs)`` worker processes, at least one.  None when
     the sweep runs serially, which leaves BLAS threads as they are."""
-    processes = min(workers, n_tasks)
+    processes = min(workers, n_pairs)
     if processes <= 1:
         return None
     return max(1, _usable_cpus() // processes)
@@ -450,7 +559,7 @@ def _limit_blas_threads(threads: int) -> list[tuple[Callable, int]]:
     return changed
 
 
-def _environment(workers: int | None, n_tasks: int) -> dict:
+def _environment(workers: int | None, n_pairs: int) -> dict:
     """numpy/BLAS build, usable CPUs and thread variables of this run;
     with a worker count, also the BLAS thread cap of each pool worker."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -464,7 +573,7 @@ def _environment(workers: int | None, n_tasks: int) -> dict:
     }
     if workers is not None:
         env["workers"] = workers
-        env["blas_threads"] = _worker_blas_threads(workers, n_tasks)
+        env["blas_threads"] = _worker_blas_threads(workers, n_pairs)
     return env
 
 
@@ -504,10 +613,10 @@ def aggregate_and_emit(results: list[BerResult], out_dir: "str | Path",
     csv_path = out / "ber_results.csv"
     csv_path.write_text(results_to_csv(results))
 
-    n_tasks = len(cfg.geometries) * len(cfg.signalings)
+    n_pairs = len(cfg.geometries) * len(cfg.signalings)
     manifest = {
         "version": __version__,
-        "environment": _environment(workers, n_tasks),
+        "environment": _environment(workers, n_pairs),
         "config": dataclasses.asdict(cfg),
         "elements": _element_counts(cfg),
         "points": len(results),

@@ -17,7 +17,8 @@ import numpy as np
 
 from .arrays import (ArrayKind, GeometrySpec, scenario_geometry, steering,
                      unit_directions)
-from .channel import ChannelConfig, path_loss, sample_realization
+from .channel import (ChannelConfig, draw_paths, path_loss,
+                      sample_realization)
 from .codebook import (FpsBank, build_codebook, compose_switch_vector,
                        realized_phase, wrap_phase)
 from .link import (array_gain_db, branch_amplitudes, db_to_linear, detect,
@@ -145,12 +146,14 @@ def check_noiseless_detection(
                                                paths_per_cluster=3),
         seed: int = 11, orders: tuple[int, ...] = (4,)) -> CheckResult:
     """Every (x0, x1) of B x QPSK decodes exactly without noise on one
-    seeded channel per scenario geometry, at 1 W transmit power."""
+    seeded path draw realized on each scenario geometry, at 1 W transmit
+    power."""
     points = psk_constellation(4)
     failures = 0
+    paths = draw_paths(channel, seed)
     for kind in geometries:
         spec = scenario_geometry(kind, channel.wavelength, n_elements)
-        realization = sample_realization(channel, spec.positions, seed)
+        realization = sample_realization(paths, spec.positions)
         amplitude = db_to_linear(array_gain_db(spec.n_elements)) ** 2
         for order in orders:
             cb = build_codebook(realization, order)
@@ -172,7 +175,7 @@ def check_best_path_bruteforce(seed: int = 3) -> CheckResult:
     cfg = ChannelConfig(clusters=3, paths_per_cluster=5)
     mismatches = 0
     for s in range(seed, seed + 10):
-        r = sample_realization(cfg, pos, s)
+        r = sample_realization(draw_paths(cfg, s), pos)
         best_paths = build_codebook(r, 1).best_paths
         lam = r.wavelength
         for c in range(cfg.clusters):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cimsim.arrays import GeometrySpec, scenario_geometry
-from cimsim.channel import ChannelConfig, sample_realization
+from cimsim.channel import ChannelConfig, draw_paths, sample_realization
 from cimsim.harness import SimConfig, results_to_csv, run_sweep
 from cimsim.patterns import steered_pattern, summarize
 from cimsim.verify import (check_noiseless_detection, check_quantization_bound,
@@ -231,7 +231,7 @@ def test_criterion_10_statistical_channel_checks():
     acc = 0.0
     n_real = 10_000
     for seed in range(n_real):
-        r = sample_realization(cfg, positions, seed=seed)
+        r = sample_realization(draw_paths(cfg, seed), positions)
         acc += float(np.mean(np.abs(r.gains) ** 2))
     mean_gain = acc / n_real
     expected = 10 ** (-0.1 * 135.5418647644259)
@@ -241,7 +241,7 @@ def test_criterion_10_statistical_channel_checks():
     spread_cfg = ChannelConfig(clusters=4, paths_per_cluster=250)
     offsets = []
     for seed in range(100):
-        r = sample_realization(spread_cfg, positions, seed=seed)
+        r = sample_realization(draw_paths(spread_cfg, seed), positions)
         # the cluster mean AoA azimuths: the third uniform draw of the
         # realization's angle stream
         angle_rng = np.random.default_rng(

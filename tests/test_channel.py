@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from cimsim.arrays import GeometrySpec, steering, unit_directions
-from cimsim.channel import ChannelConfig, path_loss, sample_realization
+from cimsim.channel import (ChannelConfig, draw_paths, path_loss,
+                            sample_realization)
 
 LAM = 0.0107068735
 
@@ -99,7 +100,7 @@ class TestSampleRealization:
                             angular_spread_deg=np.rad2deg(1e-12),
                             shadowing_std_db=0.0)
         pos = small_positions(4)
-        r = sample_realization(cfg, pos, seed=9)
+        r = sample_realization(draw_paths(cfg, 9), pos)
         np.testing.assert_allclose(r.matrix, outer_product_sum(r, pos, pos),
                                    rtol=1e-12)
         s = np.linalg.svd(r.matrix, compute_uv=False)
@@ -112,8 +113,8 @@ class TestSampleRealization:
     def test_fixed_seed_reproduces_bit_identically(self):
         cfg = ChannelConfig()
         pos = small_positions(4)
-        a = sample_realization(cfg, pos, seed=123)
-        b = sample_realization(cfg, pos, seed=123)
+        a = sample_realization(draw_paths(cfg, 123), pos)
+        b = sample_realization(draw_paths(cfg, 123), pos)
         assert np.array_equal(a.matrix, b.matrix)
         assert np.array_equal(a.gains, b.gains)
         assert np.array_equal(a.aoa_el, b.aoa_el)
@@ -122,7 +123,7 @@ class TestSampleRealization:
     def test_cached_steering_matrices_match_stored_angles(self):
         cfg = ChannelConfig(clusters=3, paths_per_cluster=4)
         pos = small_positions(5)
-        r = sample_realization(cfg, pos, seed=31)
+        r = sample_realization(draw_paths(cfg, 31), pos)
         # path c*L + l in column c*L + l
         assert np.array_equal(r.a_t, steering(
             pos, unit_directions(r.aod_az.ravel(), r.aod_el.ravel()),
@@ -138,7 +139,7 @@ class TestSampleRealization:
     def test_reassembly_reproduces_stored_matrix(self):
         cfg = ChannelConfig()
         pos = small_positions(6)
-        r = sample_realization(cfg, pos, seed=77)
+        r = sample_realization(draw_paths(cfg, 77), pos)
         rebuilt = outer_product_sum(r, pos, pos)
         err = np.linalg.norm(rebuilt - r.matrix) / np.linalg.norm(r.matrix)
         assert err < 1e-10
@@ -148,7 +149,7 @@ class TestSampleRealization:
         pos = small_positions(2)
         samples = []
         for seed in range(500):
-            r = sample_realization(cfg, pos, seed=seed)
+            r = sample_realization(draw_paths(cfg, seed), pos)
             samples.append(np.abs(r.gains) ** 2)
         mean = np.mean(samples)
         expected = 10 ** (-0.1 * 135.5418647644259)
@@ -160,7 +161,7 @@ class TestSampleRealization:
         pos = small_positions(3)
         ratios = np.empty(10_000)
         for seed in range(ratios.size):
-            r = sample_realization(cfg, pos, seed=seed)
+            r = sample_realization(draw_paths(cfg, seed), pos)
             ratios[seed] = (np.linalg.norm(r.matrix) ** 2 / r.gain_variance)
         assert abs(ratios.mean() / (3 * 3) - 1.0) < 0.05
 
@@ -170,7 +171,7 @@ class TestSampleRealization:
         pos = small_positions(2)
         offsets = []
         for seed in range(100):
-            r = sample_realization(cfg, pos, seed=seed)
+            r = sample_realization(draw_paths(cfg, seed), pos)
             raw = r.aod_az - cluster_mean_azimuths(cfg, seed)[0][:, None]
             offsets.append(np.angle(np.exp(1j * raw)))
         std = np.std(np.concatenate([o.ravel() for o in offsets]))
@@ -179,7 +180,7 @@ class TestSampleRealization:
     def test_angle_ranges(self):
         cfg = ChannelConfig(angular_spread_deg=30.0)
         pos = small_positions(2)
-        r = sample_realization(cfg, pos, seed=2)
+        r = sample_realization(draw_paths(cfg, 2), pos)
         for el in (r.aod_el, r.aoa_el):
             assert np.all((el >= 0.0) & (el <= np.pi))
         for az in (r.aod_az, r.aoa_az):

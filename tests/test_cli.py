@@ -51,6 +51,13 @@ from cimsim.verify import ALL_CHECKS
      "dup.cfg:2: signalings: signalings repeats (2, 4)"),
     (["pattern", "--geometry", "URA", "--geometry", "ura"],
      "geometries repeats 'URA'"),
+    (["ber", "--hardware", "HE2000"],
+     "hardware HE2000: 2000 fixed phase shifters give a phase step of 0 rad"),
+    (["ber", "--config", "{he}"],
+     "he.cfg:1: hardware: hardware HE2000: 2000 fixed phase shifters"),
+    (["codebook", "--nf", "2000"],
+     "2000 fixed phase shifters give a phase step of 0 rad"),
+    (["codebook", "--seed", "-1"], "seed must be at least 0, got -1"),
 ])
 def test_bad_input_is_one_line_error(tmp_path, capsys, argv, message):
     cfg = tmp_path / "bad.cfg"
@@ -59,8 +66,10 @@ def test_bad_input_is_one_line_error(tmp_path, capsys, argv, message):
     binary.write_bytes(b"\xff\xfe")
     dup = tmp_path / "dup.cfg"
     dup.write_text("geometries = URA\nsignalings = 2x4, 2x4\n")
+    he = tmp_path / "he.cfg"
+    he.write_text("hardware = HE2000\n")
     out = tmp_path / "out"
-    argv = [a.format(cfg=cfg, dir=tmp_path, binary=binary, dup=dup)
+    argv = [a.format(cfg=cfg, dir=tmp_path, binary=binary, dup=dup, he=he)
             for a in argv]
     if argv[0] != "codebook":    # codebook writes no files
         argv += ["--out", str(out)]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cimsim.arrays import GeometrySpec, steering, unit_directions
-from cimsim.channel import ChannelConfig, sample_realization
+from cimsim.channel import ChannelConfig, draw_paths, sample_realization
 from cimsim.codebook import (FpsBank, build_codebook, compose_switch_vector,
                              quantize_weights, realized_phase, wrap_phase)
 
@@ -29,7 +29,7 @@ def exhaustive_best_phase(theta: float, bank: FpsBank) -> float:
 def make_realization(seed=1, clusters=8, paths=10, n=8):
     pos = GeometrySpec.ula(n, LAM).positions
     cfg = ChannelConfig(clusters=clusters, paths_per_cluster=paths)
-    return sample_realization(cfg, pos, seed=seed), pos
+    return sample_realization(draw_paths(cfg, seed), pos), pos
 
 
 class TestFpsBank:
@@ -50,7 +50,8 @@ class TestFpsBank:
         finest = max(n for n in range(2, 128)
                      if 2 * np.pi / 2 ** (n - 1) >= resolution)
         assert FpsBank(finest).phase_step >= resolution
-        for n in (finest + 1, 70):
+        # 2 ** 1025 and up overflow a float: the step must not
+        for n in (finest + 1, 70, 1025, 1026, 2000):
             with pytest.raises(ValueError, match="resolution"):
                 FpsBank(n)
 
@@ -206,7 +207,7 @@ class TestBestEffectivePath:
         pos = GeometrySpec.ula(4, LAM).positions
         cfg = ChannelConfig(clusters=3, paths_per_cluster=5)
         for seed in range(20):
-            realization = sample_realization(cfg, pos, seed=seed)
+            realization = sample_realization(draw_paths(cfg, seed), pos)
             best_paths = build_codebook(realization, 1).best_paths
             for c in range(3):
                 metrics = []

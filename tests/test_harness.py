@@ -16,12 +16,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cimsim import harness
 from cimsim.arrays import scenario_geometry
-from cimsim.channel import ChannelConfig, sample_realization
+from cimsim.channel import ChannelConfig, draw_paths, sample_realization
 from cimsim.codebook import build_codebook
 from cimsim.harness import (SimConfig, aggregate_and_emit, load_config,
                             parse_hardware, results_to_csv, run_sweep)
 from cimsim.link import (array_gain_db, db_to_linear, dbm_to_watt,
-                         psk_constellation)
+                         psk_constellation, transmit)
 
 TINY = dict(geometries=("ULA", "URA"), signalings=((2, 4),), hardware=("OP",),
             powers_dbm=(-20.0, -10.0), realizations=3,
@@ -331,6 +331,68 @@ class TestRunSweep:
         assert rows(BLOCK_CHANNEL_ELEMENTS=3 * 256) == default
         assert {used % 3 for _, used in default[1] if used < 10} == {1, 2}
 
+    @pytest.mark.parametrize("signalings", [((2, 4),), ((2, 4), (4, 8))])
+    def test_paths_drawn_once_per_realization(self, monkeypatch, signalings):
+        # the serial sweep is one task of every pair: realization r's
+        # paths are drawn once and realized once on each of the 4
+        # layouts, whatever the number of signalings sharing a layout
+        calls = dict.fromkeys(("draw_paths", "sample_realization"), 0)
+
+        def counted(name):
+            call = getattr(harness, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return call(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(harness, name, counted(name))
+        cfg = SimConfig(signalings=signalings, hardware=("OP",),
+                        powers_dbm=(0.0,), realizations=5,
+                        symbols_per_realization=4, error_limit=10 ** 9)
+        assert len(run_sweep(cfg)) == 4 * len(signalings)
+        assert calls == {"draw_paths": 5, "sample_realization": 20}
+
+    def test_each_pair_counts_in_its_own_blocks(self, monkeypatch):
+        # a task of 2x2 (blocks of 10) and 4x8 (blocks of 4) draws blocks
+        # of 10; 2x2 counts each in one transmit call, 4x8 in calls of
+        # 4, 4 and 2 realizations
+        sizes = []
+
+        def recorded(f, *args):
+            sizes.append((f.shape[-1], len(f)))
+            return transmit(f, *args)
+
+        monkeypatch.setattr(harness, "transmit", recorded)
+        cfg = SimConfig(geometries=("ULA",), signalings=((2, 2), (4, 8)),
+                        hardware=("OP",), powers_dbm=(0.0,), realizations=10,
+                        symbols_per_realization=128, n_elements=16,
+                        error_limit=10 ** 9)
+        run_sweep(cfg)
+        assert sizes == [(2, 10), (4, 4), (4, 4), (4, 2)]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_group_rows_equal_each_pair_swept_alone(self, workers):
+        # 4x8 runs in blocks of 4 and 2x2 in one block of all 10, so a
+        # task holding both draws one block of 10; error_limit 300 stops
+        # 2x2 points after 3 realizations and 4x8 points after 1, 3, 6
+        # and 7, inside blocks.  Workers 1, 2 and 3 make tasks of 4,
+        # 2 + 2 and 2 + 1 + 1 pairs
+        cfg = SimConfig(geometries=("ULA", "URA"),
+                        signalings=((2, 2), (4, 8)), hardware=("OP", "HE4"),
+                        powers_dbm=(-20.0, -10.0, 10.0), realizations=10,
+                        symbols_per_realization=128, seed=17, n_elements=16,
+                        error_limit=300)
+        assert harness.BLOCK_ELEMENTS // (128 * 4 * 8) == 4
+        assert harness.BLOCK_ELEMENTS // (128 * 2 * 2) >= 10
+        alone = [row for g, s in product(cfg.geometries, cfg.signalings)
+                 for row in _rows(run_sweep(dataclasses.replace(
+                     cfg, geometries=(g,), signalings=(s,))))]
+        assert _rows(run_sweep(cfg, workers=workers)) == alone
+        used = {counts[2] for _, counts in alone}
+        assert used & {1, 2, 3} and used & {5, 6, 7}
+
     def test_golden_counts(self):
         # (geometry, B, M, hardware, P_dBm, bit_errors, realizations_used)
         # of a fixed sweep with early stopping live; any change to the
@@ -440,11 +502,12 @@ class TestRunSweep:
         if not os.path.isdir("/proc/self/task"):
             pytest.skip("no /proc/self/task to count OS threads")
         # each forked worker reports its OS threads instead of sweeping;
-        # a BLAS thread started while capping the worker would add to them
+        # a BLAS thread started while capping the worker would add to them.
+        # 3 pairs on 2 workers make 2 tasks, of 2 pairs and of 1
         monkeypatch.setattr(harness, "_run_task", _os_thread_count)
         _start_pool_by(monkeypatch, "fork")
         cfg = SimConfig(**{**TINY, "geometries": ("ULA", "URA", "UCA")})
-        assert run_sweep(cfg, workers=2) == [1, 1, 1]
+        assert run_sweep(cfg, workers=2) == [1, 1]
 
     def test_task_failure_names_its_curve(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -498,8 +561,8 @@ class TestRunSweep:
         sigma = np.sqrt(dbm_to_watt(cfg.noise_dbm) / 2.0)
         total = 0
         for r in range(4):
-            realization = sample_realization(cfg.channel, positions,
-                                             [3, r, 0])
+            realization = sample_realization(
+                draw_paths(cfg.channel, [3, r, 0]), positions)
             h = realization.matrix
             cb = build_codebook(realization, 2)
             hyp = [cb.combiners[:, c].conj() @ h @ cb.beamformers[:, c]
@@ -786,6 +849,7 @@ class TestConfigFile:
         ("signalings = 2x4, 4x4, 2x4", r"signalings repeats \(2, 4\)"),
         ("hardware = HE8, OP, he(8)", r"hardware repeats 'he\(8\)'"),
         ("powers_dbm = -10, 0, -10", "powers_dbm repeats -10.0"),
+        ("hardware = HE2000", "hardware HE2000: 2000 fixed phase shifters"),
     ])
     def test_bad_value_names_key_and_line(self, tmp_path, line, message):
         path = tmp_path / "bad.cfg"

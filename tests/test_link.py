@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cimsim.arrays import GeometrySpec
-from cimsim.channel import ChannelConfig, sample_realization
+from cimsim.channel import ChannelConfig, draw_paths, sample_realization
 from cimsim.codebook import FpsBank, build_codebook, quantize_weights
 from cimsim.link import (array_gain_db, branch_amplitudes, count_bit_errors,
                          db_to_linear, dbm_to_watt, detect, gray_code,
@@ -18,7 +18,7 @@ def make_link(seed=1, n=8, clusters=4, order=2, power_w=1.0):
     """Channel, codebook and amplitude sqrt(P) G_t G_r of a small ULA link."""
     pos = GeometrySpec.ula(n, LAM).positions
     cfg = ChannelConfig(clusters=clusters, paths_per_cluster=4)
-    realization = sample_realization(cfg, pos, seed=seed)
+    realization = sample_realization(draw_paths(cfg, seed), pos)
     cb = build_codebook(realization, order)
     gain = db_to_linear(array_gain_db(n))
     return realization, cb, np.sqrt(power_w) * gain * gain
