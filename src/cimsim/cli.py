@@ -20,7 +20,7 @@ from .codebook import FpsBank, build_codebook, quantize_weights
 from .harness import (SimConfig, _check_axis, _check_lower_bound,
                       _parse_powers, aggregate_and_emit, load_config,
                       run_sweep)
-from .patterns import pattern_to_rows, steered_pattern, summarize
+from .patterns import steered_pattern, summarize, write_pattern_csv
 from .verify import run_all
 
 
@@ -105,11 +105,9 @@ def cmd_pattern(args: argparse.Namespace) -> int:
         az_txt = "360.00" if s.hpbw_az_deg >= 360.0 else f"{s.hpbw_az_deg:.2f}"
         rows.append((g, f"{s.directivity_dbi:.2f}", az_txt,
                      f"{s.hpbw_el_deg:.2f}", f"{s.asld_db:.2f}"))
-        grid = pattern_to_rows(pat)
         args.out.mkdir(parents=True, exist_ok=True)   # after validation
         path = args.out / f"pattern_{g.lower()}_az{az_off:g}_el{el_off:g}.csv"
-        np.savetxt(path, grid, delimiter=",", comments="",
-                   header="az_deg,el_deg,directivity_dbi", fmt="%.4f")
+        write_pattern_csv(pat, path)
         print(f"wrote {path}")
     print(f"\nSteered at {az_off:g} deg Az, {el_off:g} deg El:")
     print(characteristics_table(rows))

@@ -11,11 +11,15 @@ lines through the steering target.
 
 Directivity is normalized so the linear pattern integrates to 4*pi over
 the sphere (midpoint/trapezoid quadrature with the sin(el) Jacobian).
+The side-lobe level averages the forward grid cells outside the main
+lobe, which a span fill finds from the target (numpy only).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -75,8 +79,10 @@ class RadiationPattern:
         return float(self.el_deg[1] - self.el_deg[0])
 
     def target_index(self) -> tuple[int, int]:
-        """Grid indices (el, az) nearest the steering target."""
-        ia = int(np.argmin(np.abs(self.az_deg - self.steer_az_deg)))
+        """Grid indices (el, az) nearest the steering target; azimuths
+        are compared around the circle, so -180 is nearest 179.9."""
+        az_gap = (self.az_deg - self.steer_az_deg + 180.0) % 360.0 - 180.0
+        ia = int(np.argmin(np.abs(az_gap)))
         ie = int(np.argmin(np.abs(self.el_deg - self.steer_el_deg)))
         return ie, ia
 
@@ -99,7 +105,7 @@ class PatternSummary:
 def steering_weights(spec: GeometrySpec, az_off_deg: float = 0.0,
                      el_off_deg: float = 0.0) -> np.ndarray:
     """Conjugate-steering weights pointing (az_off, el_off) from broadside."""
-    _require_finite_offsets(az_off_deg, el_off_deg)
+    _check_offsets(az_off_deg, el_off_deg)
     frame = pattern_frame(spec.kind)
     az0 = np.deg2rad(az_off_deg)
     el0 = np.deg2rad(90.0 - el_off_deg)
@@ -107,10 +113,14 @@ def steering_weights(spec: GeometrySpec, az_off_deg: float = 0.0,
     return steering(spec.positions, direction, spec.wavelength)
 
 
-def _require_finite_offsets(az_off_deg: float, el_off_deg: float) -> None:
+def _check_offsets(az_off_deg: float, el_off_deg: float) -> None:
     if not (np.isfinite(az_off_deg) and np.isfinite(el_off_deg)):
         raise ValueError(f"steering offsets must be finite, got az "
                          f"{az_off_deg:g}, el {el_off_deg:g} deg")
+    if not (-180.0 <= az_off_deg < 180.0 and -90.0 <= el_off_deg <= 90.0):
+        raise ValueError(f"steering offsets must be az in [-180, 180) and "
+                         f"el in [-90, 90] deg, got az {az_off_deg:g}, "
+                         f"el {el_off_deg:g} deg")
 
 
 def compute_pattern(positions: np.ndarray, weights: np.ndarray,
@@ -169,7 +179,7 @@ def compute_pattern(positions: np.ndarray, weights: np.ndarray,
                          f"{az_step_deg:g}, el_step_deg={el_step_deg:g}")
     if az_step_deg > 1.0 or el_step_deg > 1.0:
         raise ValueError("grid resolution must be 1 degree or finer")
-    _require_finite_offsets(steer_az_deg, steer_el_off_deg)
+    _check_offsets(steer_az_deg, steer_el_off_deg)
     frame = np.eye(3) if frame is None else np.asarray(frame, float)
 
     az_deg = np.arange(-180.0, 180.0, az_step_deg)
@@ -343,12 +353,36 @@ def summarize(pattern: RadiationPattern) -> PatternSummary:
 def main_lobe_mask(gain_db: np.ndarray,
                    target: tuple[int, int]) -> np.ndarray:
     """Connected region around grid cell ``target`` (el, az) above its
-    value - 20 dB."""
-    # imported on use, so a process that only sweeps BER never loads it
-    from scipy import ndimage
-    above = gain_db >= gain_db[target] - MAIN_LOBE_FLOOR_DB
-    labels, _ = ndimage.label(above, structure=np.ones((3, 3), dtype=int))
-    return labels == labels[target]
+    value - 20 dB.
+
+    Cells connect to their 8 neighbours; the azimuth edges do not wrap.
+    A span fill: each row the fill reaches is split once into its runs of
+    above-floor cells, and a run joins the lobe when it touches a lobe
+    run of the row above or below, diagonally included.
+    """
+    floor = gain_db[target] - MAIN_LOBE_FLOOR_DB
+    n_rows, n_cols = gain_db.shape
+    mask = np.zeros(gain_db.shape, dtype=bool)
+    above = np.zeros(n_cols + 2, dtype=bool)  # one row, False at both ends
+    runs: dict[int, tuple[list[int], list[int]]] = {}  # row -> starts, ends
+    ie, ia = target
+    stack = [(ie, ia, ia + 1)]   # row, and the columns a run must touch
+    while stack:
+        row, lo, hi = stack.pop()
+        if row not in runs:
+            np.greater_equal(gain_db[row], floor, out=above[1:-1])
+            edges = np.flatnonzero(above[1:] != above[:-1])
+            runs[row] = edges[::2].tolist(), edges[1::2].tolist()
+        starts, ends = runs[row]
+        for k in range(bisect_right(ends, lo), bisect_left(starts, hi)):
+            start, end = starts[k], ends[k]
+            if mask[row, start]:
+                continue
+            mask[row, start:end] = True
+            for next_row in (row - 1, row + 1):
+                if 0 <= next_row < n_rows:
+                    stack.append((next_row, start - 1, end + 1))
+    return mask
 
 
 def average_sidelobe_db(pattern: RadiationPattern,
@@ -367,7 +401,14 @@ def average_sidelobe_db(pattern: RadiationPattern,
     return float(pattern.gain_db[selected].mean())
 
 
-def pattern_to_rows(pattern: RadiationPattern) -> np.ndarray:
-    """Flatten the grid to (az_deg, el_deg, gain_db) rows for CSV output."""
-    aa, ee = np.meshgrid(pattern.az_deg, pattern.el_deg)
-    return np.column_stack([aa.ravel(), ee.ravel(), pattern.gain_db.ravel()])
+def write_pattern_csv(pattern: RadiationPattern, path: Path) -> None:
+    """Write the grid as ``az_deg,el_deg,directivity_dbi`` rows, azimuth
+    fastest, each value formatted ``%.4f``: the bytes ``np.savetxt``
+    writes with that format, with each azimuth formatted once."""
+    az_text = ["%.4f," % az for az in pattern.az_deg.tolist()]
+    with open(path, "w") as f:
+        f.write("az_deg,el_deg,directivity_dbi\n")
+        for el, row in zip(pattern.el_deg.tolist(), pattern.gain_db):
+            el_text = "%.4f," % el
+            f.write("".join([az + el_text + "%.4f\n" % gain
+                             for az, gain in zip(az_text, row.tolist())]))

@@ -58,6 +58,16 @@ from cimsim.verify import ALL_CHECKS
     (["codebook", "--nf", "2000"],
      "2000 fixed phase shifters give a phase step of 0 rad"),
     (["codebook", "--seed", "-1"], "seed must be at least 0, got -1"),
+    (["pattern", "--geometry", "URA", "--steer", "200", "0"],
+     "steering offsets must be az in [-180, 180) and el in [-90, 90] deg, "
+     "got az 200, el 0 deg"),
+    (["pattern", "--geometry", "URA", "--steer", "180", "0"],
+     "must be az in [-180, 180) and el in [-90, 90] deg, got az 180, el 0"),
+    (["pattern", "--geometry", "URA", "--steer", "0", "100"],
+     "must be az in [-180, 180) and el in [-90, 90] deg, got az 0, el 100"),
+    (["pattern", "--geometry", "URA", "--steer", "0", "-90.5"],
+     "must be az in [-180, 180) and el in [-90, 90] deg, got az 0, "
+     "el -90.5"),
 ])
 def test_bad_input_is_one_line_error(tmp_path, capsys, argv, message):
     cfg = tmp_path / "bad.cfg"

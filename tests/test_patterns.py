@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 import cimsim
 from cimsim.arrays import ArrayKind, GeometrySpec, scenario_geometry
-from cimsim.patterns import (chart_directions, compute_pattern,
-                             main_lobe_mask, pattern_frame, steered_pattern,
-                             steering_weights, summarize)
+from cimsim.patterns import (MAIN_LOBE_FLOOR_DB, chart_directions,
+                             compute_pattern, main_lobe_mask, pattern_frame,
+                             steered_pattern, steering_weights, summarize,
+                             write_pattern_csv)
 
 LAM = 0.0107068735
 
@@ -269,14 +270,161 @@ class TestSummarize:
         assert expected != pat.gain_db[side].mean()
 
 
-def test_importing_cimsim_leaves_scipy_ndimage_unloaded():
-    # patterns imports scipy.ndimage where it labels lobes, so a process
-    # that only sweeps BER never pays for loading it
+def ndimage_main_lobe(gain_db, target):
+    """The main lobe as scipy labels it: the target's 8-connected
+    component of the cells above its floor."""
+    from scipy import ndimage
+    above = gain_db >= gain_db[target] - MAIN_LOBE_FLOOR_DB
+    labels, _ = ndimage.label(above, structure=np.ones((3, 3), dtype=int))
+    return labels == labels[target]
+
+
+def grid_from_text(text):
+    """'#' cells at 0 dB, '.' cells at -30 dB (below a 0 dB target's
+    floor), rows top to bottom."""
+    rows = text.split()
+    return np.array([[0.0 if c == "#" else -30.0 for c in row]
+                     for row in rows])
+
+
+class TestMainLobeMask:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data(), rows=st.integers(1, 9), cols=st.integers(1, 9))
+    def test_property_matches_ndimage(self, data, rows, cols):
+        # integer levels 0..40 dB put cells on both sides of every floor
+        levels = data.draw(st.lists(st.integers(0, 40), min_size=rows * cols,
+                                    max_size=rows * cols))
+        gain_db = np.array(levels, dtype=float).reshape(rows, cols)
+        target = (data.draw(st.integers(0, rows - 1)),
+                  data.draw(st.integers(0, cols - 1)))
+        np.testing.assert_array_equal(main_lobe_mask(gain_db, target),
+                                      ndimage_main_lobe(gain_db, target))
+
+    @pytest.mark.parametrize("kind,az,el", [
+        ("URA", 0.0, 0.0), ("UCA", 15.0, 30.0), ("CCA", 15.0, 30.0)])
+    def test_scenario_patterns_match_ndimage(self, kind, az, el):
+        pat = steered_pattern(scenario_geometry(kind, LAM), az, el,
+                              az_step_deg=0.5, el_step_deg=0.5)
+        target = pat.target_index()
+        np.testing.assert_array_equal(main_lobe_mask(pat.gain_db, target),
+                                      ndimage_main_lobe(pat.gain_db, target))
+
+    @pytest.mark.parametrize("target", [(0, 2), (4, 2), (2, 0), (2, 4),
+                                        (0, 0), (4, 4)])
+    def test_target_on_border(self, target):
+        gain_db = grid_from_text("""
+            #####
+            #...#
+            #.#.#
+            #...#
+            #####""")
+        ring = gain_db == 0.0
+        ring[2, 2] = False
+        np.testing.assert_array_equal(main_lobe_mask(gain_db, target), ring)
+
+    def test_azimuth_edges_do_not_wrap(self):
+        # lobes touching column 0 and the last column stay apart
+        gain_db = grid_from_text("""
+            #..#
+            #..#
+            ##.#""")
+        left = gain_db == 0.0
+        left[:, 3] = False
+        np.testing.assert_array_equal(main_lobe_mask(gain_db, (0, 0)), left)
+        np.testing.assert_array_equal(main_lobe_mask(gain_db, (1, 3)),
+                                      (gain_db == 0.0) & ~left)
+
+    def test_diagonal_link_joins(self):
+        gain_db = grid_from_text("""
+            #...
+            .#..
+            ..#.
+            ...#
+            #...""")
+        np.testing.assert_array_equal(main_lobe_mask(gain_db, (3, 3)),
+                                      np.eye(5, 4, dtype=bool))
+        only = np.zeros(gain_db.shape, dtype=bool)
+        only[4, 0] = True
+        np.testing.assert_array_equal(main_lobe_mask(gain_db, (4, 0)), only)
+
+    def test_single_cell(self):
+        np.testing.assert_array_equal(main_lobe_mask(np.zeros((1, 1)), (0, 0)),
+                                      [[True]])
+        gain_db = np.full((3, 3), -30.0)
+        gain_db[1, 1] = 0.0
+        np.testing.assert_array_equal(main_lobe_mask(gain_db, (1, 1)),
+                                      gain_db == 0.0)
+
+    def test_all_above(self):
+        rng = np.random.default_rng(4)
+        gain_db = rng.uniform(-10.0, 10.0, (6, 7))   # within 20 dB of any
+        assert main_lobe_mask(gain_db, (3, 4)).all()
+
+
+class TestSteeringTarget:
+    @pytest.mark.parametrize("steer_az,nearest", [
+        (179.9, -180.0), (-179.9, -180.0), (179.7, 179.5), (0.1, 0.0),
+        (-180.0, -180.0)])
+    def test_azimuth_nearest_around_the_circle(self, steer_az, nearest):
+        pat = steered_pattern(GeometrySpec.ula(4, LAM), az_step_deg=0.5,
+                              el_step_deg=1.0)
+        pat.steer_az_deg = steer_az
+        assert pat.az_deg[pat.target_index()[1]] == nearest
+
+    @pytest.mark.parametrize("az,el", [(180.0, 0.0), (200.0, 0.0),
+                                       (-180.5, 0.0), (0.0, 100.0),
+                                       (0.0, -90.5)])
+    def test_offsets_out_of_range_raise(self, az, el):
+        spec = GeometrySpec.ura(3, 3, LAM)
+        with pytest.raises(ValueError, match=r"az in \[-180, 180\) and el "
+                           r"in \[-90, 90\] deg"):
+            steering_weights(spec, az, el)
+        with pytest.raises(ValueError, match="must be az in"):
+            compute_pattern(spec.positions, np.ones(9, complex) / 3, LAM,
+                            steer_az_deg=az, steer_el_off_deg=el)
+
+    def test_offsets_at_the_range_ends_are_accepted(self):
+        spec = GeometrySpec.ura(3, 3, LAM)
+        for az, el in [(-180.0, -90.0), (179.75, 90.0)]:
+            pat = steered_pattern(spec, az, el, az_step_deg=1.0,
+                                  el_step_deg=1.0)
+            assert np.isfinite(summarize(pat).directivity_dbi)
+
+
+def test_pattern_csv_matches_savetxt(tmp_path):
+    pat = steered_pattern(scenario_geometry("URA", LAM), 15.0, 30.0,
+                          az_step_deg=1.0, el_step_deg=1.0)
+    write_pattern_csv(pat, tmp_path / "fast.csv")
+    aa, ee = np.meshgrid(pat.az_deg, pat.el_deg)
+    np.savetxt(tmp_path / "ref.csv",
+               np.column_stack([aa.ravel(), ee.ravel(), pat.gain_db.ravel()]),
+               delimiter=",", comments="",
+               header="az_deg,el_deg,directivity_dbi", fmt="%.4f")
+    assert (tmp_path / "fast.csv").read_bytes() \
+        == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_patterns_and_pattern_command_run_without_scipy(tmp_path):
+    # scipy is a test dependency only: with every scipy import made to
+    # fail, summarize and the pattern command still run
     src = str(Path(cimsim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, cimsim; print('scipy.ndimage' in sys.modules)"],
-        capture_output=True, text=True, check=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path}).stdout
-    assert out.split() == ["False"]
+    script = f"""
+import sys
+sys.modules["scipy"] = None
+from cimsim.arrays import scenario_geometry
+from cimsim.cli import main
+from cimsim.patterns import steered_pattern, summarize
+pat = steered_pattern(scenario_geometry("URA", {LAM!r}), 15.0, 30.0,
+                      az_step_deg=1.0, el_step_deg=1.0)
+print(summarize(pat).asld_db)
+assert main(["pattern", "--geometry", "CCA", "--resolution", "1",
+             "--out", {str(tmp_path)!r}]) == 0
+"""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr
+    assert np.isfinite(float(out.stdout.split()[0]))
+    assert (tmp_path / "pattern_cca_az0_el0.csv").is_file()
