@@ -19,6 +19,10 @@ from enum import Enum
 import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
+# The scenario's 28 GHz carrier.  No output depends on it: every layout
+# is in half wavelengths, so steering phases are carrier-free, and the
+# path-loss constants were measured at this carrier.
+WAVELENGTH = SPEED_OF_LIGHT / 28e9  # m
 
 
 class ArrayKind(str, Enum):

@@ -13,7 +13,9 @@ serves every element layout: per layout, ``sample_realization`` assembles
 from the transmit/receive steering vectors.  Both ends of the link use
 the same element layout, so N_t = N_r = N.  Shadowing is drawn once
 per realization (slow fading); no line-of-sight component is ever
-generated.
+generated.  The link enters only through its length ``distance_m``, in
+the path loss, since cluster angles are drawn whatever the end
+positions; the carrier is fixed at 28 GHz (``arrays.WAVELENGTH``).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 
-from .arrays import SPEED_OF_LIGHT, steering, unit_directions
+from .arrays import WAVELENGTH, steering, unit_directions
 
 
 def require_finite(key: str, value):
@@ -43,14 +45,11 @@ class ChannelConfig:
     pathloss_intercept_db: float = 72.0
     pathloss_exponent: float = 2.92
     shadowing_std_db: float = 8.7
-    tx_position: tuple[float, float, float] = (25.0, 25.0, 9.0)
-    rx_position: tuple[float, float, float] = (25.0, 175.0, 9.0)
-    carrier_hz: float = 28e9
+    distance_m: float = 150.0       # Tx (25, 25, 9) m to Rx (25, 175, 9) m
 
     def __post_init__(self) -> None:
         for key in ("angular_spread_deg", "pathloss_intercept_db",
-                    "pathloss_exponent", "shadowing_std_db", "tx_position",
-                    "rx_position", "carrier_hz"):
+                    "pathloss_exponent", "shadowing_std_db", "distance_m"):
             require_finite(key, getattr(self, key))
         if self.clusters < 1 or self.paths_per_cluster < 1:
             raise ValueError("need at least one cluster and one path")
@@ -58,20 +57,9 @@ class ChannelConfig:
             raise ValueError("angular spread must be positive")
         if self.shadowing_std_db < 0:
             raise ValueError("shadowing std must be nonnegative")
-        if self.carrier_hz <= 0:
-            raise ValueError(f"carrier_hz must be positive, got "
-                             f"{self.carrier_hz:g}")
-        if np.allclose(self.tx_position, self.rx_position):
-            raise ValueError("tx_position and rx_position must differ")
-
-    @property
-    def wavelength(self) -> float:
-        return SPEED_OF_LIGHT / self.carrier_hz
-
-    @property
-    def distance(self) -> float:
-        return float(np.linalg.norm(np.asarray(self.rx_position)
-                                    - np.asarray(self.tx_position)))
+        if self.distance_m <= 0:
+            raise ValueError(f"distance_m must be positive, got "
+                             f"{self.distance_m:g}")
 
 
 def path_loss(distance: float, intercept_db: float, exponent: float,
@@ -94,7 +82,6 @@ class ChannelPaths:
     aoa_el: np.ndarray
     shadow_db: float
     gain_variance: float          # linear, 10**(-0.1 * PL)
-    wavelength: float
     aod_dirs: np.ndarray = field(repr=False)   # (C*L, 3), path c*L + l
     aoa_dirs: np.ndarray = field(repr=False)
 
@@ -151,7 +138,7 @@ def draw_paths(cfg: ChannelConfig, seed: "int | list[int]") -> ChannelPaths:
 
     shadow_db = float(shadow_rng.normal(0.0, cfg.shadowing_std_db)) \
         if cfg.shadowing_std_db > 0 else 0.0
-    pl_db = path_loss(cfg.distance, cfg.pathloss_intercept_db,
+    pl_db = path_loss(cfg.distance_m, cfg.pathloss_intercept_db,
                       cfg.pathloss_exponent, shadow_db)
     variance = 10.0 ** (-0.1 * pl_db)
 
@@ -161,7 +148,6 @@ def draw_paths(cfg: ChannelConfig, seed: "int | list[int]") -> ChannelPaths:
     return ChannelPaths(
         gains=gains, aod_az=aod_az, aod_el=aod_el, aoa_az=aoa_az,
         aoa_el=aoa_el, shadow_db=shadow_db, gain_variance=variance,
-        wavelength=cfg.wavelength,
         aod_dirs=unit_directions(aod_az.ravel(), aod_el.ravel()),
         aoa_dirs=unit_directions(aoa_az.ravel(), aoa_el.ravel()))
 
@@ -175,7 +161,7 @@ def sample_realization(paths: ChannelPaths,
     are kept as ``a_t`` / ``a_r``, so the codebook reuses them instead
     of rebuilding them.
     """
-    a_t = steering(positions, paths.aod_dirs, paths.wavelength)
-    a_r = steering(positions, paths.aoa_dirs, paths.wavelength)
+    a_t = steering(positions, paths.aod_dirs, WAVELENGTH)
+    a_r = steering(positions, paths.aoa_dirs, WAVELENGTH)
     return ChannelRealization(**vars(paths), a_t=a_t, a_r=a_r,
                               matrix=_combine_paths(paths.gains, a_t, a_r))

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrays import ArrayKind, scenario_geometry
+from .arrays import ArrayKind, WAVELENGTH, scenario_geometry
 from .channel import ChannelConfig, draw_paths, sample_realization
 from .codebook import FpsBank, build_codebook, quantize_weights
 from .harness import (SimConfig, _check_axis, _check_lower_bound,
@@ -92,9 +92,8 @@ def cmd_pattern(args: argparse.Namespace) -> int:
     geometries = tuple(g.upper() for g in (args.geometry or
                                            ("ULA", "URA", "UCA", "CCA")))
     _check_axis("geometries", geometries)
-    wavelength = ChannelConfig(carrier_hz=args.carrier_ghz * 1e9).wavelength
     az_off, el_off = args.steer
-    specs = [scenario_geometry(ArrayKind(g), wavelength, args.n_elements)
+    specs = [scenario_geometry(ArrayKind(g), WAVELENGTH, args.n_elements)
              for g in geometries]
     rows = []
     for g, spec in zip(geometries, specs):
@@ -116,15 +115,14 @@ def cmd_pattern(args: argparse.Namespace) -> int:
 
 def cmd_codebook(args: argparse.Namespace) -> int:
     _check_lower_bound("seed", args.seed)
-    cfg = ChannelConfig(carrier_hz=args.carrier_ghz * 1e9)
     geometries = args.geometry or ["URA"]
     if len(geometries) > 1:
         raise ValueError("codebook takes one --geometry, got "
                          + ", ".join(geometries))
-    spec = scenario_geometry(ArrayKind(geometries[0].upper()),
-                             cfg.wavelength, args.n_elements)
+    spec = scenario_geometry(ArrayKind(geometries[0].upper()), WAVELENGTH,
+                             args.n_elements)
     bank = FpsBank(args.nf) if args.nf is not None else None
-    realization = sample_realization(draw_paths(cfg, args.seed),
+    realization = sample_realization(draw_paths(ChannelConfig(), args.seed),
                                      spec.positions)
     cb = build_codebook(realization, args.order)
     print(f"geometry={spec.kind.value} N={spec.n_elements} "
@@ -165,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar=("AZ", "EL"),
                        help="pointing offset from broadside, degrees")
     p_pat.add_argument("--resolution", type=float, default=0.25)
-    p_pat.add_argument("--carrier-ghz", type=float, default=28.0)
     p_pat.add_argument("--n-elements", type=int, default=82)
     p_pat.add_argument("--out", type=Path, default=Path("out"))
     p_pat.set_defaults(func=cmd_pattern)
@@ -175,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cb.add_argument("--seed", type=int, default=1)
     p_cb.add_argument("--order", type=int, default=4)
     p_cb.add_argument("--nf", type=int)
-    p_cb.add_argument("--carrier-ghz", type=float, default=28.0)
     p_cb.add_argument("--n-elements", type=int, default=82)
     p_cb.set_defaults(func=cmd_codebook)
 

@@ -74,7 +74,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .arrays import ArrayKind, scenario_geometry
+from .arrays import ArrayKind, WAVELENGTH, scenario_geometry
 from .channel import (ChannelConfig, ChannelRealization, draw_paths,
                       require_finite, sample_realization)
 from .codebook import FpsBank, build_codebook, quantize_weights
@@ -160,7 +160,7 @@ class SimConfig:
             require_finite(key, getattr(self, key))
         for g in self.geometries:
             try:
-                scenario_geometry(g, self.channel.wavelength, self.n_elements)
+                scenario_geometry(g, WAVELENGTH, self.n_elements)
             except ValueError as exc:
                 raise ValueError(f"geometry {g} with n_elements="
                                  f"{self.n_elements}: {exc}") from None
@@ -249,8 +249,8 @@ class _Pair:
         self.geometry = geometry
         self.signaling = order, constellation = signaling
         self.label = f"{geometry} {order}x{constellation}"
-        self.positions = scenario_geometry(
-            geometry, cfg.channel.wavelength, cfg.n_elements).positions
+        self.positions = scenario_geometry(geometry, WAVELENGTH,
+                                           cfg.n_elements).positions
         gain = db_to_linear(array_gain_db(len(self.positions)))
         # sqrt(P) G_t G_r per power point
         self.amplitudes = np.array([np.sqrt(dbm_to_watt(p)) * gain * gain
@@ -633,8 +633,7 @@ def aggregate_and_emit(results: list[BerResult], out_dir: "str | Path",
 def _element_counts(cfg: SimConfig) -> dict[str, int]:
     """Elements each geometry really has; the URA rounds ``n_elements``
     to a square (82 -> 81)."""
-    return {g: scenario_geometry(g, cfg.channel.wavelength,
-                                 cfg.n_elements).n_elements
+    return {g: scenario_geometry(g, WAVELENGTH, cfg.n_elements).n_elements
             for g in cfg.geometries}
 
 
@@ -647,7 +646,7 @@ _CHANNEL_KEYS = {
     "pathloss_intercept_db": float,
     "pathloss_exponent": float,
     "shadowing_std_db": float,
-    "carrier_hz": float,
+    "distance_m": float,
 }
 _SIM_KEYS = {
     "realizations": int,
@@ -694,8 +693,8 @@ def load_config(path: "str | Path") -> SimConfig:
 
     A value that breaks a rule of its own key fails with
     ``<path>:<line>: <key>: ...``; a rule between keys (signalings
-    against clusters, a geometry against n_elements, tx_position against
-    rx_position) fails with ``<path>: ...`` naming both keys."""
+    against clusters, a geometry against n_elements) fails with
+    ``<path>: ...`` naming both keys."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
@@ -746,9 +745,6 @@ def _parse_entry(key: str, value: str, sim_kwargs: dict,
         sim_kwargs["hardware"] = tuple(v.strip() for v in value.split(","))
     elif key == "powers_dbm":
         sim_kwargs["powers_dbm"] = require_finite(key, _parse_powers(value))
-    elif key in ("tx_position", "rx_position"):
-        chan_kwargs[key] = require_finite(
-            key, tuple(float(v) for v in value.split(",")))
     else:
         raise ValueError("unknown key")
     if key in _GRID_KEYS:

@@ -249,6 +249,8 @@ def compute_pattern(positions: np.ndarray, weights: np.ndarray,
     el_weights[-1] *= 0.5
     integral = (power * el_weights[:, None]).sum() \
         * np.deg2rad(az_step_deg) * np.deg2rad(el_step_deg)
+    if not integral > 0.0:
+        raise ValueError(f"weights radiate no power, got {integral:g}")
     directivity = power * (4.0 * np.pi / integral)
     gain_db = 10.0 * np.log10(np.maximum(directivity, 1e-300))
     return RadiationPattern(az_deg=az_deg, el_deg=el_deg, gain_db=gain_db,

@@ -15,8 +15,8 @@ from itertools import product
 
 import numpy as np
 
-from .arrays import (ArrayKind, GeometrySpec, scenario_geometry, steering,
-                     unit_directions)
+from .arrays import (ArrayKind, GeometrySpec, WAVELENGTH, scenario_geometry,
+                     steering, unit_directions)
 from .channel import (ChannelConfig, draw_paths, path_loss,
                       sample_realization)
 from .codebook import (FpsBank, build_codebook, compose_switch_vector,
@@ -78,22 +78,21 @@ def check_quantization_bound(max_shifters: int = 8,
                        violations == 0, f"{violations} violations")
 
 
-def check_steering_norms(seed: int = 7, samples: int = 200,
-                         wavelength: float = 0.0107) -> CheckResult:
+def check_steering_norms(seed: int = 7, samples: int = 200) -> CheckResult:
     """Steering vectors of the four scenario arrays toward ``samples``
     random directions each: unit norm, 1/sqrt(N) entry magnitudes and each
     entry within 1e-13 of cmath.exp(2j pi p.d / lambda) / sqrt(N)."""
     rng = np.random.default_rng(seed)
     worst = entry_error = 0.0
     for kind in ArrayKind:
-        pos = scenario_geometry(kind, wavelength).positions
+        pos = scenario_geometry(kind, WAVELENGTH).positions
         az, el = rng.uniform(0.0, (2.0 * np.pi, np.pi), (samples, 2)).T
         directions = unit_directions(az, el)
-        a = steering(pos, directions, wavelength)
+        a = steering(pos, directions, WAVELENGTH)
         worst = max(worst, np.abs(np.linalg.norm(a, axis=0) - 1.0).max(),
                     np.abs(np.abs(a) - 1 / np.sqrt(len(pos))).max())
         scalar = [[cmath.exp(2j * cmath.pi * (x * u + y * v + z * w)
-                             / wavelength) for u, v, w in directions.tolist()]
+                             / WAVELENGTH) for u, v, w in directions.tolist()]
                   for x, y, z in pos.tolist()]
         entry_error = max(entry_error, np.abs(
             a - np.array(scalar) / np.sqrt(len(pos))).max())
@@ -113,13 +112,12 @@ def check_path_loss() -> CheckResult:
 
 def check_directivity_normalization() -> CheckResult:
     """Quadrature normalization vs the exact pairwise-sinc integral."""
-    lam = 0.0107
-    spec = GeometrySpec.ura(6, 6, lam)
+    spec = GeometrySpec.ura(6, 6, WAVELENGTH)
     pat = steered_pattern(spec, 10.0, 20.0, az_step_deg=0.5, el_step_deg=0.5)
     pos = spec.positions
     w = steering_weights(spec, 10.0, 20.0)
     diff = pos[:, None, :] - pos[None, :, :]
-    arg = 2 * np.pi / lam * np.linalg.norm(diff, axis=-1)
+    arg = 2 * np.pi / WAVELENGTH * np.linalg.norm(diff, axis=-1)
     sinc = np.where(arg > 0, np.sin(np.maximum(arg, 1e-30)) / np.maximum(arg, 1e-30), 1.0)
     mean_exact = float(np.real(np.einsum("m,n,mn->", w, w.conj(), sinc)))
     lin = 10 ** (pat.gain_db / 10.0)
@@ -152,7 +150,7 @@ def check_noiseless_detection(
     failures = 0
     paths = draw_paths(channel, seed)
     for kind in geometries:
-        spec = scenario_geometry(kind, channel.wavelength, n_elements)
+        spec = scenario_geometry(kind, WAVELENGTH, n_elements)
         realization = sample_realization(paths, spec.positions)
         amplitude = db_to_linear(array_gain_db(spec.n_elements)) ** 2
         for order in orders:
@@ -171,20 +169,19 @@ def check_noiseless_detection(
 
 def check_best_path_bruteforce(seed: int = 3) -> CheckResult:
     """Greedy best-path pick equals an explicit per-path scan."""
-    pos = GeometrySpec.ula(4, 0.0107).positions
+    pos = GeometrySpec.ula(4, WAVELENGTH).positions
     cfg = ChannelConfig(clusters=3, paths_per_cluster=5)
     mismatches = 0
     for s in range(seed, seed + 10):
         r = sample_realization(draw_paths(cfg, s), pos)
         best_paths = build_codebook(r, 1).best_paths
-        lam = r.wavelength
         for c in range(cfg.clusters):
             best, best_gain = 0, -1.0
             for l in range(cfg.paths_per_cluster):
-                f = steering(pos, unit_directions(r.aod_az[c, l],
-                                                  r.aod_el[c, l]), lam)
-                w = steering(pos, unit_directions(r.aoa_az[c, l],
-                                                  r.aoa_el[c, l]), lam)
+                aod = unit_directions(r.aod_az[c, l], r.aod_el[c, l])
+                aoa = unit_directions(r.aoa_az[c, l], r.aoa_el[c, l])
+                f = steering(pos, aod, WAVELENGTH)
+                w = steering(pos, aoa, WAVELENGTH)
                 g = abs(w.conj() @ r.matrix @ f) ** 2
                 if g > best_gain:
                     best, best_gain = l, g

@@ -12,14 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cimsim.arrays import GeometrySpec, scenario_geometry
+from cimsim.arrays import WAVELENGTH, GeometrySpec, scenario_geometry
 from cimsim.channel import ChannelConfig, draw_paths, sample_realization
 from cimsim.harness import SimConfig, results_to_csv, run_sweep
 from cimsim.patterns import steered_pattern, summarize
 from cimsim.verify import (check_noiseless_detection, check_quantization_bound,
                            check_steering_norms, check_switch_composition)
 
-LAM = 299792458.0 / 28e9
 GEOMETRIES = ("ULA", "URA", "UCA", "CCA")
 
 
@@ -32,7 +31,7 @@ def report(criterion: str, passed: bool, detail: str) -> None:
 def broadside():
     out = {}
     for kind in GEOMETRIES:
-        spec = scenario_geometry(kind, LAM)
+        spec = scenario_geometry(kind, WAVELENGTH)
         t0 = time.perf_counter()
         pattern = steered_pattern(spec, 0.0, 0.0)
         elapsed = time.perf_counter() - t0
@@ -44,7 +43,7 @@ def broadside():
 def steered():
     out = {}
     for kind in ("URA", "UCA", "CCA"):
-        spec = scenario_geometry(kind, LAM)
+        spec = scenario_geometry(kind, WAVELENGTH)
         pattern = steered_pattern(spec, 15.0, 30.0)
         out[kind] = summarize(pattern)
     return out
@@ -227,7 +226,7 @@ def test_criterion_9_he_error_floor(he_sweeps):
 def test_criterion_10_statistical_channel_checks():
     # gain variance against the closed-form path loss (shadowing off)
     cfg = ChannelConfig(shadowing_std_db=0.0)
-    positions = GeometrySpec.ula(2, LAM).positions
+    positions = GeometrySpec.ula(2, WAVELENGTH).positions
     acc = 0.0
     n_real = 10_000
     for seed in range(n_real):
@@ -255,7 +254,7 @@ def test_criterion_10_statistical_channel_checks():
     spread_ok = abs(std_deg - 7.5) / 7.5 < 0.03
 
     # steering norms and entry magnitudes
-    norms = check_steering_norms(seed=0, samples=100, wavelength=LAM)
+    norms = check_steering_norms(seed=0, samples=100)
 
     report("criterion 10 (channel statistics)",
            gain_ok and spread_ok and norms.passed,

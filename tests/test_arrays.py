@@ -3,25 +3,23 @@ import hashlib
 import numpy as np
 import pytest
 
-from cimsim.arrays import (ArrayKind, GeometrySpec, SPEED_OF_LIGHT,
+from cimsim.arrays import (WAVELENGTH, ArrayKind, GeometrySpec,
                            scenario_geometry, steering, unit_directions)
 
-LAM_28GHZ = SPEED_OF_LIGHT / 28e9
+
+def table_specs():
+    return [scenario_geometry(k, WAVELENGTH) for k in ArrayKind]
 
 
-def table_specs(lam=LAM_28GHZ):
-    return [scenario_geometry(k, lam) for k in ArrayKind]
-
-
-def extended_precision_error(pos, directions, lam=LAM_28GHZ):
+def extended_precision_error(pos, directions):
     """Largest distance of the steering entries from exp(j 2 pi p.d /
     lambda) / sqrt(N) evaluated on the same float inputs in extended
     precision."""
     if np.finfo(np.longdouble).precision < 18:
         pytest.skip("np.longdouble is no wider than float64 here")
-    a = steering(pos, directions, lam)
+    a = steering(pos, directions, WAVELENGTH)
     wide = np.longdouble
-    phase = (2 * np.arccos(wide(-1)) / wide(lam)
+    phase = (2 * np.arccos(wide(-1)) / wide(WAVELENGTH)
              * (pos.astype(wide) @ directions.T.astype(wide)))
     norm = np.sqrt(wide(len(pos)))
     return np.hypot(a.real - np.cos(phase) / norm,
@@ -34,23 +32,23 @@ class TestElementPositions:
         np.testing.assert_allclose(pos, [[0, 0, 0], [0, 0, 0.5]])
 
     def test_cca_scenario_has_82_elements_on_four_rings(self):
-        spec = scenario_geometry("CCA", LAM_28GHZ)
+        spec = scenario_geometry("CCA", WAVELENGTH)
         pos = spec.positions
         assert pos.shape == (82, 3)
         radii = np.linalg.norm(pos[:, :2], axis=1)
         expected = np.repeat([0.76, 1.36, 2.09, 2.99], [9, 17, 25, 31])
-        np.testing.assert_allclose(radii, expected * LAM_28GHZ, rtol=1e-12)
+        np.testing.assert_allclose(radii, expected * WAVELENGTH, rtol=1e-12)
         assert np.all(pos[:, 2] == 0.0)
 
     def test_ura_9x9_half_wavelength_grid(self):
-        pos = GeometrySpec.ura(9, 9, LAM_28GHZ).positions
+        pos = GeometrySpec.ura(9, 9, WAVELENGTH).positions
         assert pos.shape == (81, 3)
         assert np.all(pos[:, 2] == 0.0)
         # row-major by (n_x, n_y): second entry advances n_y
-        np.testing.assert_allclose(pos[1], [0.0, LAM_28GHZ / 2, 0.0])
-        np.testing.assert_allclose(pos[9], [LAM_28GHZ / 2, 0.0, 0.0])
+        np.testing.assert_allclose(pos[1], [0.0, WAVELENGTH / 2, 0.0])
+        np.testing.assert_allclose(pos[9], [WAVELENGTH / 2, 0.0, 0.0])
         steps_x = np.unique(np.diff(np.unique(pos[:, 0])))
-        np.testing.assert_allclose(steps_x, LAM_28GHZ / 2)
+        np.testing.assert_allclose(steps_x, WAVELENGTH / 2)
 
     def test_uca_placement_angles(self):
         spec = GeometrySpec.uca(8, wavelength=1.0)
@@ -74,7 +72,7 @@ class TestElementPositions:
     def test_scenario_positions_are_pinned_bytes(self, kind, digest):
         # sha256 of the float64 bytes at 28 GHz: any change to the float
         # operations building a layout, or to their order, fails here
-        pos = scenario_geometry(kind, LAM_28GHZ).positions
+        pos = scenario_geometry(kind, WAVELENGTH).positions
         assert hashlib.sha256(pos.tobytes()).hexdigest() == digest
         with pytest.raises(ValueError, match="read-only"):
             pos[0, 0] = 1.0
@@ -115,10 +113,10 @@ class TestWaveNumber:
         # phase of element p is k.p
         k = [283.4203168443512, 75.94224501701682, 508.2154087934871]
         d = unit_directions(np.deg2rad(15.0), np.deg2rad(30.0))
-        np.testing.assert_allclose(2 * np.pi / LAM_28GHZ * d, k, rtol=1e-13)
+        np.testing.assert_allclose(2 * np.pi / WAVELENGTH * d, k, rtol=1e-13)
         pos = np.eye(3)
         np.testing.assert_allclose(
-            steering(pos, d, LAM_28GHZ),
+            steering(pos, d, WAVELENGTH),
             np.exp(1j * np.array(k)) / np.sqrt(3), rtol=1e-12)
 
     def test_rejects_nonpositive_wavelength(self):
@@ -135,9 +133,9 @@ class TestSteeringVector:
 
     def test_planar_arrays_uniform_at_zenith(self):
         for kind in (ArrayKind.URA, ArrayKind.UCA, ArrayKind.CCA):
-            spec = scenario_geometry(kind, LAM_28GHZ)
+            spec = scenario_geometry(kind, WAVELENGTH)
             pos = spec.positions
-            a = steer(pos, 0.7, 0.0, LAM_28GHZ)
+            a = steer(pos, 0.7, 0.0, WAVELENGTH)
             n = spec.n_elements
             np.testing.assert_allclose(a, np.full(n, 1 / np.sqrt(n)),
                                        atol=1e-12)
@@ -147,10 +145,10 @@ class TestSteeringVector:
         np.testing.assert_allclose(a, [1.0])
 
     def test_ura_self_product_and_cauchy_schwarz(self):
-        pos = GeometrySpec.ura(9, 9, LAM_28GHZ).positions
-        a = steer(pos, np.deg2rad(15), np.deg2rad(30), LAM_28GHZ)
+        pos = GeometrySpec.ura(9, 9, WAVELENGTH).positions
+        a = steer(pos, np.deg2rad(15), np.deg2rad(30), WAVELENGTH)
         assert abs(np.vdot(a, a) - 1.0) < 1e-12
-        broadside = steer(pos, 0.0, 0.0, LAM_28GHZ)
+        broadside = steer(pos, 0.0, 0.0, WAVELENGTH)
         assert abs(np.vdot(broadside, a)) < 1.0
 
     def test_unit_norm_and_entry_magnitudes_everywhere(self):
@@ -161,7 +159,7 @@ class TestSteeringVector:
             for _ in range(50):
                 az = rng.uniform(-4 * np.pi, 4 * np.pi)
                 el = rng.uniform(-np.pi, 2 * np.pi)
-                a = steer(pos, az, el, LAM_28GHZ)
+                a = steer(pos, az, el, WAVELENGTH)
                 assert abs(np.linalg.norm(a) - 1.0) <= 1e-12
                 np.testing.assert_allclose(np.abs(a), 1 / np.sqrt(n),
                                            atol=1e-14)
@@ -183,7 +181,7 @@ class TestSteeringVector:
         # 83 half-wavelength-spaced elements span 41 wavelengths, so the
         # phases reach 2 pi x 41; the reference evaluates the same float
         # inputs in extended precision
-        pos = GeometrySpec.ula(83, LAM_28GHZ).positions
+        pos = GeometrySpec.ula(83, WAVELENGTH).positions
         rng = np.random.default_rng(41)
         directions = np.vstack([
             [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]],
@@ -193,7 +191,7 @@ class TestSteeringVector:
 
     @pytest.mark.parametrize("kind", list(ArrayKind))
     def test_scenario_arrays_match_extended_precision(self, kind):
-        pos = scenario_geometry(kind, LAM_28GHZ).positions
+        pos = scenario_geometry(kind, WAVELENGTH).positions
         rng = np.random.default_rng(17)
         directions = unit_directions(rng.uniform(0, 2 * np.pi, 300),
                                      rng.uniform(0, np.pi, 300))

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from cimsim.arrays import GeometrySpec, steering, unit_directions
+from cimsim.arrays import WAVELENGTH, GeometrySpec, steering, unit_directions
 from cimsim.channel import (ChannelConfig, draw_paths, path_loss,
                             sample_realization)
 
-LAM = 0.0107068735
-
 
 def small_positions(n=2):
-    return GeometrySpec.ula(n, LAM).positions
+    return GeometrySpec.ula(n, WAVELENGTH).positions
 
 
 def cluster_mean_azimuths(cfg, seed):
@@ -28,7 +26,7 @@ def outer_product_sum(r, tx, rx):
     def response(pos, az, el):
         d = np.array([np.sin(el) * np.cos(az), np.sin(el) * np.sin(az),
                       np.cos(el)])
-        phase = 2 * np.pi / r.wavelength * (pos @ d)
+        phase = 2 * np.pi / WAVELENGTH * (pos @ d)
         return np.exp(1j * phase) / np.sqrt(len(pos))
 
     c_count, l_count = r.gains.shape
@@ -68,7 +66,9 @@ class TestChannelConfig:
     def test_defaults_match_scenario(self):
         cfg = ChannelConfig()
         assert cfg.clusters == 8 and cfg.paths_per_cluster == 10
-        assert abs(cfg.distance - 150.0) < 1e-12
+        # the Tx (25, 25, 9) m to Rx (25, 175, 9) m link
+        assert cfg.distance_m == np.linalg.norm(np.subtract((25, 175, 9),
+                                                            (25, 25, 9)))
         assert cfg.angular_spread_deg == 7.5
 
     @pytest.mark.parametrize("kwargs", [
@@ -76,18 +76,17 @@ class TestChannelConfig:
         dict(paths_per_cluster=0),
         dict(angular_spread_deg=0.0),
         dict(shadowing_std_db=-1.0),
-        dict(rx_position=(25.0, 25.0, 9.0)),
+        dict(distance_m=0.0),
+        dict(distance_m=-1.0),
     ])
     def test_invalid_configs_raise(self, kwargs):
         with pytest.raises(ValueError):
             ChannelConfig(**kwargs)
 
     @pytest.mark.parametrize("key,value", [
-        ("carrier_hz", np.nan), ("carrier_hz", np.inf),
         ("angular_spread_deg", np.nan), ("shadowing_std_db", np.nan),
         ("pathloss_exponent", np.inf), ("pathloss_intercept_db", -np.inf),
-        ("tx_position", (25.0, np.nan, 9.0)),
-        ("rx_position", (np.inf, 175.0, 9.0)),
+        ("distance_m", np.nan), ("distance_m", np.inf),
     ])
     def test_non_finite_values_rejected(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must be finite, got "):
@@ -127,13 +126,13 @@ class TestSampleRealization:
         # path c*L + l in column c*L + l
         assert np.array_equal(r.a_t, steering(
             pos, unit_directions(r.aod_az.ravel(), r.aod_el.ravel()),
-            r.wavelength))
+            WAVELENGTH))
         assert np.array_equal(r.a_r, steering(
             pos, unit_directions(r.aoa_az.ravel(), r.aoa_el.ravel()),
-            r.wavelength))
+            WAVELENGTH))
         np.testing.assert_allclose(r.a_t[:, 2 * 4 + 1], steering(
             pos, unit_directions(r.aod_az[2, 1], r.aod_el[2, 1]),
-            r.wavelength), atol=1e-15)
+            WAVELENGTH), atol=1e-15)
         assert r.a_t.shape == (5, 12) and r.a_r.shape == (5, 12)
 
     def test_reassembly_reproduces_stored_matrix(self):

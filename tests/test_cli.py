@@ -23,12 +23,12 @@ from cimsim.verify import ALL_CHECKS
      "powers_dbm range must be lo:hi:step, got '0:1'"),
     (["ber", "--power-range", "0:1:2:3"],
      "powers_dbm range must be lo:hi:step, got '0:1:2:3'"),
-    (["pattern", "--geometry", "ULA", "--carrier-ghz", "0"],
-     "carrier_hz must be positive, got 0"),
-    (["pattern", "--geometry", "ULA", "--carrier-ghz", "nan"],
-     "carrier_hz must be finite, got nan"),
-    (["pattern", "--geometry", "ULA", "--carrier-ghz", "1e-320"],
-     "wavelength must be finite and positive, got inf"),
+    (["ber", "--config", "{dir}/carrier.cfg"],
+     "carrier.cfg:1: carrier_hz: unknown key"),
+    (["ber", "--config", "{dir}/position.cfg"],
+     "position.cfg:1: tx_position: unknown key"),
+    (["ber", "--config", "{dir}/distance.cfg"],
+     "distance.cfg:1: distance_m: distance_m must be finite, got nan"),
     (["pattern", "--geometry", "ULA", "--steer", "nan", "0"],
      "steering offsets must be finite, got az nan, el 0 deg"),
     (["pattern", "--geometry", "URA", "--steer", "0", "inf"],
@@ -78,6 +78,10 @@ def test_bad_input_is_one_line_error(tmp_path, capsys, argv, message):
     dup.write_text("geometries = URA\nsignalings = 2x4, 2x4\n")
     he = tmp_path / "he.cfg"
     he.write_text("hardware = HE2000\n")
+    for name, line in (("carrier", "carrier_hz = 28e9"),
+                       ("position", "tx_position = 25, 25, 9"),
+                       ("distance", "distance_m = nan")):
+        (tmp_path / f"{name}.cfg").write_text(line + "\n")
     out = tmp_path / "out"
     argv = [a.format(cfg=cfg, dir=tmp_path, binary=binary, dup=dup, he=he)
             for a in argv]
@@ -100,13 +104,14 @@ def test_codebook_rejects_second_geometry(capsys):
                    "got ULA, CCA\n")
 
 
-@pytest.mark.parametrize("carrier,message", [
-    ("0", "carrier_hz must be positive, got 0"),
-    ("nan", "carrier_hz must be finite, got nan"),
-])
-def test_codebook_rejects_bad_carrier(capsys, carrier, message):
-    assert main(["codebook", "--carrier-ghz", carrier]) == 2
-    assert capsys.readouterr().err == f"cimsim: error: {message}\n"
+@pytest.mark.parametrize("command", ["pattern", "codebook"])
+def test_carrier_flag_is_gone(capsys, command):
+    # the carrier is fixed at 28 GHz
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--carrier-ghz", "28"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --carrier-ghz 28" in err
 
 
 def test_pattern_writes_grid_and_table(tmp_path, capsys):

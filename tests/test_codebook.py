@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cimsim.arrays import GeometrySpec, steering, unit_directions
+from cimsim.arrays import WAVELENGTH, GeometrySpec, steering, unit_directions
 from cimsim.channel import ChannelConfig, draw_paths, sample_realization
 from cimsim.codebook import (FpsBank, build_codebook, compose_switch_vector,
                              quantize_weights, realized_phase, wrap_phase)
 
-LAM = 0.0107068735
 
-
-def steer(pos, az, el, lam=LAM):
-    return steering(pos, unit_directions(az, el), lam)
+def steer(pos, az, el):
+    return steering(pos, unit_directions(az, el), WAVELENGTH)
 
 
 def floor_phase(theta, bank: FpsBank) -> float:
@@ -27,7 +25,7 @@ def exhaustive_best_phase(theta: float, bank: FpsBank) -> float:
 
 
 def make_realization(seed=1, clusters=8, paths=10, n=8):
-    pos = GeometrySpec.ula(n, LAM).positions
+    pos = GeometrySpec.ula(n, WAVELENGTH).positions
     cfg = ChannelConfig(clusters=clusters, paths_per_cluster=paths)
     return sample_realization(draw_paths(cfg, seed), pos), pos
 
@@ -204,7 +202,7 @@ class TestBestEffectivePath:
         assert build_codebook(realization, 1).best_paths[0] == 0
 
     def test_matches_bruteforce_on_random_instances(self):
-        pos = GeometrySpec.ula(4, LAM).positions
+        pos = GeometrySpec.ula(4, WAVELENGTH).positions
         cfg = ChannelConfig(clusters=3, paths_per_cluster=5)
         for seed in range(20):
             realization = sample_realization(draw_paths(cfg, seed), pos)
@@ -292,13 +290,12 @@ class TestBuildCodebook:
         cb = build_codebook(realization, 4)
         clusters = np.array(cb.clusters)
         paths = cb.best_paths[clusters]
-        lam = realization.wavelength
         assert np.array_equal(cb.beamformers, steer(
             pos, realization.aod_az[clusters, paths],
-            realization.aod_el[clusters, paths], lam))
+            realization.aod_el[clusters, paths]))
         assert np.array_equal(cb.combiners, steer(
             pos, realization.aoa_az[clusters, paths],
-            realization.aoa_el[clusters, paths], lam))
+            realization.aoa_el[clusters, paths]))
 
     def test_he_codebook_is_quantized_ideal_codebook(self):
         realization, _ = make_realization(seed=9)

@@ -4,18 +4,20 @@ import functools
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cimsim import harness
-from cimsim.arrays import scenario_geometry
+from cimsim.arrays import WAVELENGTH, scenario_geometry
 from cimsim.channel import ChannelConfig, draw_paths, sample_realization
 from cimsim.codebook import build_codebook
 from cimsim.harness import (SimConfig, aggregate_and_emit, load_config,
@@ -432,6 +434,25 @@ class TestRunSweep:
             ("ULA", 4, 8, "HE4", 30.0, 61, 3),
         ]
 
+    def test_shadowing_is_a_power_shift(self):
+        # a draw's shadow s scales every path gain by 10**(-s / 20), so at
+        # power P it makes the errors of the unshadowed draw at P - s.
+        # Seed 9 draws s = 13.2 dB; every count here stays the same with
+        # P - s moved 1e-6 dB either way, so none sits on a near tie
+        cfg = SimConfig(geometries=("ULA", "URA", "UCA", "CCA"),
+                        hardware=("OP", "HE8"),
+                        powers_dbm=(-25.0, -20.0, -15.0), realizations=1,
+                        symbols_per_realization=200, seed=9)
+        shadow = draw_paths(cfg.channel, [9, 0, 0]).shadow_db
+        flat = dataclasses.replace(
+            cfg, channel=ChannelConfig(shadowing_std_db=0.0),
+            powers_dbm=tuple(p - shadow for p in cfg.powers_dbm))
+        shadowed, unshadowed = (
+            [(r.geometry, r.hardware, r.bit_errors, r.bits_total)
+             for r in run_sweep(c)] for c in (cfg, flat))
+        assert shadow > 10.0 and all(row[2] for row in shadowed)
+        assert shadowed == unshadowed
+
     def test_geometry_rows_do_not_depend_on_the_other_geometries(self):
         # seeded by grid position, URA read 525 errors in this grid and
         # 519 when it ran alone
@@ -553,7 +574,7 @@ class TestRunSweep:
                         seed=3, n_elements=8)
         result = run_sweep(cfg)[0]
 
-        spec = scenario_geometry("ULA", cfg.channel.wavelength, 8)
+        spec = scenario_geometry("ULA", WAVELENGTH, 8)
         positions = spec.positions
         gain = db_to_linear(array_gain_db(8))
         amplitude = np.sqrt(dbm_to_watt(-15.0)) * gain * gain
@@ -737,9 +758,7 @@ class TestConfigFile:
         pathloss_intercept_db = 72
         pathloss_exponent = 2.92
         shadowing_std_db = 8.7
-        carrier_hz = 28e9
-        tx_position = 25, 25, 9
-        rx_position = 25, 175, 9
+        distance_m = 150
         """
         path = tmp_path / "sim.cfg"
         path.write_text(text)
@@ -751,6 +770,7 @@ class TestConfigFile:
         assert cfg.realizations == 5 and cfg.seed == 42
         assert cfg.channel.clusters == 8
         assert cfg.channel.angular_spread_deg == 7.5
+        assert cfg.channel.distance_m == 150.0
 
     @settings(max_examples=30, deadline=None, derandomize=True,
               database=None)
@@ -787,11 +807,7 @@ class TestConfigFile:
             pathloss_intercept_db=data.draw(floats),
             pathloss_exponent=data.draw(floats),
             shadowing_std_db=data.draw(st.floats(0.0, 20.0)),
-            carrier_hz=data.draw(st.floats(1e6, 1e12)),
-            tx_position=data.draw(st.tuples(floats, floats, floats)),
-            rx_position=data.draw(st.tuples(floats, floats, floats)))
-        assume(not np.allclose(channel["tx_position"],
-                               channel["rx_position"]))
+            distance_m=data.draw(st.floats(1e-3, 1e6)))
 
         def text(value):
             if isinstance(value, tuple):
@@ -806,6 +822,19 @@ class TestConfigFile:
         path.write_text("\n".join(lines) + "\n")
         expected = SimConfig(channel=ChannelConfig(**channel), **sim)
         assert load_config(path) == expected
+
+    def test_readme_example_sets_every_channel_key(self, tmp_path):
+        # README.md's ini block, cut out as the CI step "README config
+        # example" cuts it, so adding or removing a channel key without
+        # documenting it fails here
+        readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+        text = "".join(re.findall(r"^```ini\n(.*?)^```$", readme, re.M | re.S))
+        path = tmp_path / "readme.cfg"
+        path.write_text(text)
+        load_config(path)
+        keys = {line.split("=")[0].strip() for line in text.splitlines()
+                if "=" in line.split("#")[0]}
+        assert set(harness._CHANNEL_KEYS) <= keys
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -830,13 +859,17 @@ class TestConfigFile:
         ("seed = -1", "seed must be at least 0"),
         ("noise_dbm = nan", "noise_dbm must be finite, got nan"),
         ("powers_dbm = -10, inf", "powers_dbm must be finite, got inf"),
-        ("carrier_hz = nan", "carrier_hz must be finite, got nan"),
+        ("carrier_hz = 28e9", "unknown key"),
+        ("tx_position = 25, 25, 9", "unknown key"),
+        ("rx_position = 25, 175, 9", "unknown key"),
+        ("distance_m = 0", "distance_m must be positive, got 0"),
+        ("distance_m = -1", "distance_m must be positive, got -1"),
+        ("distance_m = nan", "distance_m must be finite, got nan"),
         ("angular_spread_deg = nan",
          "angular_spread_deg must be finite, got nan"),
         ("shadowing_std_db = nan", "shadowing_std_db must be finite, got nan"),
         ("pathloss_exponent = inf",
          "pathloss_exponent must be finite, got inf"),
-        ("rx_position = 25, -inf, 9", "rx_position must be finite, got -inf"),
         ("powers_dbm = 0:1", "powers_dbm range must be lo:hi:step, got '0:1'"),
         ("powers_dbm = 0:1:2:3",
          "powers_dbm range must be lo:hi:step, got '0:1:2:3'"),
@@ -864,7 +897,6 @@ class TestConfigFile:
          "signalings 4x4: B must not exceed clusters = 2"),
         ("geometries = CCA\nn_elements = 16",
          "geometry CCA with n_elements=16: CCA scenario layout is fixed"),
-        ("rx_position = 25, 25, 9", "tx_position and rx_position must differ"),
     ])
     def test_cross_key_error_names_file_and_both_keys(self, tmp_path, lines,
                                                       message):

@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cimsim.arrays import GeometrySpec
+from cimsim.arrays import WAVELENGTH, GeometrySpec
 from cimsim.channel import ChannelConfig, draw_paths, sample_realization
 from cimsim.codebook import FpsBank, build_codebook, quantize_weights
 from cimsim.link import (array_gain_db, branch_amplitudes, count_bit_errors,
                          db_to_linear, dbm_to_watt, detect, gray_code,
                          psk_constellation, transmit)
 
-LAM = 0.0107068735
-
 
 def make_link(seed=1, n=8, clusters=4, order=2, power_w=1.0):
     """Channel, codebook and amplitude sqrt(P) G_t G_r of a small ULA link."""
-    pos = GeometrySpec.ula(n, LAM).positions
+    pos = GeometrySpec.ula(n, WAVELENGTH).positions
     cfg = ChannelConfig(clusters=clusters, paths_per_cluster=4)
     realization = sample_realization(draw_paths(cfg, seed), pos)
     cb = build_codebook(realization, order)

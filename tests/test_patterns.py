@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cimsim
-from cimsim.arrays import ArrayKind, GeometrySpec, scenario_geometry
+from cimsim.arrays import (WAVELENGTH, ArrayKind, GeometrySpec,
+                           scenario_geometry)
 from cimsim.patterns import (MAIN_LOBE_FLOOR_DB, chart_directions,
                              compute_pattern, main_lobe_mask, pattern_frame,
                              steered_pattern, steering_weights, summarize,
                              write_pattern_csv)
-
-LAM = 0.0107068735
 
 
 def sinc_mean(positions, weights, wavelength):
@@ -42,7 +41,7 @@ def direct_directivity(positions, weights, wavelength, frame, step_deg):
 
 
 def assert_matches_direct_sum(pat, positions, weights, frame, step_deg):
-    ref = direct_directivity(positions, weights, LAM, frame, step_deg)
+    ref = direct_directivity(positions, weights, WAVELENGTH, frame, step_deg)
     got = 10 ** (pat.gain_db / 10.0)
     assert got.shape == ref.shape
     np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-9 * ref.max())
@@ -72,7 +71,7 @@ class TestFrames:
 
     def test_steering_weights_at_broadside_are_uniform(self):
         for kind in ("URA", "UCA", "CCA"):
-            spec = scenario_geometry(kind, LAM)
+            spec = scenario_geometry(kind, WAVELENGTH)
             w = steering_weights(spec)
             n = spec.n_elements
             np.testing.assert_allclose(w, np.full(n, 1 / np.sqrt(n)),
@@ -81,25 +80,25 @@ class TestFrames:
 
 class TestComputePattern:
     def test_single_element_is_isotropic(self):
-        pat = compute_pattern(np.zeros((1, 3)), np.ones(1, complex), LAM,
-                              az_step_deg=1.0, el_step_deg=1.0)
+        pat = compute_pattern(np.zeros((1, 3)), np.ones(1, complex),
+                              WAVELENGTH, az_step_deg=1.0, el_step_deg=1.0)
         # flat to machine precision, 0 dBi within quadrature tolerance
         assert np.ptp(pat.gain_db) < 1e-12
         np.testing.assert_allclose(pat.gain_db, 0.0, atol=1e-3)
 
     def test_normalization_against_sinc_oracle(self):
-        spec = GeometrySpec.ura(6, 6, LAM)
+        spec = GeometrySpec.ura(6, 6, WAVELENGTH)
         pos = spec.positions
         w = steering_weights(spec, 10.0, 20.0)
         pat = steered_pattern(spec, 10.0, 20.0, az_step_deg=0.5,
                               el_step_deg=0.5)
         peak_lin = 10 ** (pat.gain_db.max() / 10.0)
-        exact = spec.n_elements / sinc_mean(pos, w, LAM)
+        exact = spec.n_elements / sinc_mean(pos, w, WAVELENGTH)
         assert abs(peak_lin / exact - 1.0) < 1e-3
 
     def test_quadrature_closure(self):
         # the normalized pattern must integrate back to 4*pi
-        spec = GeometrySpec.uca(16, LAM)
+        spec = GeometrySpec.uca(16, WAVELENGTH)
         pat = steered_pattern(spec, 0.0, 0.0, az_step_deg=0.5, el_step_deg=0.5)
         lin = 10 ** (pat.gain_db / 10.0)
         el = np.deg2rad(pat.el_deg)
@@ -111,7 +110,8 @@ class TestComputePattern:
 
     def test_peak_at_steering_target(self):
         for kind in ("ULA", "URA", "UCA"):
-            spec = scenario_geometry(kind, LAM, 16 if kind != "URA" else 16)
+            spec = scenario_geometry(kind, WAVELENGTH,
+                                     16 if kind != "URA" else 16)
             pat = steered_pattern(spec, 12.0, 24.0, az_step_deg=0.5,
                                   el_step_deg=0.5)
             ie, ia = pat.target_index()
@@ -119,28 +119,28 @@ class TestComputePattern:
 
     def test_ula_broadside_peak_directivity(self):
         # half-wavelength ULA: peak directivity is exactly N
-        spec = GeometrySpec.ula(82, LAM)
+        spec = GeometrySpec.ula(82, WAVELENGTH)
         pat = steered_pattern(spec, 0.0, 0.0, az_step_deg=0.5, el_step_deg=0.5)
         assert pat.gain_db.max() == pytest.approx(10 * np.log10(82), abs=0.02)
 
     def test_general_positions_and_frame_match_direct_sum(self):
         # non-planar positions in a rotated frame: nothing to group
         rng = np.random.default_rng(11)
-        pos = rng.uniform(-1.5, 1.5, (12, 3)) * LAM
+        pos = rng.uniform(-1.5, 1.5, (12, 3)) * WAVELENGTH
         w = random_weights(rng, 12)
         frame = random_frame(rng)
-        pat = compute_pattern(pos, w, LAM, az_step_deg=1.0, el_step_deg=1.0,
-                              frame=frame)
+        pat = compute_pattern(pos, w, WAVELENGTH, az_step_deg=1.0,
+                              el_step_deg=1.0, frame=frame)
         assert_matches_direct_sum(pat, pos, w, frame, 1.0)
 
     @pytest.mark.parametrize("kind", ["ULA", "URA", "UCA", "CCA"])
     def test_scenario_geometries_match_direct_sum(self, kind):
         rng = np.random.default_rng(5)
-        spec = scenario_geometry(kind, LAM)
+        spec = scenario_geometry(kind, WAVELENGTH)
         pos = spec.positions
         w = random_weights(rng, spec.n_elements)
-        pat = compute_pattern(pos, w, LAM, az_step_deg=1.0, el_step_deg=1.0,
-                              frame=pattern_frame(kind))
+        pat = compute_pattern(pos, w, WAVELENGTH, az_step_deg=1.0,
+                              el_step_deg=1.0, frame=pattern_frame(kind))
         assert_matches_direct_sum(pat, pos, w, pattern_frame(kind), 1.0)
 
     @pytest.mark.parametrize("layout", ["ring", "planar", "volume"])
@@ -151,30 +151,30 @@ class TestComputePattern:
         rng = np.random.default_rng(21)
         if layout == "ring":        # 24-wavelength radius
             ang = 2 * np.pi * np.arange(64) / 64
-            pos = 24 * LAM * np.column_stack([np.cos(ang), np.sin(ang),
+            pos = 24 * WAVELENGTH * np.column_stack([np.cos(ang), np.sin(ang),
                                               np.zeros(64)])
         else:                       # random positions spanning 36 wavelengths
-            pos = rng.uniform(-18, 18, (24, 3)) * LAM
+            pos = rng.uniform(-18, 18, (24, 3)) * WAVELENGTH
         if layout != "volume":
             pos[:, 2] = 0.0
         frame = pattern_frame("UCA") if layout != "volume" \
             else random_frame(rng)
         in_plane = (pos @ frame)[:, :2]
         in_plane -= (in_plane.max(axis=0) + in_plane.min(axis=0)) / 2
-        assert 2 * np.pi / LAM * np.hypot(*in_plane.T).max() > 100
+        assert 2 * np.pi / WAVELENGTH * np.hypot(*in_plane.T).max() > 100
         w = random_weights(rng, pos.shape[0])
-        pat = compute_pattern(pos, w, LAM, az_step_deg=1.0, el_step_deg=1.0,
-                              frame=frame)
+        pat = compute_pattern(pos, w, WAVELENGTH, az_step_deg=1.0,
+                              el_step_deg=1.0, frame=frame)
         assert_matches_direct_sum(pat, pos, w, frame, 1.0)
 
     def test_grid_without_mirror_columns_matches_direct_sum(self):
         # at 0.7 deg the column 180 - az is never on the azimuth grid
         rng = np.random.default_rng(8)
-        spec = scenario_geometry("URA", LAM, 16)
+        spec = scenario_geometry("URA", WAVELENGTH, 16)
         pos = spec.positions
         w = random_weights(rng, spec.n_elements)
-        pat = compute_pattern(pos, w, LAM, az_step_deg=0.7, el_step_deg=0.7,
-                              frame=pattern_frame("URA"))
+        pat = compute_pattern(pos, w, WAVELENGTH, az_step_deg=0.7,
+                              el_step_deg=0.7, frame=pattern_frame("URA"))
         assert_matches_direct_sum(pat, pos, w, pattern_frame("URA"), 0.7)
 
     # 0.5, 0.6, 0.9 and 1 deg divide 180 deg, so the grid has mirror rows
@@ -188,43 +188,46 @@ class TestComputePattern:
     def test_property_matches_direct_sum(self, seed, n, half_width, planar,
                                          lattice, chart_frame, step):
         rng = np.random.default_rng(seed)   # extents up to 10 wavelengths
-        pos = rng.uniform(-half_width, half_width, (n, 3)) * LAM
+        pos = rng.uniform(-half_width, half_width, (n, 3)) * WAVELENGTH
         if lattice:      # repeated chart coordinates: grouped elements
-            pos = np.round(pos / (LAM / 2)) * (LAM / 2)
+            pos = np.round(pos / (WAVELENGTH / 2)) * (WAVELENGTH / 2)
         if planar:       # z = 0, in the planar chart P0 = 0
             pos[:, 2] = 0.0
         w = random_weights(rng, n)
         frame = pattern_frame("URA") if chart_frame else random_frame(rng)
-        pat = compute_pattern(pos, w, LAM, az_step_deg=step,
+        pat = compute_pattern(pos, w, WAVELENGTH, az_step_deg=step,
                               el_step_deg=step, frame=frame)
         assert_matches_direct_sum(pat, pos, w, frame, step)
 
     def test_ula_pattern_is_constant_along_azimuth(self):
         rng = np.random.default_rng(3)
-        pos = GeometrySpec.ula(16, LAM).positions
-        pat = compute_pattern(pos, random_weights(rng, 16), LAM,
+        pos = GeometrySpec.ula(16, WAVELENGTH).positions
+        pat = compute_pattern(pos, random_weights(rng, 16), WAVELENGTH,
                               az_step_deg=0.5, el_step_deg=0.5,
                               frame=pattern_frame("ULA"))
         assert np.all(np.ptp(pat.gain_db, axis=1) == 0)
 
     def test_rejects_coarse_grid_and_bad_weights(self):
-        spec = GeometrySpec.ula(4, LAM)
+        spec = GeometrySpec.ula(4, WAVELENGTH)
         pos = spec.positions
         with pytest.raises(ValueError):
-            compute_pattern(pos, np.ones(4, complex) / 2, LAM, az_step_deg=2.0)
+            compute_pattern(pos, np.ones(4, complex) / 2, WAVELENGTH,
+                            az_step_deg=2.0)
         with pytest.raises(ValueError):
-            compute_pattern(pos, np.ones(3, complex), LAM)
+            compute_pattern(pos, np.ones(3, complex), WAVELENGTH)
         with pytest.raises(ValueError, match="nonempty"):
-            compute_pattern(np.zeros((0, 3)), np.ones(0, complex), LAM)
+            compute_pattern(np.zeros((0, 3)), np.ones(0, complex), WAVELENGTH)
+        with pytest.raises(ValueError, match="radiate no power"):
+            compute_pattern(pos, np.zeros(4, complex), WAVELENGTH)
         for step in (0.0, -0.5):
             with pytest.raises(ValueError, match=f"el_step_deg={step:g}"):
-                compute_pattern(pos, np.ones(4, complex) / 2, LAM,
+                compute_pattern(pos, np.ones(4, complex) / 2, WAVELENGTH,
                                 el_step_deg=step)
 
 
 class TestSummarize:
     def test_ula_broadside_cut_widths(self):
-        spec = GeometrySpec.ula(82, LAM)
+        spec = GeometrySpec.ula(82, WAVELENGTH)
         pat = steered_pattern(spec, 0.0, 0.0, az_step_deg=0.5, el_step_deg=0.25)
         s = summarize(pat)
         assert s.hpbw_az_deg == 360.0          # azimuth-omnidirectional
@@ -234,13 +237,13 @@ class TestSummarize:
     def test_hpbw_shrinks_with_element_count(self):
         widths = []
         for n in (8, 16, 32, 64):
-            pat = steered_pattern(GeometrySpec.ula(n, LAM), 0.0, 0.0,
+            pat = steered_pattern(GeometrySpec.ula(n, WAVELENGTH), 0.0, 0.0,
                                   az_step_deg=1.0, el_step_deg=0.25)
             widths.append(summarize(pat).hpbw_el_deg)
         assert all(b < a for a, b in zip(widths, widths[1:]))
 
     def test_summary_invariants(self):
-        spec = GeometrySpec.ura(9, 9, LAM)
+        spec = GeometrySpec.ura(9, 9, WAVELENGTH)
         pat = steered_pattern(spec, 0.0, 0.0, az_step_deg=0.5, el_step_deg=0.5)
         s = summarize(pat)
         assert s.hpbw_az_deg > 0 and s.hpbw_el_deg > 0
@@ -248,7 +251,7 @@ class TestSummarize:
         assert s.asld_db < s.directivity_dbi
 
     def test_main_lobe_contains_target_and_excludes_sidelobes(self):
-        spec = GeometrySpec.ura(9, 9, LAM)
+        spec = GeometrySpec.ura(9, 9, WAVELENGTH)
         pat = steered_pattern(spec, 0.0, 0.0, az_step_deg=0.5, el_step_deg=0.5)
         ie, ia = pat.target_index()
         mask = main_lobe_mask(pat.gain_db, (ie, ia))
@@ -260,7 +263,7 @@ class TestSummarize:
         assert np.all(outside < pat.gain_db[ie, ia])
 
     def test_asld_uses_forward_hemisphere(self):
-        spec = GeometrySpec.ura(9, 9, LAM)
+        spec = GeometrySpec.ura(9, 9, WAVELENGTH)
         pat = steered_pattern(spec, 0.0, 0.0, az_step_deg=0.5, el_step_deg=0.5)
         side = ~main_lobe_mask(pat.gain_db, pat.target_index())
         forward = np.abs(pat.az_deg) <= 90.0
@@ -304,7 +307,7 @@ class TestMainLobeMask:
     @pytest.mark.parametrize("kind,az,el", [
         ("URA", 0.0, 0.0), ("UCA", 15.0, 30.0), ("CCA", 15.0, 30.0)])
     def test_scenario_patterns_match_ndimage(self, kind, az, el):
-        pat = steered_pattern(scenario_geometry(kind, LAM), az, el,
+        pat = steered_pattern(scenario_geometry(kind, WAVELENGTH), az, el,
                               az_step_deg=0.5, el_step_deg=0.5)
         target = pat.target_index()
         np.testing.assert_array_equal(main_lobe_mask(pat.gain_db, target),
@@ -367,7 +370,7 @@ class TestSteeringTarget:
         (179.9, -180.0), (-179.9, -180.0), (179.7, 179.5), (0.1, 0.0),
         (-180.0, -180.0)])
     def test_azimuth_nearest_around_the_circle(self, steer_az, nearest):
-        pat = steered_pattern(GeometrySpec.ula(4, LAM), az_step_deg=0.5,
+        pat = steered_pattern(GeometrySpec.ula(4, WAVELENGTH), az_step_deg=0.5,
                               el_step_deg=1.0)
         pat.steer_az_deg = steer_az
         assert pat.az_deg[pat.target_index()[1]] == nearest
@@ -376,16 +379,16 @@ class TestSteeringTarget:
                                        (-180.5, 0.0), (0.0, 100.0),
                                        (0.0, -90.5)])
     def test_offsets_out_of_range_raise(self, az, el):
-        spec = GeometrySpec.ura(3, 3, LAM)
+        spec = GeometrySpec.ura(3, 3, WAVELENGTH)
         with pytest.raises(ValueError, match=r"az in \[-180, 180\) and el "
                            r"in \[-90, 90\] deg"):
             steering_weights(spec, az, el)
         with pytest.raises(ValueError, match="must be az in"):
-            compute_pattern(spec.positions, np.ones(9, complex) / 3, LAM,
-                            steer_az_deg=az, steer_el_off_deg=el)
+            compute_pattern(spec.positions, np.ones(9, complex) / 3,
+                            WAVELENGTH, steer_az_deg=az, steer_el_off_deg=el)
 
     def test_offsets_at_the_range_ends_are_accepted(self):
-        spec = GeometrySpec.ura(3, 3, LAM)
+        spec = GeometrySpec.ura(3, 3, WAVELENGTH)
         for az, el in [(-180.0, -90.0), (179.75, 90.0)]:
             pat = steered_pattern(spec, az, el, az_step_deg=1.0,
                                   el_step_deg=1.0)
@@ -393,7 +396,7 @@ class TestSteeringTarget:
 
 
 def test_pattern_csv_matches_savetxt(tmp_path):
-    pat = steered_pattern(scenario_geometry("URA", LAM), 15.0, 30.0,
+    pat = steered_pattern(scenario_geometry("URA", WAVELENGTH), 15.0, 30.0,
                           az_step_deg=1.0, el_step_deg=1.0)
     write_pattern_csv(pat, tmp_path / "fast.csv")
     aa, ee = np.meshgrid(pat.az_deg, pat.el_deg)
@@ -416,7 +419,7 @@ sys.modules["scipy"] = None
 from cimsim.arrays import scenario_geometry
 from cimsim.cli import main
 from cimsim.patterns import steered_pattern, summarize
-pat = steered_pattern(scenario_geometry("URA", {LAM!r}), 15.0, 30.0,
+pat = steered_pattern(scenario_geometry("URA", {WAVELENGTH!r}), 15.0, 30.0,
                       az_step_deg=1.0, el_step_deg=1.0)
 print(summarize(pat).asld_db)
 assert main(["pattern", "--geometry", "CCA", "--resolution", "1",
