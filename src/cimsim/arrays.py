@@ -1,10 +1,11 @@
 """Antenna array geometries and the steering (array response) kernel.
 
-Supported layouts: uniform linear (ULA, along z), uniform rectangular
-(URA, x-y plane), uniform circular (UCA) and concentric circular (CCA),
-both in the z = 0 plane.  ULA and URA elements are half a wavelength
-apart, and the UCA radius gives half-wavelength arc spacing; CCA ring
-radii are given in wavelengths.  Positions come out in meters.
+``scenario_geometry`` is the one builder of an array (``GeometrySpec``):
+a uniform linear (ULA, along z), uniform rectangular (URA, x-y plane),
+uniform circular (UCA) or concentric circular (CCA) array, the last two
+in the z = 0 plane.  ULA and URA elements are half a wavelength apart,
+the UCA radius gives half-wavelength arc spacing and the CCA is the
+scenario's fixed four-ring layout.  Positions come out in meters.
 
 Angle convention: ``el`` is the polar angle measured from the +z axis,
 ``az`` the azimuth in the x-y plane from +x.  Angles are taken as given
@@ -37,10 +38,10 @@ class GeometrySpec:
     """One array: its kind, its wavelength in meters and its element
     positions in meters, shape (N, 3), which are made read-only.
 
-    Build one with ``ula``/``ura``/``uca``/``cca``; only ``cca`` takes
-    radii (in wavelengths).  Element order is fixed: ULA by n_z; URA
-    row-major by (n_x, n_y); UCA by n_c; CCA ring-major by (ring, n_c).
-    Circular layouts place element n_c at azimuth 2*pi*n_c / N_ring.
+    ``scenario_geometry`` builds every one.  Element order is fixed: ULA
+    by n_z; URA row-major by (n_x, n_y); UCA by n_c; CCA ring-major by
+    (ring, n_c).  Circular layouts place element n_c at azimuth
+    2*pi*n_c / N_ring.
     """
 
     kind: ArrayKind
@@ -54,38 +55,6 @@ class GeometrySpec:
     def n_elements(self) -> int:
         return len(self.positions)
 
-    @staticmethod
-    def ula(n: int, wavelength: float) -> "GeometrySpec":
-        _require_wavelength(wavelength)
-        if n < 1:
-            raise ValueError("ULA needs n >= 1")
-        pos = np.zeros((n, 3))
-        pos[:, 2] = np.arange(n) * 0.5 * wavelength
-        return GeometrySpec(ArrayKind.ULA, wavelength, pos)
-
-    @staticmethod
-    def ura(n_x: int, n_y: int, wavelength: float) -> "GeometrySpec":
-        _require_wavelength(wavelength)
-        if n_x < 1 or n_y < 1:
-            raise ValueError("URA needs n_x, n_y >= 1")
-        ix, iy = np.divmod(np.arange(n_x * n_y), n_y)
-        pos = np.zeros((n_x * n_y, 3))
-        pos[:, 0] = ix * 0.5 * wavelength
-        pos[:, 1] = iy * 0.5 * wavelength
-        return GeometrySpec(ArrayKind.URA, wavelength, pos)
-
-    @staticmethod
-    def uca(n: int, wavelength: float) -> "GeometrySpec":
-        # radius n / (4 pi) wavelengths: half-wavelength arc spacing
-        return GeometrySpec(ArrayKind.UCA, wavelength, _ring_positions(
-            (n / (4.0 * np.pi),), (n,), wavelength))
-
-    @staticmethod
-    def cca(ring_radii: tuple[float, ...], ring_counts: tuple[int, ...],
-            wavelength: float) -> "GeometrySpec":
-        return GeometrySpec(ArrayKind.CCA, wavelength,
-                            _ring_positions(ring_radii, ring_counts, wavelength))
-
 
 def _require_wavelength(wavelength: float) -> None:
     if not 0.0 < wavelength < np.inf:
@@ -96,13 +65,6 @@ def _require_wavelength(wavelength: float) -> None:
 def _ring_positions(radii: tuple[float, ...], counts: tuple[int, ...],
                     wavelength: float) -> np.ndarray:
     """Concentric rings in the z = 0 plane, ring-major, (sum(counts), 3)."""
-    _require_wavelength(wavelength)
-    if len(radii) != len(counts):
-        raise ValueError("ring radius and count lists differ in length")
-    if not radii:
-        raise ValueError("need at least one ring")
-    if any(r <= 0 for r in radii) or any(n < 1 for n in counts):
-        raise ValueError("ring radii must be positive and counts >= 1")
     rings = []
     for radius, count in zip(radii, counts):
         ang = 2.0 * np.pi * np.arange(count) / count
@@ -152,22 +114,39 @@ def steering(positions: np.ndarray, directions: np.ndarray,
 
 
 # Table-style scenario defaults: 82 elements (9x9 = 81 for URA), all
-# half-wavelength spaced; the CCA uses the optimized four-ring layout.
+# half-wavelength spaced; the CCA uses the optimized four-ring layout,
+# radii in wavelengths.
 CCA_RING_RADII = (0.76, 1.36, 2.09, 2.99)
 CCA_RING_COUNTS = (9, 17, 25, 31)
 
 
 def scenario_geometry(kind: ArrayKind | str, wavelength: float,
                       n: int = 82) -> GeometrySpec:
-    """Default geometry of the simulated scenario for one array kind."""
+    """The scenario array of one kind with about ``n`` elements.
+
+    ULA: ``n`` elements along z, half a wavelength apart.  URA: the
+    square grid of half-wavelength pitch nearest ``n`` (82 gives 9x9).
+    UCA: ``n`` elements on a ring of radius n / (4 pi) wavelengths, which
+    spaces them half a wavelength apart along the arc.  CCA: the fixed
+    82-element four-ring layout, so ``n`` must be 82.
+    """
     kind = ArrayKind(kind)
+    _require_wavelength(wavelength)
+    if n < 1:
+        raise ValueError(f"{kind.value} needs n >= 1, got {n}")
     if kind is ArrayKind.ULA:
-        return GeometrySpec.ula(n, wavelength)
-    if kind is ArrayKind.URA:
+        pos = np.zeros((n, 3))
+        pos[:, 2] = np.arange(n) * 0.5 * wavelength
+    elif kind is ArrayKind.URA:
         side = int(round(np.sqrt(n)))
-        return GeometrySpec.ura(side, side, wavelength)
-    if kind is ArrayKind.UCA:
-        return GeometrySpec.uca(n, wavelength)
-    if n != sum(CCA_RING_COUNTS):
+        ix, iy = np.divmod(np.arange(side * side), side)
+        pos = np.zeros((side * side, 3))
+        pos[:, 0] = ix * 0.5 * wavelength
+        pos[:, 1] = iy * 0.5 * wavelength
+    elif kind is ArrayKind.UCA:
+        pos = _ring_positions((n / (4.0 * np.pi),), (n,), wavelength)
+    elif n == sum(CCA_RING_COUNTS):
+        pos = _ring_positions(CCA_RING_RADII, CCA_RING_COUNTS, wavelength)
+    else:
         raise ValueError("CCA scenario layout is fixed at 82 elements")
-    return GeometrySpec.cca(CCA_RING_RADII, CCA_RING_COUNTS, wavelength)
+    return GeometrySpec(kind, wavelength, pos)

@@ -26,12 +26,18 @@ import numpy as np
 from .arrays import WAVELENGTH, steering, unit_directions
 
 
-def require_finite(key: str, value):
-    """``value`` (a number or a tuple of numbers) if no entry is NaN or
-    infinite; a ValueError naming ``key`` otherwise."""
-    for v in value if isinstance(value, tuple) else (value,):
-        if isinstance(v, float) and not np.isfinite(v):
-            raise ValueError(f"{key} must be finite, got {v}")
+def require_number(key: str, value, low: int | None = None):
+    """``value`` if it is a finite int or float, or an int of at least
+    ``low`` where ``low`` is given, and no bool; a ValueError naming
+    ``key`` otherwise."""
+    kind = (int, float) if low is None else int
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "a real number" if low is None else "an integer"
+        raise ValueError(f"{key} must be {noun}, got {value!r}")
+    if isinstance(value, float) and not np.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value}")
+    if low is not None and value < low:
+        raise ValueError(f"{key} must be at least {low}, got {value}")
     return value
 
 
@@ -48,18 +54,18 @@ class ChannelConfig:
     distance_m: float = 150.0       # Tx (25, 25, 9) m to Rx (25, 175, 9) m
 
     def __post_init__(self) -> None:
+        for key in ("clusters", "paths_per_cluster"):
+            require_number(key, getattr(self, key), 1)
         for key in ("angular_spread_deg", "pathloss_intercept_db",
                     "pathloss_exponent", "shadowing_std_db", "distance_m"):
-            require_finite(key, getattr(self, key))
-        if self.clusters < 1 or self.paths_per_cluster < 1:
-            raise ValueError("need at least one cluster and one path")
-        if self.angular_spread_deg <= 0:
-            raise ValueError("angular spread must be positive")
+            require_number(key, getattr(self, key))
+        for key in ("angular_spread_deg", "distance_m"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be positive, got "
+                                 f"{getattr(self, key):g}")
         if self.shadowing_std_db < 0:
-            raise ValueError("shadowing std must be nonnegative")
-        if self.distance_m <= 0:
-            raise ValueError(f"distance_m must be positive, got "
-                             f"{self.distance_m:g}")
+            raise ValueError(f"shadowing_std_db must be nonnegative, got "
+                             f"{self.shadowing_std_db:g}")
 
 
 def path_loss(distance: float, intercept_db: float, exponent: float,

@@ -14,12 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrays import ArrayKind, WAVELENGTH, scenario_geometry
-from .channel import ChannelConfig, draw_paths, sample_realization
+from .arrays import WAVELENGTH, scenario_geometry
+from .channel import (ChannelConfig, draw_paths, require_number,
+                      sample_realization)
 from .codebook import FpsBank, build_codebook, quantize_weights
-from .harness import (SimConfig, _check_axis, _check_lower_bound,
-                      _parse_powers, aggregate_and_emit, load_config,
-                      run_sweep)
+from .harness import (SimConfig, _LOWER_BOUNDS, _check_axis, _parse_powers,
+                      aggregate_and_emit, load_config, run_sweep)
 from .patterns import steered_pattern, summarize, write_pattern_csv
 from .verify import run_all
 
@@ -93,8 +93,7 @@ def cmd_pattern(args: argparse.Namespace) -> int:
                                            ("ULA", "URA", "UCA", "CCA")))
     _check_axis("geometries", geometries)
     az_off, el_off = args.steer
-    specs = [scenario_geometry(ArrayKind(g), WAVELENGTH, args.n_elements)
-             for g in geometries]
+    specs = [scenario_geometry(g, WAVELENGTH) for g in geometries]
     rows = []
     for g, spec in zip(geometries, specs):
         pat = steered_pattern(spec, az_off, el_off,
@@ -114,13 +113,12 @@ def cmd_pattern(args: argparse.Namespace) -> int:
 
 
 def cmd_codebook(args: argparse.Namespace) -> int:
-    _check_lower_bound("seed", args.seed)
+    require_number("seed", args.seed, _LOWER_BOUNDS["seed"])
     geometries = args.geometry or ["URA"]
     if len(geometries) > 1:
         raise ValueError("codebook takes one --geometry, got "
                          + ", ".join(geometries))
-    spec = scenario_geometry(ArrayKind(geometries[0].upper()), WAVELENGTH,
-                             args.n_elements)
+    spec = scenario_geometry(geometries[0].upper(), WAVELENGTH)
     bank = FpsBank(args.nf) if args.nf is not None else None
     realization = sample_realization(draw_paths(ChannelConfig(), args.seed),
                                      spec.positions)
@@ -163,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar=("AZ", "EL"),
                        help="pointing offset from broadside, degrees")
     p_pat.add_argument("--resolution", type=float, default=0.25)
-    p_pat.add_argument("--n-elements", type=int, default=82)
     p_pat.add_argument("--out", type=Path, default=Path("out"))
     p_pat.set_defaults(func=cmd_pattern)
 
@@ -172,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cb.add_argument("--seed", type=int, default=1)
     p_cb.add_argument("--order", type=int, default=4)
     p_cb.add_argument("--nf", type=int)
-    p_cb.add_argument("--n-elements", type=int, default=82)
     p_cb.set_defaults(func=cmd_codebook)
 
     p_ver = sub.add_parser("verify", help="run oracle self-checks")

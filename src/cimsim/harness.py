@@ -76,7 +76,7 @@ import numpy as np
 from . import __version__
 from .arrays import ArrayKind, WAVELENGTH, scenario_geometry
 from .channel import (ChannelConfig, ChannelRealization, draw_paths,
-                      require_finite, sample_realization)
+                      require_number, sample_realization)
 from .codebook import FpsBank, build_codebook, quantize_weights
 from .link import (array_gain_db, branch_amplitudes, count_bit_errors,
                    db_to_linear, dbm_to_watt, detect, psk_constellation,
@@ -95,6 +95,8 @@ BLOCK_CHANNEL_ELEMENTS = 1 << 20
 def parse_hardware(token: str) -> FpsBank | None:
     """The analog network a hardware token names: None for ideal phase
     shifters (``OP``), a fixed phase shifter bank for ``HE<n>``."""
+    if not isinstance(token, str):
+        raise ValueError(f"hardware tokens must be strings, got {token!r}")
     name = token.strip().upper().replace("(", "").replace(")", "")
     if name == "OP":
         return None
@@ -107,31 +109,31 @@ def parse_hardware(token: str) -> FpsBank | None:
     raise ValueError(f"unknown hardware token: {token.strip()!r}")
 
 
-# Smallest accepted SimConfig counts and seed; load_config checks each
-# value as it parses it, so the error names the file line.
+# SimConfig's integer keys and their smallest accepted values; its other
+# scalar, noise_dbm, is a real number.  load_config checks each value as
+# it parses it, so the error names the file line.
 _LOWER_BOUNDS = {"realizations": 1, "symbols_per_realization": 1,
-                 "error_limit": 1, "seed": 0}
-
-
-def _check_lower_bound(key: str, value: int) -> None:
-    low = _LOWER_BOUNDS.get(key)
-    if low is not None and value < low:
-        raise ValueError(f"{key} must be at least {low}, got {value}")
+                 "error_limit": 1, "seed": 0, "n_elements": 1}
 
 
 _GRID_KEYS = ("geometries", "signalings", "hardware", "powers_dbm")
 
 
 def _check_axis(key: str, values: tuple) -> None:
-    """A grid axis of a SimConfig lists at least one value and none twice,
-    since a repeated value only repeats rows.  Hardware tokens are parsed,
-    which validates them, and compared as the banks they name: HE8 and
-    he(8) are the same value."""
+    """A grid axis of a SimConfig is a tuple of at least one value and
+    lists none twice, since a repeated value only repeats rows.  Powers
+    must be finite real numbers and signalings (B, M) pairs.  Hardware
+    tokens are parsed, which validates them, and compared as the banks
+    they name: HE8 and he(8) are the same value."""
+    if not isinstance(values, tuple):
+        raise ValueError(f"{key} must be a tuple, got {values!r}")
     if not values:
         raise ValueError(f"{key} must be nonempty")
+    check = {"hardware": parse_hardware, "signalings": _check_signaling,
+             "powers_dbm": lambda v: require_number(key, v)}.get(key)
     seen = set()
     for value in values:
-        same = parse_hardware(value) if key == "hardware" else value
+        same = check(value) if check else value
         if same in seen:
             raise ValueError(f"{key} repeats {value!r}")
         seen.add(same)
@@ -152,12 +154,13 @@ class SimConfig:
     error_limit: int = 500
 
     def __post_init__(self) -> None:
-        for key in _LOWER_BOUNDS:
-            _check_lower_bound(key, getattr(self, key))
+        if not isinstance(self.channel, ChannelConfig):
+            raise ValueError(f"channel must be a ChannelConfig, got "
+                             f"{self.channel!r}")
+        for key in (*_LOWER_BOUNDS, "noise_dbm"):
+            require_number(key, getattr(self, key), _LOWER_BOUNDS.get(key))
         for key in _GRID_KEYS:
             _check_axis(key, getattr(self, key))
-        for key in ("powers_dbm", "noise_dbm"):
-            require_finite(key, getattr(self, key))
         for g in self.geometries:
             try:
                 scenario_geometry(g, WAVELENGTH, self.n_elements)
@@ -165,18 +168,24 @@ class SimConfig:
                 raise ValueError(f"geometry {g} with n_elements="
                                  f"{self.n_elements}: {exc}") from None
         for order, constellation in self.signalings:
-            _check_signaling(order, constellation)
             if order > self.channel.clusters:
                 raise ValueError(
                     f"signalings {order}x{constellation}: B must not exceed "
                     f"clusters = {self.channel.clusters}")
 
 
-def _check_signaling(order: int, constellation: int) -> None:
-    for v in (order, constellation):
+def _check_signaling(signaling: tuple[int, int]) -> tuple[int, int]:
+    """``signaling`` if it is a (B, M) pair of powers of two."""
+    if not (isinstance(signaling, tuple) and len(signaling) == 2
+            and all(type(v) is int for v in signaling)):
+        raise ValueError(f"signalings must be (B, M) pairs of integers, "
+                         f"got {signaling!r}")
+    order, constellation = signaling
+    for v in signaling:
         if v < 1 or (v & (v - 1)) != 0:
             raise ValueError(f"B and M must be powers of two, got "
                              f"{order}x{constellation}")
+    return signaling
 
 
 @dataclass
@@ -648,21 +657,14 @@ _CHANNEL_KEYS = {
     "shadowing_std_db": float,
     "distance_m": float,
 }
-_SIM_KEYS = {
-    "realizations": int,
-    "symbols_per_realization": int,
-    "seed": int,
-    "n_elements": int,
-    "noise_dbm": float,
-    "error_limit": int,
-}
+_SIM_KEYS = {**dict.fromkeys(_LOWER_BOUNDS, int), "noise_dbm": float}
 
 
 def _parse_powers(text: str) -> tuple[float, ...]:
     text = text.strip()
     if ":" in text:
-        bounds = require_finite(
-            "powers_dbm", tuple(float(v) for v in text.split(":")))
+        bounds = tuple(require_number("powers_dbm", float(v))
+                       for v in text.split(":"))
         if len(bounds) != 3:
             raise ValueError(f"powers_dbm range must be lo:hi:step, "
                              f"got {text!r}")
@@ -682,9 +684,7 @@ def _parse_signalings(text: str) -> tuple[tuple[int, int], ...]:
         parts = token.strip().lower().split("x")
         if len(parts) != 2:
             raise ValueError(f"signaling must be BxM, got {token.strip()!r}")
-        pair = (int(parts[0]), int(parts[1]))
-        _check_signaling(*pair)
-        pairs.append(pair)
+        pairs.append((int(parts[0]), int(parts[1])))
     return tuple(pairs)
 
 
@@ -731,8 +731,8 @@ def _parse_entry(key: str, value: str, sim_kwargs: dict,
                  chan_kwargs: dict) -> None:
     """Store one config entry in the SimConfig or ChannelConfig kwargs."""
     if key in _SIM_KEYS:
-        sim_kwargs[key] = require_finite(key, _SIM_KEYS[key](value))
-        _check_lower_bound(key, sim_kwargs[key])
+        sim_kwargs[key] = require_number(key, _SIM_KEYS[key](value),
+                                         _LOWER_BOUNDS.get(key))
     elif key in _CHANNEL_KEYS:
         chan_kwargs[key] = _CHANNEL_KEYS[key](value)
         ChannelConfig(**{key: chan_kwargs[key]})    # this key's own rules
@@ -744,7 +744,7 @@ def _parse_entry(key: str, value: str, sim_kwargs: dict,
     elif key == "hardware":
         sim_kwargs["hardware"] = tuple(v.strip() for v in value.split(","))
     elif key == "powers_dbm":
-        sim_kwargs["powers_dbm"] = require_finite(key, _parse_powers(value))
+        sim_kwargs["powers_dbm"] = _parse_powers(value)
     else:
         raise ValueError("unknown key")
     if key in _GRID_KEYS:

@@ -15,8 +15,8 @@ from itertools import product
 
 import numpy as np
 
-from .arrays import (ArrayKind, GeometrySpec, WAVELENGTH, scenario_geometry,
-                     steering, unit_directions)
+from .arrays import (ArrayKind, WAVELENGTH, scenario_geometry, steering,
+                     unit_directions)
 from .channel import (ChannelConfig, draw_paths, path_loss,
                       sample_realization)
 from .codebook import (FpsBank, build_codebook, compose_switch_vector,
@@ -112,7 +112,7 @@ def check_path_loss() -> CheckResult:
 
 def check_directivity_normalization() -> CheckResult:
     """Quadrature normalization vs the exact pairwise-sinc integral."""
-    spec = GeometrySpec.ura(6, 6, WAVELENGTH)
+    spec = scenario_geometry("URA", WAVELENGTH, 36)
     pat = steered_pattern(spec, 10.0, 20.0, az_step_deg=0.5, el_step_deg=0.5)
     pos = spec.positions
     w = steering_weights(spec, 10.0, 20.0)
@@ -169,7 +169,7 @@ def check_noiseless_detection(
 
 def check_best_path_bruteforce(seed: int = 3) -> CheckResult:
     """Greedy best-path pick equals an explicit per-path scan."""
-    pos = GeometrySpec.ula(4, WAVELENGTH).positions
+    pos = scenario_geometry("ULA", WAVELENGTH, 4).positions
     cfg = ChannelConfig(clusters=3, paths_per_cluster=5)
     mismatches = 0
     for s in range(seed, seed + 10):

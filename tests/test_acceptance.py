@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cimsim.arrays import WAVELENGTH, GeometrySpec, scenario_geometry
+from cimsim.arrays import WAVELENGTH, scenario_geometry
 from cimsim.channel import ChannelConfig, draw_paths, sample_realization
 from cimsim.harness import SimConfig, results_to_csv, run_sweep
 from cimsim.patterns import steered_pattern, summarize
@@ -226,7 +226,7 @@ def test_criterion_9_he_error_floor(he_sweeps):
 def test_criterion_10_statistical_channel_checks():
     # gain variance against the closed-form path loss (shadowing off)
     cfg = ChannelConfig(shadowing_std_db=0.0)
-    positions = GeometrySpec.ula(2, WAVELENGTH).positions
+    positions = scenario_geometry("ULA", WAVELENGTH, 2).positions
     acc = 0.0
     n_real = 10_000
     for seed in range(n_real):

@@ -3,8 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from cimsim.arrays import (WAVELENGTH, ArrayKind, GeometrySpec,
-                           scenario_geometry, steering, unit_directions)
+from cimsim.arrays import (WAVELENGTH, ArrayKind, scenario_geometry,
+                           steering, unit_directions)
 
 
 def table_specs():
@@ -28,7 +28,7 @@ def extended_precision_error(pos, directions):
 
 class TestElementPositions:
     def test_ula_two_elements_half_wavelength(self):
-        pos = GeometrySpec.ula(2, wavelength=1.0).positions
+        pos = scenario_geometry("ULA", 1.0, 2).positions
         np.testing.assert_allclose(pos, [[0, 0, 0], [0, 0, 0.5]])
 
     def test_cca_scenario_has_82_elements_on_four_rings(self):
@@ -41,7 +41,7 @@ class TestElementPositions:
         assert np.all(pos[:, 2] == 0.0)
 
     def test_ura_9x9_half_wavelength_grid(self):
-        pos = GeometrySpec.ura(9, 9, WAVELENGTH).positions
+        pos = scenario_geometry("URA", WAVELENGTH, 81).positions
         assert pos.shape == (81, 3)
         assert np.all(pos[:, 2] == 0.0)
         # row-major by (n_x, n_y): second entry advances n_y
@@ -51,7 +51,7 @@ class TestElementPositions:
         np.testing.assert_allclose(steps_x, WAVELENGTH / 2)
 
     def test_uca_placement_angles(self):
-        spec = GeometrySpec.uca(8, wavelength=1.0)
+        spec = scenario_geometry("UCA", 1.0, 8)
         pos = spec.positions
         ang = np.arctan2(pos[:, 1], pos[:, 0])
         expected = np.angle(np.exp(2j * np.pi * np.arange(8) / 8))
@@ -77,15 +77,19 @@ class TestElementPositions:
         with pytest.raises(ValueError, match="read-only"):
             pos[0, 0] = 1.0
 
+    # Each case keeps its id, numbered in the order the cases were added,
+    # so deleting a case renames no other.
     @pytest.mark.parametrize("bad", [
-        lambda: GeometrySpec.ula(0, 1.0),
-        lambda: GeometrySpec.ura(0, 3, 1.0),
-        lambda: GeometrySpec.uca(0, 1.0),
-        lambda: GeometrySpec.cca((0.5, 1.0), (4,), 1.0),
-        lambda: GeometrySpec.cca((0.5, -1.0), (4, 4), 1.0),
-        lambda: GeometrySpec.ula(4, wavelength=0.0),
-        lambda: GeometrySpec.ula(4, wavelength=float("nan")),
-        lambda: GeometrySpec.ura(3, 3, wavelength=float("inf")),
+        pytest.param(lambda: scenario_geometry("ULA", 1.0, 0), id="<lambda>0"),
+        pytest.param(lambda: scenario_geometry("URA", 1.0, 0), id="<lambda>1"),
+        pytest.param(lambda: scenario_geometry("UCA", 1.0, 0), id="<lambda>2"),
+        pytest.param(lambda: scenario_geometry("ULA", 0.0, 4), id="<lambda>5"),
+        pytest.param(lambda: scenario_geometry("ULA", float("nan"), 4),
+                     id="<lambda>6"),
+        pytest.param(lambda: scenario_geometry("URA", float("inf"), 9),
+                     id="<lambda>7"),
+        pytest.param(lambda: scenario_geometry("CCA", 1.0, 16),
+                     id="<lambda>8"),
     ])
     def test_invalid_specs_raise(self, bad):
         with pytest.raises(ValueError):
@@ -127,7 +131,7 @@ class TestWaveNumber:
 
 class TestSteeringVector:
     def test_ula_broadside_is_uniform(self):
-        pos = GeometrySpec.ula(8, 1.0).positions
+        pos = scenario_geometry("ULA", 1.0, 8).positions
         a = steer(pos, 1.234, np.pi / 2, 1.0)
         np.testing.assert_allclose(a, np.full(8, 1 / np.sqrt(8)), atol=1e-12)
 
@@ -145,7 +149,7 @@ class TestSteeringVector:
         np.testing.assert_allclose(a, [1.0])
 
     def test_ura_self_product_and_cauchy_schwarz(self):
-        pos = GeometrySpec.ura(9, 9, WAVELENGTH).positions
+        pos = scenario_geometry("URA", WAVELENGTH, 81).positions
         a = steer(pos, np.deg2rad(15), np.deg2rad(30), WAVELENGTH)
         assert abs(np.vdot(a, a) - 1.0) < 1e-12
         broadside = steer(pos, 0.0, 0.0, WAVELENGTH)
@@ -165,7 +169,7 @@ class TestSteeringVector:
                                            atol=1e-14)
 
     def test_ula_independent_of_azimuth(self):
-        pos = GeometrySpec.ula(16, 1.0).positions
+        pos = scenario_geometry("ULA", 1.0, 16).positions
         a = steer(pos, 0.1, 0.7, 1.0)
         b = steer(pos, 2.9, 0.7, 1.0)
         np.testing.assert_allclose(a, b, atol=1e-12)
@@ -181,7 +185,7 @@ class TestSteeringVector:
         # 83 half-wavelength-spaced elements span 41 wavelengths, so the
         # phases reach 2 pi x 41; the reference evaluates the same float
         # inputs in extended precision
-        pos = GeometrySpec.ula(83, WAVELENGTH).positions
+        pos = scenario_geometry("ULA", WAVELENGTH, 83).positions
         rng = np.random.default_rng(41)
         directions = np.vstack([
             [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]],
@@ -203,7 +207,7 @@ class TestSteeringVector:
         # 0, +-1/4 and +-1/2 cycle (the half cycles on both sides of the
         # reduction), where the tangent is 0, +-1 and about +-1.6e16
         n = 9
-        pos = GeometrySpec.ula(n, 0.5).positions
+        pos = scenario_geometry("ULA", 0.5, n).positions
         a = steering(pos, np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]), 1.0)
         quarter_turns = np.array([1, 1j, -1, -1j])[np.arange(n) % 4]
         expected = np.column_stack([quarter_turns, quarter_turns.conj()])
@@ -213,7 +217,7 @@ class TestSteeringVector:
     def test_direction_form_matches_angle_form(self):
         # one column per direction of a stack, each equal to the explicit
         # spherical-angle formula and to the single-direction call
-        pos = GeometrySpec.ura(4, 4, 1.0).positions
+        pos = scenario_geometry("URA", 1.0, 16).positions
         az = np.array([0.8, 2.5, -1.0])
         el = np.array([1.1, 0.3, 2.9])
         stack = steering(pos, unit_directions(az, el), 1.0)

@@ -1,13 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
-from cimsim.arrays import WAVELENGTH, GeometrySpec, steering, unit_directions
+from cimsim.arrays import (WAVELENGTH, scenario_geometry, steering,
+                           unit_directions)
 from cimsim.channel import (ChannelConfig, draw_paths, path_loss,
                             sample_realization)
 
 
 def small_positions(n=2):
-    return GeometrySpec.ula(n, WAVELENGTH).positions
+    return scenario_geometry("ULA", WAVELENGTH, n).positions
 
 
 def cluster_mean_azimuths(cfg, seed):
@@ -62,6 +65,21 @@ class TestPathLoss:
             path_loss(0.0, 72.0, 2.92, 0.0)
 
 
+# ChannelConfig errors, each naming its key
+KEY_ERRORS = [
+    ("clusters", 0, "clusters must be at least 1, got 0"),
+    ("paths_per_cluster", 0, "paths_per_cluster must be at least 1, got 0"),
+    ("clusters", 2.5, "clusters must be an integer, got 2.5"),
+    ("paths_per_cluster", True,
+     "paths_per_cluster must be an integer, got True"),
+    ("angular_spread_deg", 0.0, "angular_spread_deg must be positive, got 0"),
+    ("angular_spread_deg", "7.5",
+     "angular_spread_deg must be a real number, got '7.5'"),
+    ("shadowing_std_db", -1.0, "shadowing_std_db must be nonnegative, got -1"),
+    ("distance_m", 0, "distance_m must be positive, got 0"),
+]
+
+
 class TestChannelConfig:
     def test_defaults_match_scenario(self):
         cfg = ChannelConfig()
@@ -78,10 +96,20 @@ class TestChannelConfig:
         dict(shadowing_std_db=-1.0),
         dict(distance_m=0.0),
         dict(distance_m=-1.0),
+        dict(clusters=2.5),
+        dict(paths_per_cluster=True),
+        dict(angular_spread_deg="7.5"),
+        dict(pathloss_exponent=None),
     ])
     def test_invalid_configs_raise(self, kwargs):
         with pytest.raises(ValueError):
             ChannelConfig(**kwargs)
+
+    @pytest.mark.parametrize("key,value,message", KEY_ERRORS,
+                             ids=[f"{k}={v!r}" for k, v, _ in KEY_ERRORS])
+    def test_error_names_the_key(self, key, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ChannelConfig(**{key: value})
 
     @pytest.mark.parametrize("key,value", [
         ("angular_spread_deg", np.nan), ("shadowing_std_db", np.nan),

@@ -1,73 +1,91 @@
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cimsim.cli import main
+from cimsim.cli import build_parser, main
 from cimsim.verify import ALL_CHECKS
 
 
+def _case(number, argv, message):
+    # a fixed id per case, so deleting a case renames no other
+    return pytest.param(argv, message, id=f"argv{number}-{message}")
+
+
 @pytest.mark.parametrize("argv,message", [
-    (["ber", "--power-range", "0:10:0"], "zero step"),
-    (["ber", "--config", "{cfg}"], "geometry CCA with n_elements=16"),
-    (["pattern", "--geometry", "ULA", "--resolution", "2"],
-     "1 degree or finer"),
-    (["ber", "--seed", "-1"], "seed must be at least 0, got -1"),
-    (["pattern", "--geometry", "ULA", "--resolution", "0"],
-     "grid step must be positive, got az_step_deg=0"),
-    (["pattern", "--geometry", "ULA", "--resolution", "-0.5"],
-     "grid step must be positive, got az_step_deg=-0.5"),
-    (["ber", "--workers", "0"], "workers must be at least 1, got 0"),
-    (["ber", "--trials", "1", "5", "7"],
-     "--trials takes realizations [symbols per realization], got 3 values"),
-    (["ber", "--power-range", "nan"], "powers_dbm must be finite, got nan"),
-    (["ber", "--power-range", "0:1"],
-     "powers_dbm range must be lo:hi:step, got '0:1'"),
-    (["ber", "--power-range", "0:1:2:3"],
-     "powers_dbm range must be lo:hi:step, got '0:1:2:3'"),
-    (["ber", "--config", "{dir}/carrier.cfg"],
-     "carrier.cfg:1: carrier_hz: unknown key"),
-    (["ber", "--config", "{dir}/position.cfg"],
-     "position.cfg:1: tx_position: unknown key"),
-    (["ber", "--config", "{dir}/distance.cfg"],
-     "distance.cfg:1: distance_m: distance_m must be finite, got nan"),
-    (["pattern", "--geometry", "ULA", "--steer", "nan", "0"],
-     "steering offsets must be finite, got az nan, el 0 deg"),
-    (["pattern", "--geometry", "URA", "--steer", "0", "inf"],
-     "steering offsets must be finite, got az 0, el inf deg"),
-    (["codebook", "--nf", "0"], "need at least two fixed phase shifters"),
-    (["codebook", "--nf", "-2"], "need at least two fixed phase shifters"),
-    (["ber", "--config", "{cfg}.missing"],
-     "cannot read config file: No such file or directory"),
-    (["ber", "--config", "{dir}"], "cannot read config file: Is a directory"),
-    (["ber", "--config", "{binary}"],
-     "binary.cfg: cannot read config file: 'utf-8' codec can't decode "
-     "byte 0xff"),
-    (["ber", "--geometry", "URA", "--geometry", "ura"],
-     "geometries repeats 'URA'"),
-    (["ber", "--hardware", "OP", "--hardware", "op"], "hardware repeats 'op'"),
-    (["ber", "--hardware", "HE8", "--hardware", "he(8)"],
-     "hardware repeats 'he(8)'"),
-    (["ber", "--power-range=-10,-10"], "powers_dbm repeats -10.0"),
-    (["ber", "--config", "{dup}"],
-     "dup.cfg:2: signalings: signalings repeats (2, 4)"),
-    (["pattern", "--geometry", "URA", "--geometry", "ura"],
-     "geometries repeats 'URA'"),
-    (["ber", "--hardware", "HE2000"],
-     "hardware HE2000: 2000 fixed phase shifters give a phase step of 0 rad"),
-    (["ber", "--config", "{he}"],
-     "he.cfg:1: hardware: hardware HE2000: 2000 fixed phase shifters"),
-    (["codebook", "--nf", "2000"],
-     "2000 fixed phase shifters give a phase step of 0 rad"),
-    (["codebook", "--seed", "-1"], "seed must be at least 0, got -1"),
-    (["pattern", "--geometry", "URA", "--steer", "200", "0"],
-     "steering offsets must be az in [-180, 180) and el in [-90, 90] deg, "
-     "got az 200, el 0 deg"),
-    (["pattern", "--geometry", "URA", "--steer", "180", "0"],
-     "must be az in [-180, 180) and el in [-90, 90] deg, got az 180, el 0"),
-    (["pattern", "--geometry", "URA", "--steer", "0", "100"],
-     "must be az in [-180, 180) and el in [-90, 90] deg, got az 0, el 100"),
-    (["pattern", "--geometry", "URA", "--steer", "0", "-90.5"],
-     "must be az in [-180, 180) and el in [-90, 90] deg, got az 0, "
-     "el -90.5"),
+    _case(0, ["ber", "--power-range", "0:10:0"], "zero step"),
+    _case(1, ["ber", "--config", "{cfg}"], "geometry CCA with n_elements=16"),
+    _case(2, ["pattern", "--geometry", "ULA", "--resolution", "2"],
+          "1 degree or finer"),
+    _case(3, ["ber", "--seed", "-1"], "seed must be at least 0, got -1"),
+    _case(4, ["pattern", "--geometry", "ULA", "--resolution", "0"],
+          "grid step must be positive, got az_step_deg=0"),
+    _case(5, ["pattern", "--geometry", "ULA", "--resolution", "-0.5"],
+          "grid step must be positive, got az_step_deg=-0.5"),
+    _case(6, ["ber", "--workers", "0"], "workers must be at least 1, got 0"),
+    _case(7, ["ber", "--trials", "1", "5", "7"],
+          "--trials takes realizations [symbols per realization], "
+          "got 3 values"),
+    _case(8, ["ber", "--power-range", "nan"],
+          "powers_dbm must be finite, got nan"),
+    _case(9, ["ber", "--power-range", "0:1"],
+          "powers_dbm range must be lo:hi:step, got '0:1'"),
+    _case(10, ["ber", "--power-range", "0:1:2:3"],
+          "powers_dbm range must be lo:hi:step, got '0:1:2:3'"),
+    _case(11, ["ber", "--config", "{dir}/carrier.cfg"],
+          "carrier.cfg:1: carrier_hz: unknown key"),
+    _case(12, ["ber", "--config", "{dir}/position.cfg"],
+          "position.cfg:1: tx_position: unknown key"),
+    _case(13, ["ber", "--config", "{dir}/distance.cfg"],
+          "distance.cfg:1: distance_m: distance_m must be finite, got nan"),
+    _case(14, ["pattern", "--geometry", "ULA", "--steer", "nan", "0"],
+          "steering offsets must be finite, got az nan, el 0 deg"),
+    _case(15, ["pattern", "--geometry", "URA", "--steer", "0", "inf"],
+          "steering offsets must be finite, got az 0, el inf deg"),
+    _case(16, ["codebook", "--nf", "0"],
+          "need at least two fixed phase shifters"),
+    _case(17, ["codebook", "--nf", "-2"],
+          "need at least two fixed phase shifters"),
+    _case(18, ["ber", "--config", "{cfg}.missing"],
+          "cannot read config file: No such file or directory"),
+    _case(19, ["ber", "--config", "{dir}"],
+          "cannot read config file: Is a directory"),
+    _case(20, ["ber", "--config", "{binary}"],
+          "binary.cfg: cannot read config file: 'utf-8' codec can't decode "
+          "byte 0xff"),
+    _case(21, ["ber", "--geometry", "URA", "--geometry", "ura"],
+          "geometries repeats 'URA'"),
+    _case(22, ["ber", "--hardware", "OP", "--hardware", "op"],
+          "hardware repeats 'op'"),
+    _case(23, ["ber", "--hardware", "HE8", "--hardware", "he(8)"],
+          "hardware repeats 'he(8)'"),
+    _case(24, ["ber", "--power-range=-10,-10"], "powers_dbm repeats -10.0"),
+    _case(25, ["ber", "--config", "{dup}"],
+          "dup.cfg:2: signalings: signalings repeats (2, 4)"),
+    _case(26, ["pattern", "--geometry", "URA", "--geometry", "ura"],
+          "geometries repeats 'URA'"),
+    _case(27, ["ber", "--hardware", "HE2000"],
+          "hardware HE2000: 2000 fixed phase shifters give a phase step "
+          "of 0 rad"),
+    _case(28, ["ber", "--config", "{he}"],
+          "he.cfg:1: hardware: hardware HE2000: 2000 fixed phase shifters"),
+    _case(29, ["codebook", "--nf", "2000"],
+          "2000 fixed phase shifters give a phase step of 0 rad"),
+    _case(30, ["codebook", "--seed", "-1"], "seed must be at least 0, got -1"),
+    _case(31, ["pattern", "--geometry", "URA", "--steer", "200", "0"],
+          "steering offsets must be az in [-180, 180) and el in [-90, 90] "
+          "deg, got az 200, el 0 deg"),
+    _case(32, ["pattern", "--geometry", "URA", "--steer", "180", "0"],
+          "must be az in [-180, 180) and el in [-90, 90] deg, got az 180, "
+          "el 0"),
+    _case(33, ["pattern", "--geometry", "URA", "--steer", "0", "100"],
+          "must be az in [-180, 180) and el in [-90, 90] deg, got az 0, "
+          "el 100"),
+    _case(34, ["pattern", "--geometry", "URA", "--steer", "0", "-90.5"],
+          "must be az in [-180, 180) and el in [-90, 90] deg, got az 0, "
+          "el -90.5"),
 ])
 def test_bad_input_is_one_line_error(tmp_path, capsys, argv, message):
     cfg = tmp_path / "bad.cfg"
@@ -104,14 +122,19 @@ def test_codebook_rejects_second_geometry(capsys):
                    "got ULA, CCA\n")
 
 
-@pytest.mark.parametrize("command", ["pattern", "codebook"])
-def test_carrier_flag_is_gone(capsys, command):
-    # the carrier is fixed at 28 GHz
+@pytest.mark.parametrize("command,flag", [
+    pytest.param("pattern", "--carrier-ghz", id="pattern"),
+    pytest.param("codebook", "--carrier-ghz", id="codebook"),
+    pytest.param("pattern", "--n-elements", id="pattern-n-elements"),
+    pytest.param("codebook", "--n-elements", id="codebook-n-elements"),
+])
+def test_carrier_flag_is_gone(capsys, command, flag):
+    # the carrier is fixed at 28 GHz and the scenario arrays at 82 elements
     with pytest.raises(SystemExit) as exit_:
-        main([command, "--carrier-ghz", "28"])
+        main([command, flag, "28"])
     assert exit_.value.code == 2
     err = capsys.readouterr().err
-    assert "unrecognized arguments: --carrier-ghz 28" in err
+    assert f"unrecognized arguments: {flag} 28" in err
 
 
 def test_pattern_writes_grid_and_table(tmp_path, capsys):
@@ -148,3 +171,17 @@ def test_verify_passes_every_check(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == len(ALL_CHECKS)
     assert all(line.startswith("[PASS] ") for line in lines)
+
+
+def test_readme_cli_commands_parse():
+    # every `cimsim ...` command of README.md's CLI block, so a deleted or
+    # renamed flag cannot stay in the docs
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    block = re.search(r"^## CLI\n+```sh\n(.*?)^```$", readme, re.M | re.S)
+    commands = [shlex.split(line, comments=True)
+                for line in block[1].replace("\\\n", " ").splitlines()]
+    commands = [argv for argv in commands if argv[:1] == ["cimsim"]]
+    assert [argv[1] for argv in commands] == ["ber", "pattern", "codebook",
+                                              "verify"]
+    for argv in commands:
+        build_parser().parse_args(argv[1:])

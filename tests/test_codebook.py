@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cimsim.arrays import WAVELENGTH, GeometrySpec, steering, unit_directions
+from cimsim.arrays import (WAVELENGTH, scenario_geometry, steering,
+                           unit_directions)
 from cimsim.channel import ChannelConfig, draw_paths, sample_realization
 from cimsim.codebook import (FpsBank, build_codebook, compose_switch_vector,
                              quantize_weights, realized_phase, wrap_phase)
@@ -25,7 +26,7 @@ def exhaustive_best_phase(theta: float, bank: FpsBank) -> float:
 
 
 def make_realization(seed=1, clusters=8, paths=10, n=8):
-    pos = GeometrySpec.ula(n, WAVELENGTH).positions
+    pos = scenario_geometry("ULA", WAVELENGTH, n).positions
     cfg = ChannelConfig(clusters=clusters, paths_per_cluster=paths)
     return sample_realization(draw_paths(cfg, seed), pos), pos
 
@@ -202,7 +203,7 @@ class TestBestEffectivePath:
         assert build_codebook(realization, 1).best_paths[0] == 0
 
     def test_matches_bruteforce_on_random_instances(self):
-        pos = GeometrySpec.ula(4, WAVELENGTH).positions
+        pos = scenario_geometry("ULA", WAVELENGTH, 4).positions
         cfg = ChannelConfig(clusters=3, paths_per_cluster=5)
         for seed in range(20):
             realization = sample_realization(draw_paths(cfg, seed), pos)

@@ -136,6 +136,30 @@ class TestHardwareSpec:
             parse_hardware(token)
 
 
+# SimConfig values of the wrong type: integers must be ints (not bools),
+# reals ints or floats, grid axes tuples, signalings pairs of ints and the
+# channel a ChannelConfig.
+WRONG_TYPES = [
+    ("realizations", 2.5),
+    ("symbols_per_realization", 4.0),
+    ("seed", 1.5),
+    ("seed", True),
+    ("error_limit", "60"),
+    ("n_elements", 16.0),
+    ("noise_dbm", "x"),
+    ("noise_dbm", None),
+    ("powers_dbm", (0.0, "x")),
+    ("powers_dbm", [0.0]),
+    ("geometries", "ULA"),
+    ("hardware", "OP"),
+    ("signalings", ((2, 4.0),)),
+    ("signalings", ((2, True),)),
+    ("signalings", ((2, 4, 8),)),
+    ("signalings", ([2, 4],)),
+    ("channel", "x"),
+]
+
+
 class TestSimConfig:
     def test_defaults_are_scenario_scale(self):
         cfg = SimConfig()
@@ -160,10 +184,18 @@ class TestSimConfig:
         dict(hardware=("HE8", "OP", "he(8)")),
         dict(powers_dbm=(-10.0, 0.0, -10.0)),
         dict(powers_dbm=(0.0, -0.0)),
+        *(dict([case]) for case in WRONG_TYPES),
     ])
     def test_invalid_configs_raise(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(**{**dict(), **kwargs})
+
+    @pytest.mark.parametrize("key,value", WRONG_TYPES,
+                             ids=[f"{k}={v!r}" for k, v in WRONG_TYPES])
+    def test_wrong_type_names_the_key(self, key, value):
+        # rejected when the config is built, not inside the sweep
+        with pytest.raises(ValueError, match=rf"^{key} must be "):
+            SimConfig(**{key: value})
 
     @pytest.mark.parametrize("key,value,shown", [
         ("powers_dbm", (np.nan,), "nan"),
@@ -876,7 +908,7 @@ class TestConfigFile:
         ("signalings = 3x4", "B and M must be powers of two, got 3x4"),
         ("signalings = 2x4x8", "signaling must be BxM, got '2x4x8'"),
         ("signalings = 2x4,", "signaling must be BxM, got ''"),
-        ("clusters = 0", "need at least one cluster and one path"),
+        ("clusters = 0", "clusters must be at least 1, got 0"),
         ("geometries = XYZ", "'XYZ' is not a valid ArrayKind"),
         ("geometries = URA", "already set on line 1"),
         ("signalings = 2x4, 4x4, 2x4", r"signalings repeats \(2, 4\)"),

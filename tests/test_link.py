@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cimsim.arrays import WAVELENGTH, GeometrySpec
+from cimsim.arrays import WAVELENGTH, scenario_geometry
 from cimsim.channel import ChannelConfig, draw_paths, sample_realization
 from cimsim.codebook import FpsBank, build_codebook, quantize_weights
 from cimsim.link import (array_gain_db, branch_amplitudes, count_bit_errors,
@@ -14,7 +14,7 @@ from cimsim.link import (array_gain_db, branch_amplitudes, count_bit_errors,
 
 def make_link(seed=1, n=8, clusters=4, order=2, power_w=1.0):
     """Channel, codebook and amplitude sqrt(P) G_t G_r of a small ULA link."""
-    pos = GeometrySpec.ula(n, WAVELENGTH).positions
+    pos = scenario_geometry("ULA", WAVELENGTH, n).positions
     cfg = ChannelConfig(clusters=clusters, paths_per_cluster=4)
     realization = sample_realization(draw_paths(cfg, seed), pos)
     cb = build_codebook(realization, order)

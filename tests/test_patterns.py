@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cimsim
-from cimsim.arrays import (WAVELENGTH, ArrayKind, GeometrySpec,
-                           scenario_geometry)
+from cimsim.arrays import WAVELENGTH, ArrayKind, scenario_geometry
 from cimsim.patterns import (MAIN_LOBE_FLOOR_DB, chart_directions,
                              compute_pattern, main_lobe_mask, pattern_frame,
                              steered_pattern, steering_weights, summarize,
@@ -87,7 +86,7 @@ class TestComputePattern:
         np.testing.assert_allclose(pat.gain_db, 0.0, atol=1e-3)
 
     def test_normalization_against_sinc_oracle(self):
-        spec = GeometrySpec.ura(6, 6, WAVELENGTH)
+        spec = scenario_geometry("URA", WAVELENGTH, 36)
         pos = spec.positions
         w = steering_weights(spec, 10.0, 20.0)
         pat = steered_pattern(spec, 10.0, 20.0, az_step_deg=0.5,
@@ -98,7 +97,7 @@ class TestComputePattern:
 
     def test_quadrature_closure(self):
         # the normalized pattern must integrate back to 4*pi
-        spec = GeometrySpec.uca(16, WAVELENGTH)
+        spec = scenario_geometry("UCA", WAVELENGTH, 16)
         pat = steered_pattern(spec, 0.0, 0.0, az_step_deg=0.5, el_step_deg=0.5)
         lin = 10 ** (pat.gain_db / 10.0)
         el = np.deg2rad(pat.el_deg)
@@ -119,7 +118,7 @@ class TestComputePattern:
 
     def test_ula_broadside_peak_directivity(self):
         # half-wavelength ULA: peak directivity is exactly N
-        spec = GeometrySpec.ula(82, WAVELENGTH)
+        spec = scenario_geometry("ULA", WAVELENGTH, 82)
         pat = steered_pattern(spec, 0.0, 0.0, az_step_deg=0.5, el_step_deg=0.5)
         assert pat.gain_db.max() == pytest.approx(10 * np.log10(82), abs=0.02)
 
@@ -201,14 +200,14 @@ class TestComputePattern:
 
     def test_ula_pattern_is_constant_along_azimuth(self):
         rng = np.random.default_rng(3)
-        pos = GeometrySpec.ula(16, WAVELENGTH).positions
+        pos = scenario_geometry("ULA", WAVELENGTH, 16).positions
         pat = compute_pattern(pos, random_weights(rng, 16), WAVELENGTH,
                               az_step_deg=0.5, el_step_deg=0.5,
                               frame=pattern_frame("ULA"))
         assert np.all(np.ptp(pat.gain_db, axis=1) == 0)
 
     def test_rejects_coarse_grid_and_bad_weights(self):
-        spec = GeometrySpec.ula(4, WAVELENGTH)
+        spec = scenario_geometry("ULA", WAVELENGTH, 4)
         pos = spec.positions
         with pytest.raises(ValueError):
             compute_pattern(pos, np.ones(4, complex) / 2, WAVELENGTH,
@@ -227,7 +226,7 @@ class TestComputePattern:
 
 class TestSummarize:
     def test_ula_broadside_cut_widths(self):
-        spec = GeometrySpec.ula(82, WAVELENGTH)
+        spec = scenario_geometry("ULA", WAVELENGTH, 82)
         pat = steered_pattern(spec, 0.0, 0.0, az_step_deg=0.5, el_step_deg=0.25)
         s = summarize(pat)
         assert s.hpbw_az_deg == 360.0          # azimuth-omnidirectional
@@ -237,13 +236,13 @@ class TestSummarize:
     def test_hpbw_shrinks_with_element_count(self):
         widths = []
         for n in (8, 16, 32, 64):
-            pat = steered_pattern(GeometrySpec.ula(n, WAVELENGTH), 0.0, 0.0,
-                                  az_step_deg=1.0, el_step_deg=0.25)
+            pat = steered_pattern(scenario_geometry("ULA", WAVELENGTH, n),
+                                  0.0, 0.0, az_step_deg=1.0, el_step_deg=0.25)
             widths.append(summarize(pat).hpbw_el_deg)
         assert all(b < a for a, b in zip(widths, widths[1:]))
 
     def test_summary_invariants(self):
-        spec = GeometrySpec.ura(9, 9, WAVELENGTH)
+        spec = scenario_geometry("URA", WAVELENGTH, 81)
         pat = steered_pattern(spec, 0.0, 0.0, az_step_deg=0.5, el_step_deg=0.5)
         s = summarize(pat)
         assert s.hpbw_az_deg > 0 and s.hpbw_el_deg > 0
@@ -251,7 +250,7 @@ class TestSummarize:
         assert s.asld_db < s.directivity_dbi
 
     def test_main_lobe_contains_target_and_excludes_sidelobes(self):
-        spec = GeometrySpec.ura(9, 9, WAVELENGTH)
+        spec = scenario_geometry("URA", WAVELENGTH, 81)
         pat = steered_pattern(spec, 0.0, 0.0, az_step_deg=0.5, el_step_deg=0.5)
         ie, ia = pat.target_index()
         mask = main_lobe_mask(pat.gain_db, (ie, ia))
@@ -263,7 +262,7 @@ class TestSummarize:
         assert np.all(outside < pat.gain_db[ie, ia])
 
     def test_asld_uses_forward_hemisphere(self):
-        spec = GeometrySpec.ura(9, 9, WAVELENGTH)
+        spec = scenario_geometry("URA", WAVELENGTH, 81)
         pat = steered_pattern(spec, 0.0, 0.0, az_step_deg=0.5, el_step_deg=0.5)
         side = ~main_lobe_mask(pat.gain_db, pat.target_index())
         forward = np.abs(pat.az_deg) <= 90.0
@@ -370,8 +369,8 @@ class TestSteeringTarget:
         (179.9, -180.0), (-179.9, -180.0), (179.7, 179.5), (0.1, 0.0),
         (-180.0, -180.0)])
     def test_azimuth_nearest_around_the_circle(self, steer_az, nearest):
-        pat = steered_pattern(GeometrySpec.ula(4, WAVELENGTH), az_step_deg=0.5,
-                              el_step_deg=1.0)
+        pat = steered_pattern(scenario_geometry("ULA", WAVELENGTH, 4),
+                              az_step_deg=0.5, el_step_deg=1.0)
         pat.steer_az_deg = steer_az
         assert pat.az_deg[pat.target_index()[1]] == nearest
 
@@ -379,7 +378,7 @@ class TestSteeringTarget:
                                        (-180.5, 0.0), (0.0, 100.0),
                                        (0.0, -90.5)])
     def test_offsets_out_of_range_raise(self, az, el):
-        spec = GeometrySpec.ura(3, 3, WAVELENGTH)
+        spec = scenario_geometry("URA", WAVELENGTH, 9)
         with pytest.raises(ValueError, match=r"az in \[-180, 180\) and el "
                            r"in \[-90, 90\] deg"):
             steering_weights(spec, az, el)
@@ -388,7 +387,7 @@ class TestSteeringTarget:
                             WAVELENGTH, steer_az_deg=az, steer_el_off_deg=el)
 
     def test_offsets_at_the_range_ends_are_accepted(self):
-        spec = GeometrySpec.ura(3, 3, WAVELENGTH)
+        spec = scenario_geometry("URA", WAVELENGTH, 9)
         for az, el in [(-180.0, -90.0), (179.75, 90.0)]:
             pat = steered_pattern(spec, az, el, az_step_deg=1.0,
                                   el_step_deg=1.0)
