@@ -92,6 +92,12 @@ def cmd_pattern(args: argparse.Namespace) -> int:
     geometries = tuple(g.upper() for g in (args.geometry or
                                            ("ULA", "URA", "UCA", "CCA")))
     _check_axis("geometries", geometries)
+    # broadside (el 90) is a grid row only for a step that divides 90 deg;
+    # compute_pattern rejects the other bad steps
+    rows_per_90 = 90.0 / args.resolution if args.resolution > 0.0 else 0.0
+    if abs(rows_per_90 - round(rows_per_90)) > 1e-9:
+        raise ValueError(f"--resolution must divide 90 deg, got "
+                         f"{args.resolution:g}")
     az_off, el_off = args.steer
     specs = [scenario_geometry(g, WAVELENGTH) for g in geometries]
     rows = []

@@ -167,6 +167,13 @@ def compute_pattern(positions: np.ndarray, weights: np.ndarray,
         URA   (81, G = 9)       12.6    84   22           71 K
         UCA   (82, G = 42)      41.0   156   40          606 K
         CCA   (82, G = 43)      18.7   100   26          404 K
+
+    Memory: the power grid becomes ``gain_db`` in place, so at most the
+    output grid, one scratch grid (the sin el-weighted product of the 4*pi
+    integral) and one ``_ROW_CHUNK`` chunk are live at once; each phase
+    frees its arrays when it ends.  In-place writes keep every operation
+    and its order, so the values equal those of out-of-place arithmetic
+    bit for bit.
     """
     positions = np.asarray(positions, dtype=float)
     weights = np.asarray(weights, dtype=complex)
@@ -225,16 +232,19 @@ def compute_pattern(positions: np.ndarray, weights: np.ndarray,
     samples = np.empty((el.size, n_s), dtype=complex)  # sqrt(N) * w^H a
     for r0 in range(0, mirror.shape[0], _ROW_CHUNK):
         members = mirror[r0:r0 + _ROW_CHUNK]            # (R', K)
-        terms = np.exp(1j * sin_el[members[:, 0], None, None] * q)
+        terms = 1j * sin_el[members[:, 0], None, None] * q
+        np.exp(terms, out=terms)
         vectors = b[members].transpose(0, 2, 1)         # (R', G, K)
         af = terms @ np.concatenate([vectors, vectors.conj()], axis=2)
         for m in range(members.shape[1]):
             samples[members[:, m]] = af[:, column, m + pick]
+    del b, terms, vectors, af
     # the series needs AF itself, and a negated column computed conj(AF)
     samples[:, negated] = samples[:, negated].conj()
 
     # AF[el, az] = sum_m c[el, m] exp(j m (az + pi)), c = FFT(samples) / n_s
     coefficients = np.fft.fft(samples, axis=1)
+    del samples
     harmonics = np.fft.fftfreq(n_s, 1.0 / n_s)
     series = np.exp(1j * np.outer(harmonics, az + np.pi)) / n_s  # (n_s, A)
     power = np.empty((el.size, az.size))
@@ -242,17 +252,23 @@ def compute_pattern(positions: np.ndarray, weights: np.ndarray,
         af = coefficients[r0:r0 + _ROW_CHUNK] @ series
         block = power[r0:r0 + _ROW_CHUNK]
         np.multiply(af.real, af.real, out=block)
-        block += af.imag * af.imag
+        np.multiply(af.imag, af.imag, out=af.imag)
+        block += af.imag
+    del coefficients, series, af
 
     el_weights = sin_el.copy()
     el_weights[0] *= 0.5
     el_weights[-1] *= 0.5
+    # the weighted product is the one scratch grid, freed by .sum()
     integral = (power * el_weights[:, None]).sum() \
         * np.deg2rad(az_step_deg) * np.deg2rad(el_step_deg)
     if not integral > 0.0:
         raise ValueError(f"weights radiate no power, got {integral:g}")
-    directivity = power * (4.0 * np.pi / integral)
-    gain_db = 10.0 * np.log10(np.maximum(directivity, 1e-300))
+    gain_db = power                 # directivity, then dBi, in place
+    gain_db *= 4.0 * np.pi / integral
+    np.maximum(gain_db, 1e-300, out=gain_db)
+    np.log10(gain_db, out=gain_db)
+    gain_db *= 10.0
     return RadiationPattern(az_deg=az_deg, el_deg=el_deg, gain_db=gain_db,
                             steer_az_deg=steer_az_deg,
                             steer_el_deg=90.0 - steer_el_off_deg)

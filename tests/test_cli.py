@@ -86,6 +86,10 @@ def _case(number, argv, message):
     _case(34, ["pattern", "--geometry", "URA", "--steer", "0", "-90.5"],
           "must be az in [-180, 180) and el in [-90, 90] deg, got az 0, "
           "el -90.5"),
+    _case(35, ["pattern", "--geometry", "UCA", "--resolution", "0.7"],
+          "--resolution must divide 90 deg, got 0.7"),
+    _case(36, ["pattern", "--geometry", "UCA", "--resolution", "0.8"],
+          "--resolution must divide 90 deg, got 0.8"),
 ])
 def test_bad_input_is_one_line_error(tmp_path, capsys, argv, message):
     cfg = tmp_path / "bad.cfg"

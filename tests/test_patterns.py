@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +206,23 @@ class TestComputePattern:
                               az_step_deg=0.5, el_step_deg=0.5,
                               frame=pattern_frame("ULA"))
         assert np.all(np.ptp(pat.gain_db, axis=1) == 0)
+
+    def test_peak_memory_stays_near_the_output_grid(self):
+        # tracemalloc sees numpy's buffers: the output grid, one scratch
+        # grid and one row chunk fit under 4 grids, where each grid-sized
+        # temporary (power, its weighted copy, directivity, clipped copy,
+        # log10) held at once would take it to about 6
+        spec = scenario_geometry("UCA", WAVELENGTH)
+        weights = steering_weights(spec)
+        tracemalloc.start()
+        try:
+            pat = compute_pattern(spec.positions, weights, spec.wavelength,
+                                  frame=pattern_frame(spec.kind))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pat.gain_db.shape == (721, 1440)
+        assert peak < 4 * pat.gain_db.nbytes
 
     def test_rejects_coarse_grid_and_bad_weights(self):
         spec = scenario_geometry("ULA", WAVELENGTH, 4)
