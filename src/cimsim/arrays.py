@@ -32,6 +32,13 @@ class ArrayKind(str, Enum):
     UCA = "UCA"
     CCA = "CCA"
 
+    @classmethod
+    def _missing_(cls, value):
+        """Fail on an unknown kind with a message that lists the kinds."""
+        kinds = ", ".join(kind.value for kind in cls)
+        raise ValueError(f"{value!r} is not a valid ArrayKind "
+                         f"(geometries: {kinds})")
+
 
 @dataclass(frozen=True, eq=False)
 class GeometrySpec:

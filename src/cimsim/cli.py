@@ -60,8 +60,17 @@ def _resolve_config(args: argparse.Namespace) -> SimConfig:
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
+def _check_out(out: Path) -> None:
+    """Reject, before any work, an ``--out`` whose nearest existing path
+    (itself or an ancestor) is not a directory."""
+    path = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())
+    if not path.is_dir():
+        raise ValueError(f"--out {out}: {path} is not a directory")
+
+
 def cmd_ber(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
+    _check_out(args.out)
     results = run_sweep(cfg, workers=args.workers)
     csv_path, manifest_path = aggregate_and_emit(results, args.out, cfg,
                                                  workers=args.workers)
@@ -98,6 +107,7 @@ def cmd_pattern(args: argparse.Namespace) -> int:
     if abs(rows_per_90 - round(rows_per_90)) > 1e-9:
         raise ValueError(f"--resolution must divide 90 deg, got "
                          f"{args.resolution:g}")
+    _check_out(args.out)
     az_off, el_off = args.steer
     specs = [scenario_geometry(g, WAVELENGTH) for g in geometries]
     rows = []

@@ -48,12 +48,10 @@ The hardware-efficient (HE) model applies the quantized weights in the
 signal path while detection keeps the ideal-hardware hypothesis values,
 which is what makes coarse banks floor out at high power.
 
-A sweep run on a process pool gives each worker process its share of the
-usable CPUs for BLAS threads, so workers x BLAS threads never exceed the
-CPUs; the serial path leaves BLAS as it is.  The parent caps its own
-BLAS threads around the pool, so forked workers inherit the cap and
-start no BLAS threads; workers started by spawn or forkserver cap their
-own.
+Every process of a sweep runs BLAS on one thread: 82-element matrices are
+too small for BLAS threads to help, and idle ones busy-wait against the
+sweep and any other process on the CPUs.  Forked pool workers inherit
+the sweep's cap and start no BLAS threads; others cap their own.
 """
 
 from __future__ import annotations
@@ -67,6 +65,8 @@ import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from decimal import Decimal
+from fractions import Fraction
 from itertools import groupby, product, repeat
 from operator import attrgetter
 from pathlib import Path
@@ -122,18 +122,19 @@ _GRID_KEYS = ("geometries", "signalings", "hardware", "powers_dbm")
 def _check_axis(key: str, values: tuple) -> None:
     """A grid axis of a SimConfig is a tuple of at least one value and
     lists none twice, since a repeated value only repeats rows.  Powers
-    must be finite real numbers and signalings (B, M) pairs.  Hardware
-    tokens are parsed, which validates them, and compared as the banks
-    they name: HE8 and he(8) are the same value."""
+    must be finite real numbers, signalings (B, M) pairs and geometries
+    array kinds.  Hardware tokens are parsed, which validates them, and
+    compared as the banks they name: HE8 and he(8) are the same value."""
     if not isinstance(values, tuple):
         raise ValueError(f"{key} must be a tuple, got {values!r}")
     if not values:
         raise ValueError(f"{key} must be nonempty")
-    check = {"hardware": parse_hardware, "signalings": _check_signaling,
-             "powers_dbm": lambda v: require_number(key, v)}.get(key)
+    check = {"geometries": ArrayKind, "hardware": parse_hardware,
+             "signalings": _check_signaling,
+             "powers_dbm": lambda v: require_number(key, v)}[key]
     seen = set()
     for value in values:
-        same = check(value) if check else value
+        same = check(value)
         if same in seen:
             raise ValueError(f"{key} repeats {value!r}")
         seen.add(same)
@@ -455,50 +456,26 @@ def run_sweep(cfg: SimConfig, workers: int = 1) -> list[BerResult]:
     A task is a contiguous group of the geometry-major (geometry,
     signaling) pairs; the serial path runs one task of every pair.  With
     ``workers > 1`` and more than one pair, ``min(workers, pairs)``
-    processes run one task each with their BLAS threads capped at
-    ``_worker_blas_threads``.  This process holds the same cap while the
-    pool runs and gets its own thread counts back when the pool closes,
-    also when a task fails."""
+    processes run one task each.  This process and every worker run BLAS
+    on one thread (``_limit_blas_threads``); this process gets its own
+    thread counts back when the sweep ends, also when a task fails."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     pairs = list(product(cfg.geometries, cfg.signalings))
-    threads = _worker_blas_threads(workers, len(pairs))
-    if threads is None:
-        results = [_run_task(cfg, pairs)]
-    else:
-        groups = _split(pairs, min(workers, len(pairs)))
-        # forked workers inherit this cap and start no BLAS threads; the
-        # initializer caps workers started by spawn or forkserver
-        capped = _limit_blas_threads(threads)
-        try:
+    groups = _split(pairs, min(workers, len(pairs)))
+    capped = _limit_blas_threads()
+    try:
+        if len(groups) == 1:
+            results = [_run_task(cfg, pairs)]
+        else:
             with ProcessPoolExecutor(max_workers=len(groups),
-                                     initializer=_limit_blas_threads,
-                                     initargs=(threads,)) as pool:
+                                     initializer=_limit_blas_threads) as pool:
                 results = list(pool.map(_run_task, repeat(cfg, len(groups)),
                                         groups))
-        finally:
-            for setter, count in capped:
-                setter(count)
+    finally:
+        for setter, count in capped:
+            setter(count)
     return [result for task in results for result in task]
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS
-    has one, else the machine's count)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _worker_blas_threads(workers: int, n_pairs: int) -> int | None:
-    """BLAS threads per pool worker: the usable CPUs split over the
-    ``min(workers, n_pairs)`` worker processes, at least one.  None when
-    the sweep runs serially, which leaves BLAS threads as they are."""
-    processes = min(workers, n_pairs)
-    if processes <= 1:
-        return None
-    return max(1, _usable_cpus() // processes)
 
 
 # Thread-count getters and setters of OpenBLAS builds, most specific
@@ -534,16 +511,16 @@ def _openblas_libraries() -> list[ctypes.CDLL]:
     return libraries
 
 
-def _limit_blas_threads(threads: int) -> list[tuple[Callable, int]]:
-    """Cap every mapped OpenBLAS library's thread pool at ``threads``
+def _limit_blas_threads() -> list[tuple[Callable, int]]:
+    """Cap every mapped OpenBLAS library's thread pool at one thread
     through its first exported getter/setter pair; returns the setter
     and previous count of each library it changed, for the caller to
     restore.  Also the pool worker initializer.
 
-    A library already at ``threads`` is left alone: a forked process
-    has none of the library's server threads, and the setter would
-    start them, to busy-wait for a first job.  A worker forked from a
-    parent that holds the cap therefore keeps its single OS thread.
+    A library already at one thread is left alone: a forked process has
+    none of the library's server threads, and the setter would start
+    them, to busy-wait for a first job.  A worker forked from a parent
+    that holds the cap therefore keeps its single OS thread.
 
     A no-op where no OpenBLAS library is found: on an OS without
     ``/proc/self/maps``, or with another BLAS (MKL, Accelerate, BLIS),
@@ -561,28 +538,31 @@ def _limit_blas_threads(threads: int) -> list[tuple[Callable, int]]:
             setter.argtypes = [ctypes.c_int]
             setter.restype = None
             previous = getter()
-            if previous != threads:
-                setter(threads)
+            if previous != 1:
+                setter(1)
                 changed.append((setter, previous))
             break
     return changed
 
 
-def _environment(workers: int | None, n_pairs: int) -> dict:
-    """numpy/BLAS build, usable CPUs and thread variables of this run;
-    with a worker count, also the BLAS thread cap of each pool worker."""
+def _environment(workers: int | None) -> dict:
+    """numpy/BLAS build, usable CPUs (the affinity mask where the OS has
+    one) and thread variables of this run, and the worker count if given."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
     env = {
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
-        "cpus": _usable_cpus(),
+        "cpus": cpus,
         "thread_variables": {name: os.environ.get(name) for name in
                              ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                               "MKL_NUM_THREADS")},
     }
     if workers is not None:
         env["workers"] = workers
-        env["blas_threads"] = _worker_blas_threads(workers, n_pairs)
     return env
 
 
@@ -613,8 +593,7 @@ def aggregate_and_emit(results: list[BerResult], out_dir: "str | Path",
     """Write ber_results.csv plus a JSON run manifest; returns both paths.
 
     ``workers`` is the worker count the sweep ran with; the manifest's
-    ``environment`` then also records it and the per-worker BLAS thread
-    cap (null on the serial path)."""
+    ``environment`` then also records it."""
     if not results:
         raise ValueError("no results to emit")
     out = Path(out_dir)
@@ -622,10 +601,9 @@ def aggregate_and_emit(results: list[BerResult], out_dir: "str | Path",
     csv_path = out / "ber_results.csv"
     csv_path.write_text(results_to_csv(results))
 
-    n_pairs = len(cfg.geometries) * len(cfg.signalings)
     manifest = {
         "version": __version__,
-        "environment": _environment(workers, n_pairs),
+        "environment": _environment(workers),
         "config": dataclasses.asdict(cfg),
         "elements": _element_counts(cfg),
         "points": len(results),
@@ -661,20 +639,23 @@ _SIM_KEYS = {**dict.fromkeys(_LOWER_BOUNDS, int), "noise_dbm": float}
 
 
 def _parse_powers(text: str) -> tuple[float, ...]:
+    """A comma list, or ``lo:hi:step`` with hi included, whose value k is
+    the float nearest lo + k step in the typed decimals (0.3, not 0.1 * 3)."""
     text = text.strip()
     if ":" in text:
-        bounds = tuple(require_number("powers_dbm", float(v))
-                       for v in text.split(":"))
+        fields = text.split(":")
+        bounds = tuple(require_number("powers_dbm", float(v)) for v in fields)
         if len(bounds) != 3:
             raise ValueError(f"powers_dbm range must be lo:hi:step, "
                              f"got {text!r}")
         lo, hi, step = bounds
         if step == 0:
             raise ValueError(f"range {text!r} has a zero step")
-        powers = tuple(np.arange(lo, hi + step / 2.0, step).tolist())
-        if not powers:
+        count = len(np.arange(lo, hi + step / 2.0, step))
+        if not count:
             raise ValueError(f"range {text!r} is empty")
-        return powers
+        first, _, delta = (Fraction(Decimal(v)) for v in fields)
+        return tuple(float(first + k * delta) for k in range(count))
     return tuple(float(v) for v in text.split(","))
 
 
@@ -737,7 +718,7 @@ def _parse_entry(key: str, value: str, sim_kwargs: dict,
         chan_kwargs[key] = _CHANNEL_KEYS[key](value)
         ChannelConfig(**{key: chan_kwargs[key]})    # this key's own rules
     elif key == "geometries":
-        sim_kwargs["geometries"] = tuple(ArrayKind(v.strip().upper()).value
+        sim_kwargs["geometries"] = tuple(v.strip().upper()
                                          for v in value.split(","))
     elif key == "signalings":
         sim_kwargs["signalings"] = _parse_signalings(value)

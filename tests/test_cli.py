@@ -90,6 +90,20 @@ def _case(number, argv, message):
           "--resolution must divide 90 deg, got 0.7"),
     _case(36, ["pattern", "--geometry", "UCA", "--resolution", "0.8"],
           "--resolution must divide 90 deg, got 0.8"),
+    _case(37, ["ber", "--geometry", "xyz"],
+          "'XYZ' is not a valid ArrayKind (geometries: ULA, URA, UCA, CCA)"),
+    _case(38, ["pattern", "--geometry", "xyz"],
+          "'XYZ' is not a valid ArrayKind (geometries: ULA, URA, UCA, CCA)"),
+    _case(39, ["codebook", "--geometry", "xyz"],
+          "'XYZ' is not a valid ArrayKind (geometries: ULA, URA, UCA, CCA)"),
+    _case(40, ["ber", "--trials", "2", "5", "--out", "{file}"],
+          "--out {file}: {file} is not a directory"),
+    _case(41, ["pattern", "--geometry", "ULA", "--out", "{file}"],
+          "--out {file}: {file} is not a directory"),
+    _case(42, ["ber", "--trials", "2", "5", "--out", "{file}/sub/dir"],
+          "--out {file}/sub/dir: {file} is not a directory"),
+    _case(43, ["pattern", "--geometry", "ULA", "--out", "{file}/sub"],
+          "--out {file}/sub: {file} is not a directory"),
 ])
 def test_bad_input_is_one_line_error(tmp_path, capsys, argv, message):
     cfg = tmp_path / "bad.cfg"
@@ -104,19 +118,24 @@ def test_bad_input_is_one_line_error(tmp_path, capsys, argv, message):
                        ("position", "tx_position = 25, 25, 9"),
                        ("distance", "distance_m = nan")):
         (tmp_path / f"{name}.cfg").write_text(line + "\n")
+    file = tmp_path / "file"
+    file.write_text("kept\n")
     out = tmp_path / "out"
-    argv = [a.format(cfg=cfg, dir=tmp_path, binary=binary, dup=dup, he=he)
-            for a in argv]
-    if argv[0] != "codebook":    # codebook writes no files
+    names = dict(cfg=cfg, dir=tmp_path, binary=binary, dup=dup, he=he,
+                 file=file)
+    argv = [a.format(**names) for a in argv]
+    # codebook writes no files; the --out cases name their own
+    if argv[0] != "codebook" and "--out" not in argv:
         argv += ["--out", str(out)]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""    # nothing is printed before input is valid
     err = captured.err
     assert err.startswith("cimsim: error: ")
-    assert message in err
+    assert message.format(**names) in err
     assert err.count("\n") == 1
     assert not out.exists()      # nothing is created before input is valid
+    assert file.read_text() == "kept\n"
 
 
 def test_codebook_rejects_second_geometry(capsys):

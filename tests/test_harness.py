@@ -1,3 +1,4 @@
+import contextlib
 import ctypes
 import dataclasses
 import functools
@@ -92,6 +93,31 @@ def _numpy_openblas_paths() -> frozenset[str]:
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, check=True, timeout=120).stdout
     return frozenset(out.split())
+
+
+@contextlib.contextmanager
+def _numpy_blas_threads(threads: int):
+    """Run the body with numpy's OpenBLAS libraries set to ``threads``
+    through their own setters; their counts are set back after it."""
+    counts = dict(_blas_thread_counts())
+    setters = []
+    for lib in harness._openblas_libraries():
+        if lib._name not in _numpy_openblas_paths():
+            continue
+        index = next(i for i, n in enumerate(harness._OPENBLAS_GET_THREADS)
+                     if hasattr(lib, n))
+        setter = getattr(lib, harness._OPENBLAS_SET_THREADS[index])
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setters.append((setter, counts[lib._name]))
+    assert setters, "numpy's OpenBLAS library not found"
+    for setter, _ in setters:
+        setter(threads)
+    try:
+        yield
+    finally:
+        for setter, count in setters:
+            setter(count)
 
 
 def _os_thread_count(*_task) -> list[int]:
@@ -207,6 +233,14 @@ class TestSimConfig:
         with pytest.raises(ValueError,
                            match=f"^{key} must be finite, got {shown}$"):
             SimConfig(**{key: value})
+
+    @pytest.mark.parametrize("name", ["XYZ", "ula", "XLA"])
+    def test_unknown_geometry_names_value_and_kinds(self, name):
+        # the name alone is wrong: the message does not blame n_elements
+        with pytest.raises(ValueError) as info:
+            SimConfig(geometries=("ULA", name), n_elements=16)
+        assert str(info.value) == (f"{name!r} is not a valid ArrayKind "
+                                   f"(geometries: ULA, URA, UCA, CCA)")
 
     def test_scenario_layout_checked_per_geometry(self):
         with pytest.raises(ValueError, match="geometry CCA with n_elements=16"):
@@ -543,12 +577,44 @@ class TestRunSweep:
         _start_pool_by(monkeypatch, method)
         cfg = SimConfig(**{**TINY, "geometries": geometries})
         reports = run_sweep(cfg, workers=workers)
-        expected = max(1, _cpus() // min(workers, len(geometries)))
         assert len(reports) == len(geometries)
         for report in reports:
-            assert set(report.values()) == {expected}
+            assert set(report.values()) == {1}
             assert numpy_paths <= report.keys() <= dict(parent).keys()
         assert _blas_thread_counts() == parent    # this process: untouched
+
+    @pytest.mark.parametrize("workers,geometries", [
+        (1, ("ULA", "URA")), (4, ("URA",))])
+    @pytest.mark.parametrize("fails", [False, True],
+                             ids=["task-returns", "task-raises"])
+    def test_serial_sweep_caps_blas_threads(self, monkeypatch, workers,
+                                            geometries, fails):
+        _require_openblas()
+        reports = []
+
+        def task(*args):
+            # the serial task runs in this process: it reports the BLAS
+            # thread counts it sees instead of sweeping
+            reports.extend(_blas_thread_report(*args))
+            if fails:
+                raise ZeroDivisionError("channel draw failed")
+            return []
+
+        monkeypatch.setattr(harness, "_run_task", task)
+        cfg = SimConfig(**{**TINY, "geometries": geometries})
+        with _numpy_blas_threads(2):
+            caller = _blas_thread_counts()
+            assert {dict(caller)[path]
+                    for path in _numpy_openblas_paths()} == {2}
+            if fails:
+                with pytest.raises(ZeroDivisionError):
+                    run_sweep(cfg, workers=workers)
+            else:
+                assert run_sweep(cfg, workers=workers) == []
+            assert _blas_thread_counts() == caller
+        assert len(reports) == 1
+        assert set(reports[0].values()) == {1}
+        assert _numpy_openblas_paths() <= reports[0].keys()
 
     def test_forked_pool_workers_start_single_threaded(self, monkeypatch):
         _require_openblas()
@@ -734,9 +800,7 @@ class TestEmit:
                                            "OPENBLAS_NUM_THREADS": "3",
                                            "MKL_NUM_THREADS": None}
         assert env["workers"] == workers
-        # the serial path (one worker) leaves BLAS uncapped
-        assert env["blas_threads"] == (
-            None if workers == 1 else max(1, _cpus() // min(workers, 2)))
+        assert "blas_threads" not in env
 
     def test_manifest_records_element_counts(self, tmp_path):
         # the URA rounds n_elements to a square; the manifest shows it
@@ -803,6 +867,18 @@ class TestConfigFile:
         assert cfg.channel.clusters == 8
         assert cfg.channel.angular_spread_deg == 7.5
         assert cfg.channel.distance_m == 150.0
+
+    @pytest.mark.parametrize("text,powers", [
+        ("0:1:0.1", (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)),
+        ("-0.5:0.5:0.25", (-0.5, -0.25, 0.0, 0.25, 0.5)),
+        ("-20:10:5", (-20.0, -15.0, -10.0, -5.0, 0.0, 5.0, 10.0)),
+    ])
+    def test_power_range_values_are_the_typed_decimals(self, tmp_path, text,
+                                                       powers):
+        # no float accumulation noise such as 0.30000000000000004
+        path = tmp_path / "sim.cfg"
+        path.write_text(f"powers_dbm = {text}\n")
+        assert load_config(path).powers_dbm == powers
 
     @settings(max_examples=30, deadline=None, derandomize=True,
               database=None)
