@@ -16,6 +16,24 @@ d = signal - hyp(c) s, which expands to
 
 the three real terms do not depend on the power, so ``detect`` builds
 them once and decides every amplitude of a power sweep from them.
+
+Most of those decisions need no search, as in sphere decoding.  Let h*
+be the first hypothesis of least |d|, d1 <= d2 the two least |d| of a
+use and nu = max_c |n_c|.  By the triangle inequality every h != h* has
+|n + a d_h| >= L = a d2 - nu and h* has |n + a d_h*| <= a d1 + nu, so
+wherever
+
+    a (d2 - d1) - 2 nu > tau (a d2 + nu),    tau = SETTLE_TOLERANCE,
+
+every other metric exceeds h*'s by more than tau L^2, and by nearly all
+of itself where it is far above L^2.  There a d2 > 2 nu, so no term of
+a metric exceeds 9 times the larger of the metric and L^2, and the four
+float roundings that form a metric err by less than about 50 eps of
+that: tau = 1e-12 is over 100 times as much.  So the float exhaustive
+argmin is h*, and ``detect`` takes it without searching.  Exact ties
+(d1 = d2) never settle, nor does a = 0; without noise, every other use
+settles at every a > 0.
+
 ``transmit``, ``detect`` and ``count_bit_errors`` work on a batch of T
 channel uses; a single use is a batch of one.  ``transmit`` and
 ``detect`` also take leading axes that stack independent realizations.
@@ -29,9 +47,16 @@ for every W, also a rank-deficient one (two equal columns).
 
 from __future__ import annotations
 
+import math
+from functools import reduce
+
 import numpy as np
 
 from .codebook import CimCodebook
+
+# tau of the distance bound that settles a decision without a search (see
+# the module docstring): over 100 times the float metrics' rounding error
+SETTLE_TOLERANCE = 1e-12
 
 
 def db_to_linear(db: float) -> float:
@@ -102,6 +127,38 @@ def branch_amplitudes(cb: CimCodebook, h: np.ndarray) -> np.ndarray:
     return ((cb.combiners.conj().T @ h) * cb.beamformers.T).sum(axis=1)
 
 
+def decision_bound(distance: np.ndarray, noise: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Per channel use, the hypothesis h* that the distance bound picks and
+    the amplitude above which it is the exhaustive search's decision.
+
+    ``distance`` (U, B M) holds the float |d|^2 of every hypothesis and
+    ``noise`` (U, B) the combined noise of U uses.  h* is the first
+    argmin of |d|^2; d1 <= d2 are the two smallest |d| and nu = max_c
+    |n_c|.  The threshold is the least a with a (d2 - d1) - 2 nu =
+    SETTLE_TOLERANCE (a d2 + nu), and infinite where d2 - d1 is too small
+    for any a, exact ties included.  ``distance`` is read only (its h*
+    entries are overwritten and restored).
+    """
+    # one buffer for the reads and the writes below, also where reshape
+    # has to copy
+    entries = distance.reshape(-1)
+    distance = entries.reshape(distance.shape)
+    starts = np.arange(0, entries.size, distance.shape[1])
+    at = starts + distance.argmin(axis=1)
+    d1 = entries[at]
+    entries[at] = np.inf
+    d2 = entries[starts + distance.argmin(axis=1)]
+    entries[at] = d1
+    # max_c |n_c|^2 column by column: a reduction along short rows is slower
+    nu = np.sqrt(reduce(np.maximum, (noise.real ** 2 + noise.imag ** 2).T))
+    slack = (1.0 - SETTLE_TOLERANCE) * np.sqrt(d2) - np.sqrt(d1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        threshold = np.where(slack > 0.0,
+                             (2.0 + SETTLE_TOLERANCE) * nu / slack, np.inf)
+    return at - starts, threshold
+
+
 def detect(signal: np.ndarray, noise: np.ndarray, amplitudes: np.ndarray,
            hyp: np.ndarray, points: np.ndarray,
            workspace: np.ndarray | None = None
@@ -116,32 +173,65 @@ def detect(signal: np.ndarray, noise: np.ndarray, amplitudes: np.ndarray,
     amplitudes; ties go to the lowest cluster, then symbol.  Leading
     axes stack realizations as in ``transmit``.  The metric's terms are
     built in a float (4, ..., T, B, M) ``workspace``, allocated here
-    unless given: a caller that detects block after block passes one."""
-    metric, distance, cross, noise_power = (
-        np.empty((4,) + signal.shape + points.shape) if workspace is None
-        else workspace)
-    # d = signal - hyp points: its real part in metric, imaginary in distance
+    unless given: a caller that detects block after block passes one.
+
+    A use whose ``decision_bound`` threshold lies below a takes h*
+    without a search (see the module docstring).  The uses are ranked by
+    falling threshold, and the terms of those some amplitude cannot
+    settle are gathered into a prefix of the workspace; each amplitude
+    searches the part of that prefix above it with the same float
+    operations on the same values as the exhaustive search, so every
+    decision, ties included, is the exhaustive search's bit for bit."""
+    shape = signal.shape + points.shape                    # (..., T, B, M)
+    uses = math.prod(signal.shape[:-1])
+    work = (np.empty((4, uses, shape[-2] * shape[-1])) if workspace is None
+            else workspace.reshape(4, uses, -1))           # (4, U, B M)
+    real, imag, distance, spare = (slot.reshape(shape) for slot in work)
+    # d = signal - hyp points, and its |d|^2
     hp = hyp[..., None, :, None] * points
-    np.subtract(signal.real[..., None], hp.real, out=metric)
-    np.subtract(signal.imag[..., None], hp.imag, out=distance)
-    noise = noise[..., None]
-    np.multiply(noise.real, metric, out=cross)
-    cross += np.multiply(noise.imag, distance, out=noise_power)
-    cross *= 2.0
-    distance **= 2
-    distance += np.square(metric, out=metric)
-    # |n|^2 repeated over the symbols: a broadcast add in the loop is slower
-    noise_power[...] = noise.real ** 2 + noise.imag ** 2
-    hypotheses = signal.shape[:-1] + (-1,)                 # (..., T, B M)
-    flat = np.empty(signal.shape[:-2] + (len(amplitudes), signal.shape[-2]),
-                    dtype=np.intp)
-    for p, a in enumerate(amplitudes):
-        np.multiply(distance, a, out=metric)
-        metric += cross
-        metric *= a
-        metric += noise_power
-        flat[..., p, :] = metric.reshape(hypotheses).argmin(axis=-1)
-    return np.divmod(flat, points.size)
+    np.subtract(signal.real[..., None], hp.real, out=real)
+    np.subtract(signal.imag[..., None], hp.imag, out=imag)
+    np.square(imag, out=distance)
+    distance += np.square(real, out=spare)
+    noise = noise.reshape(uses, -1)
+    best, threshold = decision_bound(work[2], noise)
+
+    # uses by falling threshold: amplitude a searches the first
+    # ``searched`` of them and settles the rest
+    order = np.argsort(threshold)[::-1]
+    searched = uses - np.searchsorted(threshold[order[::-1]], amplitudes)
+    count = searched.max(initial=0)
+    rows = order[:count]
+    # gather |d|^2, Im d and Re d of those rows one slot down (mode="clip"
+    # writes ``out`` unbuffered; every index is in range)
+    for source in (2, 1, 0):
+        np.take(work[source], rows, axis=0, out=work[source + 1][:count],
+                mode="clip")
+    cross, metric, noise_power, distance = work[:, :count]
+    # metric holds Re d and noise_power Im d until 2 Re(conj(n) d) and |n|^2
+    # (repeated over the symbols: a broadcast add in the loop is slower)
+    # are formed, on (use, branch, symbol) views of the gathered rows
+    c, re_d, im_d = (a.reshape((count,) + shape[-2:])
+                     for a in (cross, metric, noise_power))
+    gathered = noise[rows][..., None]
+    np.multiply(gathered.real, re_d, out=c)
+    c += np.multiply(gathered.imag, im_d, out=im_d)
+    c *= 2.0
+    im_d[...] = gathered.real ** 2 + gathered.imag ** 2
+    flat = np.tile(best, (len(amplitudes), 1))
+    for decided, a, n in zip(flat, amplitudes, searched.tolist()):
+        m = metric[:n]
+        np.multiply(distance[:n], a, out=m)
+        m += cross[:n]
+        m *= a
+        m += noise_power[:n]
+        decided[rows[:n]] = m.argmin(axis=1)
+    flat = np.moveaxis(flat.reshape((len(amplitudes),) + signal.shape[:-1]),
+                       0, -2)
+    # (cluster, symbol) of each flat hypothesis index, by lookup: a
+    # divmod of the decisions costs more
+    return tuple(label[flat] for label in np.divmod(
+        np.arange(shape[-2] * shape[-1]), points.size))
 
 
 def count_bit_errors(x0: np.ndarray, x1: np.ndarray, c_hat: np.ndarray,

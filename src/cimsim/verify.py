@@ -20,9 +20,9 @@ from .arrays import (ArrayKind, WAVELENGTH, scenario_geometry, steering,
 from .channel import (ChannelConfig, draw_paths, path_loss,
                       sample_realization)
 from .codebook import (FpsBank, build_codebook, compose_switch_vector,
-                       realized_phase, wrap_phase)
-from .link import (array_gain_db, branch_amplitudes, db_to_linear, detect,
-                   psk_constellation, transmit)
+                       quantize_weights, realized_phase, wrap_phase)
+from .link import (array_gain_db, branch_amplitudes, db_to_linear,
+                   decision_bound, detect, psk_constellation, transmit)
 from .patterns import steered_pattern, steering_weights
 
 
@@ -167,6 +167,53 @@ def check_noiseless_detection(
                        f"{failures} failed hypotheses")
 
 
+def check_detection_matches_exhaustive() -> CheckResult:
+    """``detect`` with noise against a per-power brute-force argmin of
+    |z - a hyp s|^2 on one seeded 16-element URA channel, on OP and
+    HE4-quantized signal paths for B in {2, 4} and M in {4, 8}, 200 uses
+    each.  The amplitudes put the mean branch amplitude at 1e-2 to 1e3
+    times the noise SD, so that some decisions settle on the distance
+    bound and others are searched; both must occur."""
+    rng = np.random.default_rng(13)
+    spec = scenario_geometry("URA", WAVELENGTH, 16)
+    realization = sample_realization(
+        draw_paths(ChannelConfig(clusters=4, paths_per_cluster=3), 13),
+        spec.positions)
+    h = realization.matrix
+    sigma = 1e-6
+    uses = 200
+    mismatches = settled = decisions = 0
+    for order, m, bank in product((2, 4), (4, 8), (None, FpsBank(4))):
+        cb = build_codebook(realization, order)
+        points = psk_constellation(m)
+        hyp = branch_amplitudes(cb, h)
+        weights = np.stack([cb.beamformers, cb.combiners])
+        f, w = weights if bank is None else quantize_weights(weights, bank)
+        x0 = rng.integers(0, order, uses)
+        x1 = rng.integers(0, m, uses)
+        white = sigma * (rng.standard_normal((uses, order))
+                         + 1j * rng.standard_normal((uses, order)))
+        signal, noise = transmit(f, w, h, x0, points[x1], white)
+        amplitudes = sigma / np.abs(hyp).mean() * np.logspace(-2, 3, 11)
+        c_hat, s_hat = detect(signal, noise, amplitudes, hyp, points)
+        for a, c, s in zip(amplitudes, c_hat, s_hat):
+            z = a * signal + noise
+            metric = np.abs(z[:, :, None] - a * hyp[:, None] * points) ** 2
+            c_ref, s_ref = np.divmod(metric.reshape(uses, -1).argmin(axis=1),
+                                     m)
+            mismatches += np.count_nonzero((c != c_ref) | (s != s_ref))
+        d = signal[:, :, None] - hyp[:, None] * points
+        _, threshold = decision_bound(
+            (d.imag ** 2 + d.real ** 2).reshape(uses, -1), noise)
+        settled += np.count_nonzero(amplitudes[:, None] > threshold)
+        decisions += c_hat.size
+    searched = decisions - settled
+    return CheckResult("noisy ML detection equals exhaustive search",
+                       mismatches == 0 and settled > 0 and searched > 0,
+                       f"{mismatches} mismatches; {settled} decisions "
+                       f"settled by the bound, {searched} searched")
+
+
 def check_best_path_bruteforce(seed: int = 3) -> CheckResult:
     """Greedy best-path pick equals an explicit per-path scan."""
     pos = scenario_geometry("ULA", WAVELENGTH, 4).positions
@@ -198,6 +245,7 @@ ALL_CHECKS = (
     check_path_loss,
     check_directivity_normalization,
     check_noiseless_detection,
+    check_detection_matches_exhaustive,
     check_best_path_bruteforce,
 )
 

@@ -8,8 +8,8 @@ from cimsim.arrays import WAVELENGTH, scenario_geometry
 from cimsim.channel import ChannelConfig, draw_paths, sample_realization
 from cimsim.codebook import FpsBank, build_codebook, quantize_weights
 from cimsim.link import (array_gain_db, branch_amplitudes, count_bit_errors,
-                         db_to_linear, dbm_to_watt, detect, gray_code,
-                         psk_constellation, transmit)
+                         db_to_linear, dbm_to_watt, decision_bound, detect,
+                         gray_code, psk_constellation, transmit)
 
 
 def make_link(seed=1, n=8, clusters=4, order=2, power_w=1.0):
@@ -319,6 +319,130 @@ class TestMlDetect:
         for row, p in enumerate(subset):
             assert np.array_equal(some[0][row], every[0][p])
             assert np.array_equal(some[1][row], every[1][p])
+
+
+def exhaustive(signal, noise, amplitudes, hyp, points):
+    """Brute-force (cluster, symbol) argmin of |z - a hyp s|^2 per power,
+    each (P, T)."""
+    decisions = []
+    for a in amplitudes:
+        z = a * signal + noise
+        metric = np.abs(z[:, :, None] - a * hyp[:, None] * points) ** 2
+        decisions.append(metric.reshape(len(z), -1).argmin(axis=1))
+    return np.divmod(np.array(decisions), points.size)
+
+
+def thresholds(signal, noise, hyp, points):
+    """The amplitude above which each use settles without a search."""
+    d = signal[:, :, None] - hyp[:, None] * points
+    return decision_bound((d.imag ** 2 + d.real ** 2).reshape(len(d), -1),
+                          noise)[1]
+
+
+def assert_exhaustive(signal, noise, amplitudes, hyp, points):
+    got = detect(signal, noise, amplitudes, hyp, points)
+    expected = exhaustive(signal, noise, amplitudes, hyp, points)
+    assert np.array_equal(got[0], expected[0])
+    assert np.array_equal(got[1], expected[1])
+    return got
+
+
+def noisy_link(seed=2, order=4, m=4, uses=60, n_f=None, sigma=1e-6):
+    """Signal, combined noise, hypothesis values and points of a noisy
+    link, on an HE``n_f``-quantized signal path unless ``n_f`` is None."""
+    realization, cb, _ = make_link(seed=seed, order=order)
+    points = psk_constellation(m)
+    h = realization.matrix
+    rng = np.random.default_rng(seed)
+    x0 = rng.integers(0, order, uses)
+    x1 = rng.integers(0, m, uses)
+    weights = np.stack([cb.beamformers, cb.combiners])
+    if n_f is not None:
+        weights = quantize_weights(weights, FpsBank(n_f))
+    signal, noise = transmit(*weights, h, x0, points[x1],
+                             receive_noise(rng, (uses, order), sigma))
+    return signal, noise, branch_amplitudes(cb, h), points
+
+
+class TestDistanceBound:
+    """Decisions the distance bound settles without a search must be the
+    exhaustive search's, and so must the searched ones."""
+
+    def test_one_hypothesis_settles_above_zero(self):
+        signal, noise, hyp, points = noisy_link(order=1, m=1)
+        assert np.all(thresholds(signal, noise, hyp, points) == 0.0)
+        c_hat, s_hat = assert_exhaustive(signal, noise,
+                                         np.array([0.0, 1e-9, 1.0]), hyp,
+                                         points)
+        assert not c_hat.any() and not s_hat.any()
+
+    def test_exact_distance_ties_never_settle(self):
+        # no signal and equal branch amplitudes: every |d| is 1.  Use 0
+        # has the same noise on both branches, so clusters 0 and 1 tie
+        # exactly and cluster 0 wins; use 1 has noise on branch 1 only,
+        # which wins there, though h* is (0, 0)
+        points = psk_constellation(4)
+        j = np.abs(points - 1j).argmin()
+        noise = 0.5 * points[j] * np.array([[1.0, 1.0], [0.0, 1.0]])
+        signal = np.zeros((2, 2), complex)
+        hyp = np.ones(2, complex)
+        assert np.all(thresholds(signal, noise, hyp, points) == np.inf)
+        amplitudes = np.array([0.0, 0.3, 1.0, 1e6])
+        c_hat, s_hat = assert_exhaustive(signal, noise, amplitudes, hyp,
+                                         points)
+        assert c_hat[1:].tolist() == [[0, 1]] * 3
+        assert s_hat[1:].tolist() == [[j, j]] * 3
+
+    def test_noiseless_8psk_settles_every_use(self):
+        realization, cb, amplitude = make_link(order=4)
+        points = psk_constellation(8)
+        h = realization.matrix
+        x0, x1 = all_hypotheses(4, 8)
+        signal, noise = transmit(cb.beamformers, cb.combiners, h, x0,
+                                 points[x1], np.zeros((x0.size, 4)))
+        hyp = branch_amplitudes(cb, h)
+        assert np.all(thresholds(signal, noise, hyp, points) == 0.0)
+        c_hat, s_hat = assert_exhaustive(
+            signal, noise, amplitude * np.array([1e-6, 1.0, 1e6]), hyp,
+            points)
+        assert np.all(c_hat == x0) and np.all(s_hat == x1)
+
+    def test_amplitude_zero_searches_every_use(self):
+        signal, noise, hyp, points = noisy_link()
+        assert np.all(thresholds(signal, noise, hyp, points) > 0.0)
+        c_hat, s_hat = assert_exhaustive(signal, noise, np.array([0.0]),
+                                         hyp, points)
+        # only |n_c|^2 is left: the quietest branch, lowest symbol
+        assert np.array_equal(c_hat[0], np.abs(noise).argmin(axis=1))
+        assert not s_hat.any()
+
+    def test_amplitude_exactly_at_a_threshold(self):
+        signal, noise, hyp, points = noisy_link(n_f=4)
+        threshold = thresholds(signal, noise, hyp, points)
+        finite = np.sort(threshold[np.isfinite(threshold)])
+        at = finite[len(finite) // 2]
+        amplitudes = np.array([np.nextafter(at, 0.0), at,
+                               np.nextafter(at, np.inf)])
+        assert_exhaustive(signal, noise, amplitudes, hyp, points)
+
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), order=st.sampled_from([1, 2, 4]),
+           m=st.sampled_from([2, 4, 8]),
+           n_f=st.sampled_from([None, 3, 4, 8]),
+           snr_exponents=st.lists(st.floats(-2.0, 4.0), min_size=1,
+                                  max_size=6))
+    def test_property_settled_and_searched_match(self, seed, order, m, n_f,
+                                                 snr_exponents):
+        # amplitudes put the mean branch amplitude at 1e-2 to 1e4 times
+        # the noise SD, plus one point at each end of that range
+        signal, noise, hyp, points = noisy_link(seed, order, m, 40, n_f)
+        exponents = np.array(snr_exponents + [-2.0, 4.0])
+        amplitudes = 1e-6 / np.abs(hyp).mean() * 10.0 ** exponents
+        settled = amplitudes[:, None] > thresholds(signal, noise, hyp,
+                                                   points)
+        assert settled.any() and not settled.all()
+        assert_exhaustive(signal, noise, amplitudes, hyp, points)
 
 
 class TestStackedRealizations:
