@@ -13,9 +13,9 @@ serves every element layout: per layout, ``sample_realization`` assembles
 from the transmit/receive steering vectors.  Both ends of the link use
 the same element layout, so N_t = N_r = N.  Shadowing is drawn once
 per realization (slow fading); no line-of-sight component is ever
-generated.  The link enters only through its length ``distance_m``, in
-the path loss, since cluster angles are drawn whatever the end
-positions; the carrier is fixed at 28 GHz (``arrays.WAVELENGTH``).
+generated.  The link enters only through the path loss ``PATH_LOSS_DB``
+of the scenario's 150 m link, since cluster angles are drawn whatever
+the end positions; the carrier is fixed at 28 GHz (``arrays.WAVELENGTH``).
 """
 
 from __future__ import annotations
@@ -48,32 +48,25 @@ class ChannelConfig:
     clusters: int = 8
     paths_per_cluster: int = 10
     angular_spread_deg: float = 7.5
-    pathloss_intercept_db: float = 72.0
-    pathloss_exponent: float = 2.92
     shadowing_std_db: float = 8.7
-    distance_m: float = 150.0       # Tx (25, 25, 9) m to Rx (25, 175, 9) m
 
     def __post_init__(self) -> None:
         for key in ("clusters", "paths_per_cluster"):
             require_number(key, getattr(self, key), 1)
-        for key in ("angular_spread_deg", "pathloss_intercept_db",
-                    "pathloss_exponent", "shadowing_std_db", "distance_m"):
+        for key in ("angular_spread_deg", "shadowing_std_db"):
             require_number(key, getattr(self, key))
-        for key in ("angular_spread_deg", "distance_m"):
-            if getattr(self, key) <= 0:
-                raise ValueError(f"{key} must be positive, got "
-                                 f"{getattr(self, key):g}")
+        if self.angular_spread_deg <= 0:
+            raise ValueError(f"angular_spread_deg must be positive, got "
+                             f"{self.angular_spread_deg:g}")
         if self.shadowing_std_db < 0:
             raise ValueError(f"shadowing_std_db must be nonnegative, got "
                              f"{self.shadowing_std_db:g}")
 
 
-def path_loss(distance: float, intercept_db: float, exponent: float,
-              shadow_db: float) -> float:
-    """Link path loss in dB: intercept + 10*exponent*log10(d) + shadowing."""
-    if distance <= 0:
-        raise ValueError("distance must be positive")
-    return intercept_db + 10.0 * exponent * np.log10(distance) + shadow_db
+# Path loss in dB before shadowing: the 28 GHz NLOS fit of Akdeniz et al.
+# (IEEE JSAC 2014; 72 dB, exponent 2.92, 8.7 dB shadowing) over the
+# Tx (25, 25, 9) m to Rx (25, 175, 9) m link, d = 150 m.
+PATH_LOSS_DB = 72.0 + 10.0 * 2.92 * np.log10(150.0)
 
 
 @dataclass
@@ -144,9 +137,7 @@ def draw_paths(cfg: ChannelConfig, seed: "int | list[int]") -> ChannelPaths:
 
     shadow_db = float(shadow_rng.normal(0.0, cfg.shadowing_std_db)) \
         if cfg.shadowing_std_db > 0 else 0.0
-    pl_db = path_loss(cfg.distance_m, cfg.pathloss_intercept_db,
-                      cfg.pathloss_exponent, shadow_db)
-    variance = 10.0 ** (-0.1 * pl_db)
+    variance = 10.0 ** (-0.1 * (PATH_LOSS_DB + shadow_db))
 
     sigma = np.sqrt(variance / 2.0)
     gains = gain_rng.normal(0.0, sigma, (c_count, l_count)) \

@@ -156,7 +156,7 @@ def cmd_codebook(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(_: argparse.Namespace) -> int:
-    return 0 if run_all(verbose=True) else 1
+    return 0 if run_all() else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -27,9 +27,9 @@ the pair's points is, so at most K - 1 realizations (K the task's block
 size) are drawn and selected past a pair's last stop, and none is
 counted.  No draw outlives its block.
 
-Receive noise is drawn in branch space: one white (T, B) block per
-realization, which ``transmit`` maps through the R factor of each hardware
-model's combiners (W = QR).  Since n W^* = (n Q^*) R^* with n Q^* white,
+Receive noise is drawn in branch space, at the noise floor ``NOISE_DBM``:
+one white (T, B) block per realization, which ``transmit`` maps through
+the R factor of each hardware model's combiners (W = QR).  Since n W^* = (n Q^*) R^* with n Q^* white,
 each model's combined noise has exactly the law of antenna noise n
 combined by its W, and depends on no other model of the grid.
 
@@ -84,6 +84,10 @@ from .link import (array_gain_db, branch_amplitudes, count_bit_errors,
 
 DEFAULT_POWERS_DBM = tuple(float(p) for p in range(-10, 45, 5))
 
+# Receive noise power per branch.  With the fixed path loss it sets where
+# the transmit powers fall: another floor only shifts every power.
+NOISE_DBM = -90.0
+
 # Realizations per block: as many as keep the block's detector metric
 # (T B M entries per realization) within BLOCK_ELEMENTS and its stacked
 # channel matrices (N_r N_t entries each, 16 MiB in all) within
@@ -109,9 +113,8 @@ def parse_hardware(token: str) -> FpsBank | None:
     raise ValueError(f"unknown hardware token: {token.strip()!r}")
 
 
-# SimConfig's integer keys and their smallest accepted values; its other
-# scalar, noise_dbm, is a real number.  load_config checks each value as
-# it parses it, so the error names the file line.
+# SimConfig's integer keys and their smallest accepted values; load_config
+# checks each value as it parses it, so the error names the file line.
 _LOWER_BOUNDS = {"realizations": 1, "symbols_per_realization": 1,
                  "error_limit": 1, "seed": 0, "n_elements": 1}
 
@@ -151,15 +154,14 @@ class SimConfig:
     symbols_per_realization: int = 100
     seed: int = 1
     n_elements: int = 82
-    noise_dbm: float = -90.0
     error_limit: int = 500
 
     def __post_init__(self) -> None:
         if not isinstance(self.channel, ChannelConfig):
             raise ValueError(f"channel must be a ChannelConfig, got "
                              f"{self.channel!r}")
-        for key in (*_LOWER_BOUNDS, "noise_dbm"):
-            require_number(key, getattr(self, key), _LOWER_BOUNDS.get(key))
+        for key, low in _LOWER_BOUNDS.items():
+            require_number(key, getattr(self, key), low)
         for key in _GRID_KEYS:
             _check_axis(key, getattr(self, key))
         for g in self.geometries:
@@ -368,7 +370,7 @@ def _draw_payload(cfg: SimConfig, signaling: tuple[int, int], start: int,
     realizations ``start``, ``start + 1``, ... into the rows of ``out``."""
     order, constellation = signaling
     t_symbols = cfg.symbols_per_realization
-    sigma = np.sqrt(dbm_to_watt(cfg.noise_dbm) / 2.0)
+    sigma = np.sqrt(dbm_to_watt(NOISE_DBM) / 2.0)
     x0, x1, noise = out
     for i in range(len(x0)):
         payload_rng = np.random.default_rng(
@@ -626,37 +628,33 @@ def _element_counts(cfg: SimConfig) -> dict[str, int]:
 
 # --- flat key=value config files -------------------------------------------
 
-_CHANNEL_KEYS = {
-    "clusters": int,
-    "paths_per_cluster": int,
-    "angular_spread_deg": float,
-    "pathloss_intercept_db": float,
-    "pathloss_exponent": float,
-    "shadowing_std_db": float,
-    "distance_m": float,
-}
-_SIM_KEYS = {**dict.fromkeys(_LOWER_BOUNDS, int), "noise_dbm": float}
+_CHANNEL_KEYS = {"clusters": int, "paths_per_cluster": int,
+                 "angular_spread_deg": float, "shadowing_std_db": float}
 
 
 def _parse_powers(text: str) -> tuple[float, ...]:
     """A comma list, or ``lo:hi:step`` with hi included, whose value k is
     the float nearest lo + k step in the typed decimals (0.3, not 0.1 * 3)."""
     text = text.strip()
-    if ":" in text:
-        fields = text.split(":")
-        bounds = tuple(require_number("powers_dbm", float(v)) for v in fields)
-        if len(bounds) != 3:
-            raise ValueError(f"powers_dbm range must be lo:hi:step, "
-                             f"got {text!r}")
-        lo, hi, step = bounds
-        if step == 0:
-            raise ValueError(f"range {text!r} has a zero step")
-        count = len(np.arange(lo, hi + step / 2.0, step))
-        if not count:
-            raise ValueError(f"range {text!r} is empty")
-        first, _, delta = (Fraction(Decimal(v)) for v in fields)
-        return tuple(float(first + k * delta) for k in range(count))
-    return tuple(float(v) for v in text.split(","))
+    ranged = ":" in text
+    fields = text.split(":" if ranged else ",")
+    if ranged and len(fields) != 3:
+        raise ValueError(f"powers_dbm range must be lo:hi:step, got {text!r}")
+    try:
+        values = tuple(map(float, fields))
+    except ValueError:
+        raise ValueError(f"powers_dbm must be lo:hi:step or a comma list of "
+                         f"numbers, got {text!r}") from None
+    if not ranged:
+        return values
+    lo, hi, step = (require_number("powers_dbm", v) for v in values)
+    if step == 0:
+        raise ValueError(f"powers_dbm range {text!r} has a zero step")
+    count = len(np.arange(lo, hi + step / 2.0, step))
+    if not count:
+        raise ValueError(f"powers_dbm range {text!r} is empty")
+    first, _, delta = (Fraction(Decimal(v)) for v in fields)
+    return tuple(float(first + k * delta) for k in range(count))
 
 
 def _parse_signalings(text: str) -> tuple[tuple[int, int], ...]:
@@ -711,9 +709,8 @@ def load_config(path: "str | Path") -> SimConfig:
 def _parse_entry(key: str, value: str, sim_kwargs: dict,
                  chan_kwargs: dict) -> None:
     """Store one config entry in the SimConfig or ChannelConfig kwargs."""
-    if key in _SIM_KEYS:
-        sim_kwargs[key] = require_number(key, _SIM_KEYS[key](value),
-                                         _LOWER_BOUNDS.get(key))
+    if key in _LOWER_BOUNDS:
+        sim_kwargs[key] = require_number(key, int(value), _LOWER_BOUNDS[key])
     elif key in _CHANNEL_KEYS:
         chan_kwargs[key] = _CHANNEL_KEYS[key](value)
         ChannelConfig(**{key: chan_kwargs[key]})    # this key's own rules

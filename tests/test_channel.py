@@ -5,7 +5,7 @@ import pytest
 
 from cimsim.arrays import (WAVELENGTH, scenario_geometry, steering,
                            unit_directions)
-from cimsim.channel import (ChannelConfig, draw_paths, path_loss,
+from cimsim.channel import (PATH_LOSS_DB, ChannelConfig, draw_paths,
                             sample_realization)
 
 
@@ -43,26 +43,20 @@ def outer_product_sum(r, tx, rx):
 
 
 class TestPathLoss:
-    def test_unit_distance_is_intercept(self):
-        assert path_loss(1.0, 72.0, 2.92, 0.0) == 72.0
-
     def test_scenario_distance_closed_form(self):
         # 72 + 29.2*log10(150), evaluated independently
-        assert abs(path_loss(150.0, 72.0, 2.92, 0.0)
-                   - 135.5418647644259) < 1e-10
+        assert abs(PATH_LOSS_DB - 135.5418647644259) < 1e-10
 
     def test_shadowing_shifts_additively_with_configured_std(self):
-        rng = np.random.default_rng(5)
-        xi = rng.normal(0.0, 8.7, 100_000)
-        pl = np.array([path_loss(150.0, 72.0, 2.92, x) for x in xi[:100]])
-        np.testing.assert_allclose(pl - 135.5418647644259, xi[:100],
+        # each draw's gain variance is 10**(-0.1 (PL + shadow)), and the
+        # shadows have the configured 8.7 dB standard deviation
+        cfg = ChannelConfig(clusters=1, paths_per_cluster=1)
+        draws = [draw_paths(cfg, seed) for seed in range(2000)]
+        shadow = np.array([d.shadow_db for d in draws])
+        loss = -10.0 * np.log10([d.gain_variance for d in draws])
+        np.testing.assert_allclose(loss - 135.5418647644259, shadow,
                                    atol=1e-9)
-        full = 135.5418647644259 + xi
-        assert abs(np.std(full) - 8.7) < 0.1
-
-    def test_nonpositive_distance_rejected(self):
-        with pytest.raises(ValueError):
-            path_loss(0.0, 72.0, 2.92, 0.0)
+        assert abs(np.std(shadow) - 8.7) < 0.3
 
 
 # ChannelConfig errors, each naming its key
@@ -76,7 +70,6 @@ KEY_ERRORS = [
     ("angular_spread_deg", "7.5",
      "angular_spread_deg must be a real number, got '7.5'"),
     ("shadowing_std_db", -1.0, "shadowing_std_db must be nonnegative, got -1"),
-    ("distance_m", 0, "distance_m must be positive, got 0"),
 ]
 
 
@@ -84,22 +77,20 @@ class TestChannelConfig:
     def test_defaults_match_scenario(self):
         cfg = ChannelConfig()
         assert cfg.clusters == 8 and cfg.paths_per_cluster == 10
-        # the Tx (25, 25, 9) m to Rx (25, 175, 9) m link
-        assert cfg.distance_m == np.linalg.norm(np.subtract((25, 175, 9),
-                                                            (25, 25, 9)))
         assert cfg.angular_spread_deg == 7.5
+        assert cfg.shadowing_std_db == 8.7
 
     @pytest.mark.parametrize("kwargs", [
         dict(clusters=0),
         dict(paths_per_cluster=0),
         dict(angular_spread_deg=0.0),
         dict(shadowing_std_db=-1.0),
-        dict(distance_m=0.0),
-        dict(distance_m=-1.0),
+        dict(angular_spread_deg=-1.0),
+        dict(shadowing_std_db=np.inf),
         dict(clusters=2.5),
         dict(paths_per_cluster=True),
         dict(angular_spread_deg="7.5"),
-        dict(pathloss_exponent=None),
+        dict(shadowing_std_db=None),
     ])
     def test_invalid_configs_raise(self, kwargs):
         with pytest.raises(ValueError):
@@ -113,12 +104,19 @@ class TestChannelConfig:
 
     @pytest.mark.parametrize("key,value", [
         ("angular_spread_deg", np.nan), ("shadowing_std_db", np.nan),
-        ("pathloss_exponent", np.inf), ("pathloss_intercept_db", -np.inf),
-        ("distance_m", np.nan), ("distance_m", np.inf),
     ])
     def test_non_finite_values_rejected(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must be finite, got "):
             ChannelConfig(**{key: value})
+
+    @pytest.mark.parametrize("key", ["pathloss_intercept_db",
+                                     "pathloss_exponent", "distance_m"])
+    def test_link_budget_is_not_a_key(self, key):
+        # the path loss is the scenario's PATH_LOSS_DB; another link only
+        # shifts the powers
+        with pytest.raises(TypeError,
+                           match=f"unexpected keyword argument '{key}'"):
+            ChannelConfig(**{key: 1.0})
 
 
 class TestSampleRealization:

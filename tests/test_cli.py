@@ -39,7 +39,7 @@ def _case(number, argv, message):
     _case(12, ["ber", "--config", "{dir}/position.cfg"],
           "position.cfg:1: tx_position: unknown key"),
     _case(13, ["ber", "--config", "{dir}/distance.cfg"],
-          "distance.cfg:1: distance_m: distance_m must be finite, got nan"),
+          "distance.cfg:1: distance_m: unknown key"),
     _case(14, ["pattern", "--geometry", "ULA", "--steer", "nan", "0"],
           "steering offsets must be finite, got az nan, el 0 deg"),
     _case(15, ["pattern", "--geometry", "URA", "--steer", "0", "inf"],
@@ -104,6 +104,21 @@ def _case(number, argv, message):
           "--out {file}/sub/dir: {file} is not a directory"),
     _case(43, ["pattern", "--geometry", "ULA", "--out", "{file}/sub"],
           "--out {file}/sub: {file} is not a directory"),
+    _case(44, ["ber", "--config", "{dir}/noise.cfg"],
+          "noise.cfg:1: noise_dbm: unknown key"),
+    _case(45, ["ber", "--config", "{dir}/intercept.cfg"],
+          "intercept.cfg:1: pathloss_intercept_db: unknown key"),
+    _case(46, ["ber", "--config", "{dir}/exponent.cfg"],
+          "exponent.cfg:1: pathloss_exponent: unknown key"),
+    _case(47, ["ber", "--power-range=abc"],
+          "powers_dbm must be lo:hi:step or a comma list of "
+          "numbers, got 'abc'"),
+    _case(48, ["ber", "--power-range", "0:10:0"],
+          "powers_dbm range '0:10:0' has a zero step"),
+    _case(49, ["ber", "--power-range", "10:0:1"],
+          "powers_dbm range '10:0:1' is empty"),
+    _case(50, ["ber", "--power-range", "0:10:2:x"],
+          "powers_dbm range must be lo:hi:step, got '0:10:2:x'"),
 ])
 def test_bad_input_is_one_line_error(tmp_path, capsys, argv, message):
     cfg = tmp_path / "bad.cfg"
@@ -116,7 +131,10 @@ def test_bad_input_is_one_line_error(tmp_path, capsys, argv, message):
     he.write_text("hardware = HE2000\n")
     for name, line in (("carrier", "carrier_hz = 28e9"),
                        ("position", "tx_position = 25, 25, 9"),
-                       ("distance", "distance_m = nan")):
+                       ("distance", "distance_m = 150"),
+                       ("noise", "noise_dbm = -90"),
+                       ("intercept", "pathloss_intercept_db = 72"),
+                       ("exponent", "pathloss_exponent = 2.92")):
         (tmp_path / f"{name}.cfg").write_text(line + "\n")
     file = tmp_path / "file"
     file.write_text("kept\n")

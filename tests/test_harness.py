@@ -172,8 +172,8 @@ WRONG_TYPES = [
     ("seed", True),
     ("error_limit", "60"),
     ("n_elements", 16.0),
-    ("noise_dbm", "x"),
-    ("noise_dbm", None),
+    ("error_limit", None),
+    ("realizations", "5"),
     ("powers_dbm", (0.0, "x")),
     ("powers_dbm", [0.0]),
     ("geometries", "ULA"),
@@ -226,13 +226,18 @@ class TestSimConfig:
     @pytest.mark.parametrize("key,value,shown", [
         ("powers_dbm", (np.nan,), "nan"),
         ("powers_dbm", (-10.0, np.inf), "inf"),
-        ("noise_dbm", np.inf, "inf"),
-        ("noise_dbm", -np.inf, "-inf"),
     ])
     def test_non_finite_values_rejected(self, key, value, shown):
         with pytest.raises(ValueError,
                            match=f"^{key} must be finite, got {shown}$"):
             SimConfig(**{key: value})
+
+    def test_noise_floor_is_not_a_key(self):
+        # the floor is the scenario's NOISE_DBM; another one only shifts
+        # the powers
+        with pytest.raises(TypeError,
+                           match="unexpected keyword argument 'noise_dbm'"):
+            SimConfig(noise_dbm=-90.0)
 
     @pytest.mark.parametrize("name", ["XYZ", "ula", "XLA"])
     def test_unknown_geometry_names_value_and_kinds(self, name):
@@ -257,9 +262,10 @@ class TestSimConfig:
 
 
 class TestRunSweep:
-    def test_noiseless_sweep_has_zero_errors(self):
-        cfg = SimConfig(**{**TINY, "noise_dbm": -10_000.0,
-                           "realizations": 1, "symbols_per_realization": 4})
+    def test_noiseless_sweep_has_zero_errors(self, monkeypatch):
+        monkeypatch.setattr(harness, "NOISE_DBM", -10_000.0)
+        cfg = SimConfig(**{**TINY, "realizations": 1,
+                           "symbols_per_realization": 4})
         for r in run_sweep(cfg):
             assert r.bit_errors == 0 and r.ber == 0.0
 
@@ -519,6 +525,24 @@ class TestRunSweep:
         assert shadow > 10.0 and all(row[2] for row in shadowed)
         assert shadowed == unshadowed
 
+    def test_noise_floor_is_a_power_shift(self, monkeypatch):
+        # only P - N0 reaches the detector: the noise floor and every power
+        # raised by 30 dB give the same rows.  At seed 9 every count here
+        # stays the same with the powers moved 1e-6 dB either way, so none
+        # sits on a near tie
+        cfg = SimConfig(geometries=("ULA", "URA", "UCA", "CCA"),
+                        hardware=("OP", "HE8"),
+                        powers_dbm=(-25.0, -20.0, -15.0), realizations=1,
+                        symbols_per_realization=200, seed=9)
+        raised = dataclasses.replace(
+            cfg, powers_dbm=tuple(p + 30.0 for p in cfg.powers_dbm))
+        at_floor = [(r.geometry, r.hardware, r.bit_errors, r.bits_total)
+                    for r in run_sweep(cfg)]
+        monkeypatch.setattr(harness, "NOISE_DBM", harness.NOISE_DBM + 30.0)
+        assert all(row[2] for row in at_floor)
+        assert [(r.geometry, r.hardware, r.bit_errors, r.bits_total)
+                for r in run_sweep(raised)] == at_floor
+
     def test_geometry_rows_do_not_depend_on_the_other_geometries(self):
         # seeded by grid position, URA read 525 errors in this grid and
         # 519 when it ran alone
@@ -677,7 +701,7 @@ class TestRunSweep:
         gain = db_to_linear(array_gain_db(8))
         amplitude = np.sqrt(dbm_to_watt(-15.0)) * gain * gain
         points = psk_constellation(4)
-        sigma = np.sqrt(dbm_to_watt(cfg.noise_dbm) / 2.0)
+        sigma = np.sqrt(dbm_to_watt(harness.NOISE_DBM) / 2.0)
         total = 0
         for r in range(4):
             realization = sample_realization(
@@ -847,14 +871,10 @@ class TestConfigFile:
         symbols_per_realization = 9
         seed = 42
         n_elements = 82
-        noise_dbm = -90
         clusters = 8
         paths_per_cluster = 10
         angular_spread_deg = 7.5
-        pathloss_intercept_db = 72
-        pathloss_exponent = 2.92
         shadowing_std_db = 8.7
-        distance_m = 150
         """
         path = tmp_path / "sim.cfg"
         path.write_text(text)
@@ -866,7 +886,7 @@ class TestConfigFile:
         assert cfg.realizations == 5 and cfg.seed == 42
         assert cfg.channel.clusters == 8
         assert cfg.channel.angular_spread_deg == 7.5
-        assert cfg.channel.distance_m == 150.0
+        assert cfg.channel.shadowing_std_db == 8.7
 
     @pytest.mark.parametrize("text,powers", [
         ("0:1:0.1", (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)),
@@ -906,16 +926,12 @@ class TestConfigFile:
             symbols_per_realization=data.draw(st.integers(1, 10 ** 6)),
             seed=data.draw(st.integers(0, 2 ** 63)),
             n_elements=n_elements,
-            noise_dbm=data.draw(floats),
             error_limit=data.draw(st.integers(1, 10 ** 9)))
         channel = dict(
             clusters=clusters,
             angular_spread_deg=data.draw(st.floats(1e-3, 90.0)),
             paths_per_cluster=data.draw(st.integers(1, 50)),
-            pathloss_intercept_db=data.draw(floats),
-            pathloss_exponent=data.draw(floats),
-            shadowing_std_db=data.draw(st.floats(0.0, 20.0)),
-            distance_m=data.draw(st.floats(1e-3, 1e6)))
+            shadowing_std_db=data.draw(st.floats(0.0, 20.0)))
 
         def text(value):
             if isinstance(value, tuple):
@@ -965,22 +981,27 @@ class TestConfigFile:
     @pytest.mark.parametrize("line,message", [
         ("error_limit = 0", "error_limit must be at least 1"),
         ("seed = -1", "seed must be at least 0"),
-        ("noise_dbm = nan", "noise_dbm must be finite, got nan"),
         ("powers_dbm = -10, inf", "powers_dbm must be finite, got inf"),
         ("carrier_hz = 28e9", "unknown key"),
         ("tx_position = 25, 25, 9", "unknown key"),
         ("rx_position = 25, 175, 9", "unknown key"),
-        ("distance_m = 0", "distance_m must be positive, got 0"),
-        ("distance_m = -1", "distance_m must be positive, got -1"),
-        ("distance_m = nan", "distance_m must be finite, got nan"),
+        ("noise_dbm = -90", "unknown key"),
+        ("pathloss_intercept_db = 72", "unknown key"),
+        ("pathloss_exponent = 2.92", "unknown key"),
+        ("distance_m = 150", "unknown key"),
         ("angular_spread_deg = nan",
          "angular_spread_deg must be finite, got nan"),
         ("shadowing_std_db = nan", "shadowing_std_db must be finite, got nan"),
-        ("pathloss_exponent = inf",
-         "pathloss_exponent must be finite, got inf"),
         ("powers_dbm = 0:1", "powers_dbm range must be lo:hi:step, got '0:1'"),
         ("powers_dbm = 0:1:2:3",
          "powers_dbm range must be lo:hi:step, got '0:1:2:3'"),
+        ("powers_dbm = abc",
+         "powers_dbm must be lo:hi:step or a comma list of numbers, "
+         "got 'abc'"),
+        ("powers_dbm = 0:10:0", "powers_dbm range '0:10:0' has a zero step"),
+        ("powers_dbm = 10:0:1", "powers_dbm range '10:0:1' is empty"),
+        ("powers_dbm = 0:10:2:x",
+         "powers_dbm range must be lo:hi:step, got '0:10:2:x'"),
         ("signalings = 3x4", "B and M must be powers of two, got 3x4"),
         ("signalings = 2x4x8", "signaling must be BxM, got '2x4x8'"),
         ("signalings = 2x4,", "signaling must be BxM, got ''"),
