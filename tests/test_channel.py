@@ -58,6 +58,12 @@ class TestPathLoss:
                                    atol=1e-9)
         assert abs(np.std(shadow) - 8.7) < 0.3
 
+    def test_nonpositive_distance_rejected(self):
+        # no link length can be set, zero or otherwise: the one link is the
+        # scenario's, fixed in PATH_LOSS_DB
+        with refusal("distance_m", None):
+            ChannelConfig(distance_m=0.0)
+
 
 # ChannelConfig errors, each naming its key
 KEY_ERRORS = [
@@ -70,7 +76,22 @@ KEY_ERRORS = [
     ("angular_spread_deg", "7.5",
      "angular_spread_deg must be a real number, got '7.5'"),
     ("shadowing_std_db", -1.0, "shadowing_std_db must be nonnegative, got -1"),
+    ("distance_m", 0, None),  # a link-budget key: refused whatever the value
 ]
+
+# The link budget is the scenario's PATH_LOSS_DB, so ChannelConfig has no key
+# for it and refuses each of these by name, whatever the value.
+LINK_BUDGET_KEYS = ("pathloss_intercept_db", "pathloss_exponent", "distance_m")
+
+
+def refusal(key, message):
+    """Expect ``ChannelConfig(**{key: value})`` to fail naming ``key``: with a
+    ValueError matching ``message``, or, for a link-budget key, with the
+    constructor's TypeError."""
+    if key in LINK_BUDGET_KEYS:
+        return pytest.raises(TypeError,
+                             match=f"unexpected keyword argument '{key}'$")
+    return pytest.raises(ValueError, match=message)
 
 
 class TestChannelConfig:
@@ -99,23 +120,21 @@ class TestChannelConfig:
     @pytest.mark.parametrize("key,value,message", KEY_ERRORS,
                              ids=[f"{k}={v!r}" for k, v, _ in KEY_ERRORS])
     def test_error_names_the_key(self, key, value, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        with refusal(key, message and f"^{re.escape(message)}$"):
             ChannelConfig(**{key: value})
 
     @pytest.mark.parametrize("key,value", [
         ("angular_spread_deg", np.nan), ("shadowing_std_db", np.nan),
+        ("distance_m", np.nan), ("distance_m", np.inf),
     ])
     def test_non_finite_values_rejected(self, key, value):
-        with pytest.raises(ValueError, match=f"^{key} must be finite, got "):
+        with refusal(key, f"^{key} must be finite, got "):
             ChannelConfig(**{key: value})
 
-    @pytest.mark.parametrize("key", ["pathloss_intercept_db",
-                                     "pathloss_exponent", "distance_m"])
+    @pytest.mark.parametrize("key", LINK_BUDGET_KEYS)
     def test_link_budget_is_not_a_key(self, key):
-        # the path loss is the scenario's PATH_LOSS_DB; another link only
-        # shifts the powers
-        with pytest.raises(TypeError,
-                           match=f"unexpected keyword argument '{key}'"):
+        # another link only shifts the powers
+        with refusal(key, None):
             ChannelConfig(**{key: 1.0})
 
 

@@ -186,6 +186,17 @@ WRONG_TYPES = [
 ]
 
 
+def refusal(key, message):
+    """Expect ``SimConfig(**{key: value})`` to fail naming ``key``: with a
+    ValueError matching ``message``, or, for ``noise_dbm``, with the
+    constructor's TypeError.  The noise floor is the scenario's NOISE_DBM, so
+    that key is refused whatever the value."""
+    if key == "noise_dbm":
+        return pytest.raises(TypeError,
+                             match=f"unexpected keyword argument '{key}'$")
+    return pytest.raises(ValueError, match=message)
+
+
 class TestSimConfig:
     def test_defaults_are_scenario_scale(self):
         cfg = SimConfig()
@@ -216,28 +227,25 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(**{**dict(), **kwargs})
 
-    @pytest.mark.parametrize("key,value", WRONG_TYPES,
-                             ids=[f"{k}={v!r}" for k, v in WRONG_TYPES])
+    @pytest.mark.parametrize(
+        "key,value", WRONG_TYPES + [("noise_dbm", "x"), ("noise_dbm", None)],
+        ids=[f"{k}={v!r}" for k, v in WRONG_TYPES]
+        + ["noise_dbm='x'", "noise_dbm=None"])
     def test_wrong_type_names_the_key(self, key, value):
         # rejected when the config is built, not inside the sweep
-        with pytest.raises(ValueError, match=rf"^{key} must be "):
+        with refusal(key, rf"^{key} must be "):
             SimConfig(**{key: value})
 
     @pytest.mark.parametrize("key,value,shown", [
         ("powers_dbm", (np.nan,), "nan"),
         ("powers_dbm", (-10.0, np.inf), "inf"),
+        ("noise_dbm", np.inf, "inf"),
+        ("noise_dbm", -np.inf, "-inf"),
     ])
     def test_non_finite_values_rejected(self, key, value, shown):
-        with pytest.raises(ValueError,
-                           match=f"^{key} must be finite, got {shown}$"):
+        # another noise floor only shifts the powers: no value is taken
+        with refusal(key, f"^{key} must be finite, got {shown}$"):
             SimConfig(**{key: value})
-
-    def test_noise_floor_is_not_a_key(self):
-        # the floor is the scenario's NOISE_DBM; another one only shifts
-        # the powers
-        with pytest.raises(TypeError,
-                           match="unexpected keyword argument 'noise_dbm'"):
-            SimConfig(noise_dbm=-90.0)
 
     @pytest.mark.parametrize("name", ["XYZ", "ula", "XLA"])
     def test_unknown_geometry_names_value_and_kinds(self, name):
@@ -989,6 +997,9 @@ class TestConfigFile:
         ("pathloss_intercept_db = 72", "unknown key"),
         ("pathloss_exponent = 2.92", "unknown key"),
         ("distance_m = 150", "unknown key"),
+        *(pytest.param(f"distance_m = {v}", "unknown key",
+                       id=f"distance_m = {v}-distance_m must not be set")
+          for v in ("0", "-1", "nan")),
         ("angular_spread_deg = nan",
          "angular_spread_deg must be finite, got nan"),
         ("shadowing_std_db = nan", "shadowing_std_db must be finite, got nan"),
