@@ -10,28 +10,31 @@ pair, its codebook selection and the detector's hypothesis values then
 feed the transmit path of every hardware model.  Early stopping stays
 per (pair, hardware, power) point.
 
-A task draws its realizations in blocks of the largest of its pairs'
-block sizes (``BLOCK_ELEMENTS`` and ``BLOCK_CHANNEL_ELEMENTS`` set a
-pair's), and each pair counts a drawn block in blocks of its own size:
-per hardware model, one ``quantize_weights``, one ``transmit``, one
-``detect`` and one ``count_bit_errors`` call, each over a leading
-realization axis, count the pair's block at every power point live at
-its start.  The early stop is then replayed realization by realization:
-a point takes realization r's counts only while it is still below
-``error_limit``.  Realization r's counts depend only on (seed, r), so
-this gives exactly the rows of a loop over single realizations, whatever
-the block sizes or the pairs a task holds.  A block is drawn only if
-some point of the task is live at its start, realized on a geometry only
-if one of its pairs' points is, and counted for a pair only if one of
-the pair's points is, so at most K - 1 realizations (K the task's block
-size) are drawn and selected past a pair's last stop, and none is
-counted.  No draw outlives its block.
+A task draws, realizes, selects and counts its realizations in blocks
+of K, one K for every pair of the task: ``BLOCK_USES`` bounds a block's
+channel uses and ``BLOCK_CHANNEL_ELEMENTS`` its channel matrices at the
+task's largest element count.  Per hardware model, one
+``quantize_weights`` and one ``transmit`` call over a leading
+realization axis take a pair's whole block, and ``detect`` and
+``count_bit_errors`` take it in chunks whose detector workspace stays
+within ``BLOCK_ELEMENTS``; together they count the block at every power
+point of the pair live at its start.  The early stop is then replayed
+realization by realization: a point takes realization r's counts only
+while it is still below ``error_limit``.  Realization r's counts depend
+only on (seed, r), so this gives exactly the rows of a loop over single
+realizations, whatever the block and chunk sizes or the pairs a task
+holds.  A block is drawn only if some point of the task is live at its
+start, realized on a geometry only if one of its pairs' points is, and
+counted for a pair only if one of the pair's points is, so at most
+K - 1 realizations are drawn and selected past a pair's last stop, and
+none is counted.  No draw outlives its block.
 
 Receive noise is drawn in branch space, at the noise floor ``NOISE_DBM``:
 one white (T, B) block per realization, which ``transmit`` maps through
-the R factor of each hardware model's combiners (W = QR).  Since n W^* = (n Q^*) R^* with n Q^* white,
-each model's combined noise has exactly the law of antenna noise n
-combined by its W, and depends on no other model of the grid.
+the R factor of each hardware model's combiners (W = QR).  Since
+n W^* = (n Q^*) R^* with n Q^* white, each model's combined noise has
+exactly the law of antenna noise n combined by its W, and depends on no
+other model of the grid.
 
 Realization r draws its paths from ``SeedSequence([seed, r, 0])`` and
 its payload and noise from ``SeedSequence([seed, r, 1])``, never from a
@@ -88,12 +91,16 @@ DEFAULT_POWERS_DBM = tuple(float(p) for p in range(-10, 45, 5))
 # the transmit powers fall: another floor only shifts every power.
 NOISE_DBM = -90.0
 
-# Realizations per block: as many as keep the block's detector metric
-# (T B M entries per realization) within BLOCK_ELEMENTS and its stacked
-# channel matrices (N_r N_t entries each, 16 MiB in all) within
-# BLOCK_CHANNEL_ELEMENTS, and no more than the sweep's realizations.
-BLOCK_ELEMENTS = 16384
+# Realizations per block: as many as keep the block's channel uses (T per
+# realization) within BLOCK_USES and its stacked channel matrices (n^2
+# entries each at the task's largest element count n, 16 MiB in all)
+# within BLOCK_CHANNEL_ELEMENTS, and no more than the sweep's realizations.
+# The detector takes a block in chunks of as many realizations as keep its
+# metric (T B M entries per realization, 4 float slots: 1 MiB) within
+# BLOCK_ELEMENTS.
+BLOCK_USES = 2048
 BLOCK_CHANNEL_ELEMENTS = 1 << 20
+BLOCK_ELEMENTS = 32768
 
 
 def parse_hardware(token: str) -> FpsBank | None:
@@ -272,24 +279,26 @@ class _Pair:
         self.errors = np.zeros(shape, dtype=np.int64)
         self.squares = np.zeros(shape)
         self.used = np.zeros_like(self.errors)
-        n = len(self.positions)
-        self.block_size = max(1, min(
-            BLOCK_ELEMENTS // (cfg.symbols_per_realization * order
-                               * constellation),
-            BLOCK_CHANNEL_ELEMENTS // (n * n), cfg.realizations))
-        self.workspace_shape = (4, self.block_size,
-                                cfg.symbols_per_realization, order,
-                                constellation)
 
-    def bind(self, size: int, workspace: np.ndarray) -> None:
-        """Allocate the selections of ``size`` realizations and view the
-        task's flat detector ``workspace`` for this pair's blocks."""
+    def chunk_shape(self, cfg: SimConfig, size: int) -> tuple[int, ...]:
+        """Detector workspace shape of this pair's chunks of a block of
+        ``size`` realizations, (4, chunk, T, B, M)."""
+        per_realization = (cfg.symbols_per_realization
+                           * self.signaling[0] * self.signaling[1])
+        chunk = max(1, min(size, BLOCK_ELEMENTS // per_realization))
+        return (4, chunk, cfg.symbols_per_realization) + self.signaling
+
+    def bind(self, cfg: SimConfig, size: int,
+             workspace: np.ndarray) -> None:
+        """Allocate the selections of a block of ``size`` realizations and
+        view the task's flat detector ``workspace`` for this pair's
+        chunks."""
         n = len(self.positions)
         order = self.signaling[0]
         self.weights = np.empty((2, size, n, order), dtype=complex)   # F, W
         self.hyp = np.empty((size, order), dtype=complex)
-        self.workspace = workspace[:math.prod(self.workspace_shape)].reshape(
-            self.workspace_shape)
+        shape = self.chunk_shape(cfg, size)
+        self.workspace = workspace[:math.prod(shape)].reshape(shape)
 
     def live(self, cfg: SimConfig) -> bool:
         return bool((self.errors < cfg.error_limit).any())
@@ -305,44 +314,44 @@ class _Pair:
     def count_block(self, cfg: SimConfig, banks: list[FpsBank | None],
                     channels: np.ndarray,
                     payload: tuple[np.ndarray, ...]) -> None:
-        """Count the selected realizations over ``channels`` in blocks of
-        this pair's own size: each block at every point live at its
-        start, its counts then added in realization order while each
-        point stays below ``error_limit``."""
-        drawn = len(channels)
-        for start in range(0, drawn, self.block_size):
-            block = slice(start, min(start + self.block_size, drawn))
-            # counts of the points live at the block's start, (k, hardware, P)
-            live = self.errors < cfg.error_limit
-            if not live.any():
-                return
-            x0, x1, noise = (a[block] for a in payload)
-            symbols = self.points[x1]
-            k = len(x0)
-            counts = np.zeros((k,) + self.errors.shape, dtype=np.int64)
-            for h, bank in enumerate(banks):
-                active = np.flatnonzero(live[h])
-                if active.size == 0:
-                    continue
-                weights = self.weights[:, block]
-                f, w = weights if bank is None \
-                    else quantize_weights(weights, bank)
-                signal, combined_noise = transmit(f, w, channels[block], x0,
-                                                  symbols, noise)
-                c_hat, s_hat = detect(signal, combined_noise,
-                                      self.amplitudes[active],
-                                      self.hyp[block], self.points,
-                                      self.workspace[:, :k])
-                counts[:, h, active] = count_bit_errors(
-                    x0[:, None], x1[:, None], c_hat, s_hat)
+        """Count the block's selected realizations over ``channels`` and
+        the first rows of ``payload`` at every point live at the block's
+        start, the detector taking them chunk by chunk; their counts are
+        then added in realization order while each point stays below
+        ``error_limit``."""
+        live = self.errors < cfg.error_limit
+        k = len(channels)
+        x0, x1, noise = (a[:k] for a in payload)
+        symbols = self.points[x1]
+        sent = x0 * self.points.size + x1
+        chunk = self.workspace.shape[1]
+        # counts of the points live at the block's start, (k, hardware, P)
+        counts = np.zeros((k,) + self.errors.shape, dtype=np.int64)
+        for h, bank in enumerate(banks):
+            active = np.flatnonzero(live[h])
+            if active.size == 0:
+                continue
+            weights = self.weights[:, :k]
+            f, w = weights if bank is None \
+                else quantize_weights(weights, bank)
+            signal, combined_noise = transmit(f, w, channels, x0, symbols,
+                                              noise)
+            for start in range(0, k, chunk):
+                part = slice(start, min(start + chunk, k))
+                decided = detect(signal[part], combined_noise[part],
+                                 self.amplitudes[active], self.hyp[part],
+                                 self.points,
+                                 self.workspace[:, :part.stop - start])
+                counts[part, h, active] = count_bit_errors(sent[part, None],
+                                                           decided)
 
-            # the per-realization early stop, replayed in realization order
-            for count in counts:
-                live = self.errors < cfg.error_limit
-                np.add(self.errors, count, out=self.errors, where=live)
-                np.add(self.squares, np.square(count, dtype=float),
-                       out=self.squares, where=live)
-                self.used += live
+        # the per-realization early stop, replayed in realization order
+        for count in counts:
+            live = self.errors < cfg.error_limit
+            np.add(self.errors, count, out=self.errors, where=live)
+            np.add(self.squares, np.square(count, dtype=float),
+                   out=self.squares, where=live)
+            self.used += live
 
     def results(self, cfg: SimConfig, banks: list[FpsBank | None],
                 elapsed_s: float) -> list[BerResult]:
@@ -390,14 +399,15 @@ def _run_task(cfg: SimConfig,
     started = time.perf_counter()
     banks = [parse_hardware(token) for token in cfg.hardware]
     group = [_Pair(cfg, geometry, signaling) for geometry, signaling in pairs]
-    size = max(pair.block_size for pair in group)
     t_symbols = cfg.symbols_per_realization
     n = max(len(pair.positions) for pair in group)
+    size = max(1, min(BLOCK_USES // t_symbols,
+                      BLOCK_CHANNEL_ELEMENTS // (n * n), cfg.realizations))
     channel_buffer = np.empty(size * n * n, dtype=complex)
-    workspace = np.empty(max(math.prod(pair.workspace_shape)
+    workspace = np.empty(max(math.prod(pair.chunk_shape(cfg, size))
                              for pair in group))
     for pair in group:
-        pair.bind(size, workspace)
+        pair.bind(cfg, size, workspace)
     payloads = {signaling: (np.empty((size, t_symbols), dtype=np.int64),
                             np.empty((size, t_symbols), dtype=np.int64),
                             np.empty((size, t_symbols, signaling[0]),
@@ -430,6 +440,9 @@ def _run_task(cfg: SimConfig,
                     channels[i] = realization.matrix
                     for pair in same:
                         pair.select(i, realization)
+                # the last realization's steering and channel matrices are
+                # copied or selected: free them before counting
+                del realization
                 for pair in same:
                     label = pair.label
                     pair.count_block(cfg, banks, channels,

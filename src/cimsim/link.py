@@ -34,6 +34,11 @@ argmin is h*, and ``detect`` takes it without searching.  Exact ties
 (d1 = d2) never settle, nor does a = 0; without noise, every other use
 settles at every a > 0.
 
+``detect`` returns each decision as its hypothesis index h = c M + s.
+M is a power of two, so h's bits are the spatial label's above the
+constellation label's, and ``count_bit_errors`` counts both labels' bit
+errors as the bits in which h differs from the sent index.
+
 ``transmit``, ``detect`` and ``count_bit_errors`` work on a batch of T
 channel uses; a single use is a batch of one.  ``transmit`` and
 ``detect`` also take leading axes that stack independent realizations.
@@ -161,10 +166,10 @@ def decision_bound(distance: np.ndarray, noise: np.ndarray
 
 def detect(signal: np.ndarray, noise: np.ndarray, amplitudes: np.ndarray,
            hyp: np.ndarray, points: np.ndarray,
-           workspace: np.ndarray | None = None
-           ) -> tuple[np.ndarray, np.ndarray]:
+           workspace: np.ndarray | None = None) -> np.ndarray:
     """Joint ML (cluster, symbol) decisions of T channel uses at P
-    amplitudes, each (..., P, T).
+    amplitudes, (..., P, T): the hypothesis index h = c M + s of each, in
+    the smallest unsigned integer dtype that holds B M - 1.
 
     ``signal`` and ``noise`` are the unit-amplitude signal and combined
     noise of ``transmit``, (..., T, B); at amplitude a the decision is
@@ -218,7 +223,8 @@ def detect(signal: np.ndarray, noise: np.ndarray, amplitudes: np.ndarray,
     c += np.multiply(gathered.imag, im_d, out=im_d)
     c *= 2.0
     im_d[...] = gathered.real ** 2 + gathered.imag ** 2
-    flat = np.tile(best, (len(amplitudes), 1))
+    index = np.min_scalar_type(shape[-2] * shape[-1] - 1)
+    flat = np.tile(best.astype(index), (len(amplitudes), 1))
     for decided, a, n in zip(flat, amplitudes, searched.tolist()):
         m = metric[:n]
         np.multiply(distance[:n], a, out=m)
@@ -226,18 +232,12 @@ def detect(signal: np.ndarray, noise: np.ndarray, amplitudes: np.ndarray,
         m *= a
         m += noise_power[:n]
         decided[rows[:n]] = m.argmin(axis=1)
-    flat = np.moveaxis(flat.reshape((len(amplitudes),) + signal.shape[:-1]),
+    return np.moveaxis(flat.reshape((len(amplitudes),) + signal.shape[:-1]),
                        0, -2)
-    # (cluster, symbol) of each flat hypothesis index, by lookup: a
-    # divmod of the decisions costs more
-    return tuple(label[flat] for label in np.divmod(
-        np.arange(shape[-2] * shape[-1]), points.size))
 
 
-def count_bit_errors(x0: np.ndarray, x1: np.ndarray, c_hat: np.ndarray,
-                     s_hat: np.ndarray) -> np.ndarray:
-    """Spatial plus constellation bit errors of T channel uses: decisions
-    (..., T) against the sent labels, broadcast against them, give one
-    count per leading index, shape (...)."""
-    return (np.bitwise_count(x0 ^ c_hat).sum(axis=-1, dtype=np.int64)
-            + np.bitwise_count(x1 ^ s_hat).sum(axis=-1, dtype=np.int64))
+def count_bit_errors(sent: np.ndarray, decided: np.ndarray) -> np.ndarray:
+    """Spatial plus constellation bit errors of T channel uses: decided
+    hypothesis indices c M + s (..., T) against the sent ones, broadcast
+    against them, give one count per leading index, shape (...)."""
+    return np.bitwise_count(sent ^ decided).sum(axis=-1, dtype=np.int64)

@@ -146,14 +146,15 @@ def check_noiseless_detection(
         amplitude = db_to_linear(array_gain_db(spec.n_elements)) ** 2
         for order in orders:
             cb = build_codebook(realization, order)
-            x0, x1 = np.divmod(np.arange(order * points.size), points.size)
+            sent = np.arange(order * points.size)
+            x0, x1 = np.divmod(sent, points.size)
             signal, noise = transmit(cb.beamformers, cb.combiners,
                                      realization.matrix, x0, points[x1],
                                      np.zeros((x0.size, order)))
-            c_hat, s_hat = detect(signal, noise, np.array([amplitude]),
-                                  branch_amplitudes(cb, realization.matrix),
-                                  points)
-            failures += np.count_nonzero((c_hat != x0) | (s_hat != x1))
+            decided = detect(signal, noise, np.array([amplitude]),
+                             branch_amplitudes(cb, realization.matrix),
+                             points)
+            failures += np.count_nonzero(decided != sent)
     return CheckResult("noiseless ML detection exact", failures == 0,
                        f"{failures} failed hypotheses")
 
@@ -186,18 +187,17 @@ def check_detection_matches_exhaustive() -> CheckResult:
                          + 1j * rng.standard_normal((uses, order)))
         signal, noise = transmit(f, w, h, x0, points[x1], white)
         amplitudes = sigma / np.abs(hyp).mean() * np.logspace(-2, 3, 11)
-        c_hat, s_hat = detect(signal, noise, amplitudes, hyp, points)
-        for a, c, s in zip(amplitudes, c_hat, s_hat):
+        decided = detect(signal, noise, amplitudes, hyp, points)
+        for a, index in zip(amplitudes, decided):
             z = a * signal + noise
             metric = np.abs(z[:, :, None] - a * hyp[:, None] * points) ** 2
-            c_ref, s_ref = np.divmod(metric.reshape(uses, -1).argmin(axis=1),
-                                     m)
-            mismatches += np.count_nonzero((c != c_ref) | (s != s_ref))
+            mismatches += np.count_nonzero(
+                index != metric.reshape(uses, -1).argmin(axis=1))
         d = signal[:, :, None] - hyp[:, None] * points
         _, threshold = decision_bound(
             (d.imag ** 2 + d.real ** 2).reshape(uses, -1), noise)
         settled += np.count_nonzero(amplitudes[:, None] > threshold)
-        decisions += c_hat.size
+        decisions += decided.size
     searched = decisions - settled
     return CheckResult("noisy ML detection equals exhaustive search",
                        mismatches == 0 and settled > 0 and searched > 0,

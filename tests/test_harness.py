@@ -24,7 +24,7 @@ from cimsim.codebook import build_codebook
 from cimsim.harness import (SimConfig, aggregate_and_emit, load_config,
                             parse_hardware, results_to_csv, run_sweep)
 from cimsim.link import (array_gain_db, db_to_linear, dbm_to_watt,
-                         psk_constellation, transmit)
+                         psk_constellation)
 
 TINY = dict(geometries=("ULA", "URA"), signalings=((2, 4),), hardware=("OP",),
             powers_dbm=(-20.0, -10.0), realizations=3,
@@ -387,15 +387,17 @@ class TestRunSweep:
                    for g in cfg.geometries for p in powers)
 
     def test_rows_do_not_depend_on_the_block_size(self, monkeypatch):
-        # 16 x 2 x 4 = 128 detector metric entries and 16 x 16 = 256
+        # 16 channel uses, 128 detector metric entries and 16 x 16 = 256
         # channel entries per realization: blocks of all 10 realizations,
-        # of 1, and of 3 (which does not divide 10) set by either bound;
-        # error_limit 80 stops points after 4, 5 and 7 realizations,
-        # inside blocks of 3
+        # of 1, and of 3 (which does not divide 10) set by either block
+        # bound; detector chunks of 1 and 3 in blocks of 10, and of 2 in
+        # blocks of 5; error_limit 80 stops points after 4, 5 and 7
+        # realizations, inside blocks of 3 and of 5
         cfg = SimConfig(**{**TINY, "hardware": ("OP", "HE4"),
                            "powers_dbm": (-20.0, -10.0, 10.0),
                            "realizations": 10, "symbols_per_realization": 16,
                            "error_limit": 80})
+        assert harness.BLOCK_USES // 16 >= cfg.realizations
         assert harness.BLOCK_ELEMENTS // 128 >= cfg.realizations
         assert harness.BLOCK_CHANNEL_ELEMENTS // 256 >= cfg.realizations
 
@@ -408,9 +410,12 @@ class TestRunSweep:
                 (r.error_squares, r.realizations_used) for r in results]
 
         default = rows()
+        assert rows(BLOCK_USES=16) == default
+        assert rows(BLOCK_USES=3 * 16) == default
+        assert rows(BLOCK_CHANNEL_ELEMENTS=3 * 256) == default
         assert rows(BLOCK_ELEMENTS=128) == default
         assert rows(BLOCK_ELEMENTS=3 * 128) == default
-        assert rows(BLOCK_CHANNEL_ELEMENTS=3 * 256) == default
+        assert rows(BLOCK_USES=5 * 16, BLOCK_ELEMENTS=2 * 128) == default
         assert {used % 3 for _, used in default[1] if used < 10} == {1, 2}
 
     @pytest.mark.parametrize("signalings", [((2, 4),), ((2, 4), (4, 8))])
@@ -437,37 +442,72 @@ class TestRunSweep:
         assert calls == {"draw_paths": 5, "sample_realization": 20}
 
     def test_each_pair_counts_in_its_own_blocks(self, monkeypatch):
-        # a task of 2x2 (blocks of 10) and 4x8 (blocks of 4) draws blocks
-        # of 10; 2x2 counts each in one transmit call, 4x8 in calls of
-        # 4, 4 and 2 realizations
-        sizes = []
+        # at 128 uses per realization a task of 2x2 and 4x8 draws one
+        # block of all 10 realizations and transmits it in one call per
+        # pair; the detector takes 2x2's block in one chunk and 4x8's in
+        # chunks of 8 and 2 realizations
+        assert harness.BLOCK_USES // 128 >= 10
+        assert harness.BLOCK_ELEMENTS // (128 * 2 * 2) >= 10
+        assert harness.BLOCK_ELEMENTS // (128 * 4 * 8) == 8
+        calls = []
 
-        def recorded(f, *args):
-            sizes.append((f.shape[-1], len(f)))
-            return transmit(f, *args)
+        def recorded(name, call):
+            def wrapper(first, *args):
+                calls.append((name, first.shape[-1], len(first)))
+                return call(first, *args)
+            return wrapper
 
-        monkeypatch.setattr(harness, "transmit", recorded)
+        for name in ("transmit", "detect"):
+            monkeypatch.setattr(harness, name,
+                                recorded(name, getattr(harness, name)))
         cfg = SimConfig(geometries=("ULA",), signalings=((2, 2), (4, 8)),
                         hardware=("OP",), powers_dbm=(0.0,), realizations=10,
                         symbols_per_realization=128, n_elements=16,
                         error_limit=10 ** 9)
         run_sweep(cfg)
-        assert sizes == [(2, 10), (4, 4), (4, 4), (4, 2)]
+        assert calls == [("transmit", 2, 10), ("detect", 2, 10),
+                         ("transmit", 4, 10), ("detect", 4, 8),
+                         ("detect", 4, 2)]
+
+    def test_block_channels_fit_the_task_buffer(self, monkeypatch):
+        # at one use per realization the channel bound sets the block: the
+        # task's buffer holds K matrices of its largest array (ULA, 82
+        # elements), so the URA (81) counts ULA's blocks of 155, not the
+        # 159 that would fit its own matrices
+        assert harness.BLOCK_CHANNEL_ELEMENTS // (82 * 82) == 155
+        assert harness.BLOCK_CHANNEL_ELEMENTS // (81 * 81) == 159
+        assert harness.BLOCK_USES >= 160
+        shapes = []
+        transmit = harness.transmit
+
+        def recorded(f, w, h, *args):
+            shapes.append(h.shape)
+            return transmit(f, w, h, *args)
+
+        monkeypatch.setattr(harness, "transmit", recorded)
+        cfg = SimConfig(geometries=("ULA", "URA"), hardware=("OP",),
+                        powers_dbm=(0.0,), realizations=160,
+                        symbols_per_realization=1, error_limit=10 ** 9)
+        run_sweep(cfg)
+        assert shapes == [(155, 82, 82), (155, 81, 81),
+                          (5, 82, 82), (5, 81, 81)]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_group_rows_equal_each_pair_swept_alone(self, workers):
-        # 4x8 runs in blocks of 4 and 2x2 in one block of all 10, so a
-        # task holding both draws one block of 10; error_limit 300 stops
-        # 2x2 points after 3 realizations and 4x8 points after 1, 3, 6
-        # and 7, inside blocks.  Workers 1, 2 and 3 make tasks of 4,
-        # 2 + 2 and 2 + 1 + 1 pairs
+        # at 256 uses per realization a task draws blocks of 8 and 2
+        # realizations; the detector takes 2x2's blocks whole and 4x8's
+        # in chunks of 4, 4 and 2.  error_limit 600 stops 2x2 points
+        # after 3 realizations and 4x8 points after 1, 3 and 7, inside
+        # blocks and chunks.  Workers 1, 2 and 3 make tasks of 4, 2 + 2
+        # and 2 + 1 + 1 pairs
         cfg = SimConfig(geometries=("ULA", "URA"),
                         signalings=((2, 2), (4, 8)), hardware=("OP", "HE4"),
                         powers_dbm=(-20.0, -10.0, 10.0), realizations=10,
-                        symbols_per_realization=128, seed=17, n_elements=16,
-                        error_limit=300)
-        assert harness.BLOCK_ELEMENTS // (128 * 4 * 8) == 4
-        assert harness.BLOCK_ELEMENTS // (128 * 2 * 2) >= 10
+                        symbols_per_realization=256, seed=17, n_elements=16,
+                        error_limit=600)
+        assert harness.BLOCK_USES // 256 == 8
+        assert harness.BLOCK_ELEMENTS // (256 * 4 * 8) == 4
+        assert harness.BLOCK_ELEMENTS // (256 * 2 * 2) >= 8
         alone = [row for g, s in product(cfg.geometries, cfg.signalings)
                  for row in _rows(run_sweep(dataclasses.replace(
                      cfg, geometries=(g,), signalings=(s,))))]

@@ -33,8 +33,8 @@ def noiseless_decisions(realization, cb, amplitude, x0, x1, m=4):
     signal, noise = transmit(cb.beamformers, cb.combiners, h, x0,
                              points[x1],
                              np.zeros((x0.size, cb.combiners.shape[1])))
-    c_hat, s_hat = detect(signal, noise, np.array([amplitude]),
-                          branch_amplitudes(cb, h), points)
+    c_hat, s_hat = np.divmod(detect(signal, noise, np.array([amplitude]),
+                                    branch_amplitudes(cb, h), points), m)
     return c_hat[0], s_hat[0]
 
 
@@ -193,7 +193,7 @@ class TestMlDetect:
             c_hat, s_hat = noiseless_decisions(realization, cb, amplitude,
                                                x0, x1)
             assert np.array_equal(c_hat, x0) and np.array_equal(s_hat, x1)
-            assert count_bit_errors(x0, x1, c_hat, s_hat) == 0
+            assert count_bit_errors(x0 * 4 + x1, c_hat * 4 + s_hat) == 0
 
     def test_swapped_codebook_yields_spatial_bit_error(self):
         realization, cb, amplitude = make_link(order=2)
@@ -207,12 +207,13 @@ class TestMlDetect:
             effective_gains=cb.effective_gains[::-1])
         y = (h @ cb.beamformers[:, 0]) * points[1]
         signal = (swapped.combiners.conj().T @ y)[None, :]
-        c_hat, s_hat = detect(signal, np.zeros((1, 2), complex),
-                              np.array([amplitude]),
-                              branch_amplitudes(swapped, h), points)
+        decided = detect(signal, np.zeros((1, 2), complex),
+                         np.array([amplitude]),
+                         branch_amplitudes(swapped, h), points)
+        c_hat, s_hat = np.divmod(decided, points.size)
         assert (c_hat[0, 0], s_hat[0, 0]) == (1, 1)
-        assert count_bit_errors(np.array([0]), np.array([1]), c_hat,
-                                s_hat).tolist() == [1]
+        # sent (0, 1) is index 1
+        assert count_bit_errors(np.array([1]), decided).tolist() == [1]
 
     def test_common_scaling_invariance(self):
         realization, cb, amplitude = make_link(order=4)
@@ -227,7 +228,7 @@ class TestMlDetect:
         amplitudes = np.array([amplitude])
         det_a = detect(signal, combined, amplitudes, hyp, points)
         det_b = detect(signal, 2.0 * combined, 2.0 * amplitudes, hyp, points)
-        assert all(np.array_equal(a, b) for a, b in zip(det_a, det_b))
+        assert np.array_equal(det_a, det_b)
 
     def test_wrong_length_rejected(self):
         realization, cb, amplitude = make_link(order=2)
@@ -241,10 +242,11 @@ class TestMlDetect:
         # equal branch amplitudes and no signal or noise: every
         # hypothesis ties, at every amplitude
         points = psk_constellation(4)
-        c_hat, s_hat = detect(np.zeros((2, 2), complex),
-                              np.zeros((2, 2), complex),
-                              np.array([1.0, 0.5, 3.0]), np.ones(2, complex),
-                              points)
+        c_hat, s_hat = np.divmod(detect(np.zeros((2, 2), complex),
+                                        np.zeros((2, 2), complex),
+                                        np.array([1.0, 0.5, 3.0]),
+                                        np.ones(2, complex), points),
+                                 points.size)
         assert c_hat.tolist() == [[0, 0]] * 3
         assert s_hat.tolist() == [[0, 0]] * 3
 
@@ -274,7 +276,7 @@ class TestMlDetect:
         base = detect(signal, combined, amplitudes, hyp, points)
         scaled = detect(signal, scale * combined, scale * amplitudes, hyp,
                         points)
-        assert all(np.array_equal(a, b) for a, b in zip(base, scaled))
+        assert np.array_equal(base, scaled)
 
     @settings(max_examples=25, deadline=None, derandomize=True,
               database=None)
@@ -310,8 +312,9 @@ class TestMlDetect:
                             - a * hyp[None, :, None] * points) ** 2
             return np.divmod(metric.reshape(uses, -1).argmin(axis=1), m)
 
-        every = detect(signal, noise, amplitudes, hyp, points)
-        some = detect(signal, noise, amplitudes[subset], hyp, points)
+        every = np.divmod(detect(signal, noise, amplitudes, hyp, points), m)
+        some = np.divmod(detect(signal, noise, amplitudes[subset], hyp,
+                                points), m)
         for p, a in enumerate(amplitudes):
             c_ref, s_ref = oracle(a)
             assert np.array_equal(every[0][p], c_ref)
@@ -340,7 +343,8 @@ def thresholds(signal, noise, hyp, points):
 
 
 def assert_exhaustive(signal, noise, amplitudes, hyp, points):
-    got = detect(signal, noise, amplitudes, hyp, points)
+    got = np.divmod(detect(signal, noise, amplitudes, hyp, points),
+                    points.size)
     expected = exhaustive(signal, noise, amplitudes, hyp, points)
     assert np.array_equal(got[0], expected[0])
     assert np.array_equal(got[1], expected[1])
@@ -473,13 +477,14 @@ class TestStackedRealizations:
         amplitudes = sigma / np.abs(hyp).mean() * np.array([0.1, 1.0, 100.0])
 
         signal, combined = transmit(*weights, h, x0, points[x1], noise)
-        c_hat, s_hat = detect(signal, combined, amplitudes, hyp, points)
+        c_hat, s_hat = np.divmod(detect(signal, combined, amplitudes, hyp,
+                                        points), points.size)
         assert c_hat.shape == s_hat.shape == (len(links), 3, uses)
         # the sweep passes a slice of a larger workspace, reused dirty
         workspace = np.full((4, len(links) + 2, uses, order, points.size),
                             np.nan)
-        reused = detect(signal, combined, amplitudes, hyp, points,
-                        workspace[:, :len(links)])
+        reused = np.divmod(detect(signal, combined, amplitudes, hyp, points,
+                                  workspace[:, :len(links)]), points.size)
         assert np.array_equal(reused[0], c_hat)
         assert np.array_equal(reused[1], s_hat)
         for i in range(len(links)):
@@ -487,7 +492,8 @@ class TestStackedRealizations:
                            points[x1[i]], noise[i])
             assert np.array_equal(signal[i], one[0])
             assert np.array_equal(combined[i], one[1])
-            c_one, s_one = detect(*one, amplitudes, hyp[i], points)
+            c_one, s_one = np.divmod(detect(*one, amplitudes, hyp[i],
+                                            points), points.size)
             assert np.array_equal(c_hat[i], c_one)
             assert np.array_equal(s_hat[i], s_one)
         assert np.any(c_hat != x0[:, None]) and np.any(c_hat == x0[:, None])
@@ -503,18 +509,54 @@ class TestStackedRealizations:
 
 class TestBitAccounting:
     def test_counts_on_natural_and_gray_labels(self):
-        x0, x1 = np.array([0b10, 0b10]), np.array([0b01, 0b01])
-        assert count_bit_errors(x0[:1], x1[:1], np.array([0b01]),
-                                np.array([0b10])) == 4
-        assert count_bit_errors(x0[:1], x1[:1], np.array([0b11]),
-                                np.array([0b00])) == 2
+        # B = M = 4: index c M + s is c's two bits above s's
+        sent = np.array([0b10_01, 0b10_01])
+        assert count_bit_errors(sent[:1], np.array([0b01_10])) == 4
+        assert count_bit_errors(sent[:1], np.array([0b11_00])) == 2
         # a batch sums its uses
-        assert count_bit_errors(x0, x1, np.array([0b01, 0b11]),
-                                np.array([0b10, 0b00])) == 6
+        assert count_bit_errors(sent, np.array([0b01_10, 0b11_00])) == 6
         # one count per leading index of the decisions
-        c_hat = np.array([[0b01, 0b11], [0b10, 0b10], [0b11, 0b10]])
-        s_hat = np.array([[0b10, 0b00], [0b01, 0b01], [0b01, 0b00]])
-        assert count_bit_errors(x0, x1, c_hat, s_hat).tolist() == [6, 0, 2]
+        decided = np.array([[0b01_10, 0b11_00], [0b10_01, 0b10_01],
+                            [0b11_01, 0b10_00]], dtype=np.uint8)
+        assert count_bit_errors(sent, decided).tolist() == [6, 0, 2]
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(log_order=st.integers(0, 4), log_m=st.integers(0, 4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_property_index_counts_equal_label_counts(self, log_order,
+                                                      log_m, seed):
+        # B, M in {1, 2, 4, 8, 16}: the bits in which two indices c M + s
+        # differ are those in which the clusters differ plus those in
+        # which the symbols do
+        order, m = 1 << log_order, 1 << log_m
+        rng = np.random.default_rng(seed)
+        x0 = rng.integers(0, order, (3, 1, 20))
+        x1 = rng.integers(0, m, (3, 1, 20))
+        c_hat = rng.integers(0, order, (3, 2, 20))
+        s_hat = rng.integers(0, m, (3, 2, 20))
+        decided = (c_hat * m + s_hat).astype(
+            np.min_scalar_type(order * m - 1))
+        by_label = (np.bitwise_count(x0 ^ c_hat).sum(axis=-1)
+                    + np.bitwise_count(x1 ^ s_hat).sum(axis=-1))
+        assert np.array_equal(count_bit_errors(x0 * m + x1, decided),
+                              by_label)
+
+    @pytest.mark.parametrize("order, m, dtype",
+                             [(16, 16, np.uint8), (32, 16, np.uint16)])
+    def test_index_dtype_holds_every_hypothesis(self, order, m, dtype):
+        # B M = 256 indices fit in uint8, 512 need uint16: without noise
+        # every hypothesis, the last one included, decides its own index
+        points = psk_constellation(m)
+        sent = np.arange(order * m)
+        x0, x1 = np.divmod(sent, m)
+        signal = np.zeros((sent.size, order), complex)
+        signal[sent, x0] = points[x1]        # unit hypothesis values
+        decided = detect(signal, np.zeros_like(signal), np.array([1.0, 1e3]),
+                         np.ones(order, complex), points)
+        assert decided.dtype == dtype
+        assert np.array_equal(decided, [sent, sent])
+        assert count_bit_errors(sent, decided).tolist() == [0, 0]
 
     def test_high_snr_waterfall(self):
         realization, cb, amplitude = make_link(seed=6, order=2,
@@ -531,7 +573,7 @@ class TestBitAccounting:
         h = realization.matrix
         signal, combined = transmit(cb.beamformers, cb.combiners, h, x0,
                                     points[x1], noise)
-        c_hat, s_hat = detect(signal, combined, np.array([amplitude]),
-                              branch_amplitudes(cb, h), points)
-        (ber,) = count_bit_errors(x0, x1, c_hat, s_hat) / (3 * trials)
+        decided = detect(signal, combined, np.array([amplitude]),
+                         branch_amplitudes(cb, h), points)
+        (ber,) = count_bit_errors(x0 * 4 + x1, decided) / (3 * trials)
         assert ber < 1e-3
