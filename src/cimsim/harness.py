@@ -185,7 +185,8 @@ class SimConfig:
 
 
 def _check_signaling(signaling: tuple[int, int]) -> tuple[int, int]:
-    """``signaling`` if it is a (B, M) pair of powers of two."""
+    """``signaling`` if it is a (B, M) pair of powers of two with B M > 1
+    (one hypothesis carries no bits)."""
     if not (isinstance(signaling, tuple) and len(signaling) == 2
             and all(type(v) is int for v in signaling)):
         raise ValueError(f"signalings must be (B, M) pairs of integers, "
@@ -195,6 +196,9 @@ def _check_signaling(signaling: tuple[int, int]) -> tuple[int, int]:
         if v < 1 or (v & (v - 1)) != 0:
             raise ValueError(f"B and M must be powers of two, got "
                              f"{order}x{constellation}")
+    if order * constellation == 1:
+        raise ValueError("signalings 1x1 carries no bits: B*M must be at "
+                         "least 2")
     return signaling
 
 
@@ -322,7 +326,6 @@ class _Pair:
         live = self.errors < cfg.error_limit
         k = len(channels)
         x0, x1, noise = (a[:k] for a in payload)
-        symbols = self.points[x1]
         sent = x0 * self.points.size + x1
         chunk = self.workspace.shape[1]
         # counts of the points live at the block's start, (k, hardware, P)
@@ -334,11 +337,10 @@ class _Pair:
             weights = self.weights[:, :k]
             f, w = weights if bank is None \
                 else quantize_weights(weights, bank)
-            signal, combined_noise = transmit(f, w, channels, x0, symbols,
-                                              noise)
+            v, combined_noise = transmit(f, w, channels, noise)
             for start in range(0, k, chunk):
                 part = slice(start, min(start + chunk, k))
-                decided = detect(signal[part], combined_noise[part],
+                decided = detect(v[part], sent[part], combined_noise[part],
                                  self.amplitudes[active], self.hyp[part],
                                  self.points,
                                  self.workspace[:, :part.stop - start])

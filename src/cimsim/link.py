@@ -17,11 +17,22 @@ d = signal - hyp(c) s, which expands to
 the three real terms do not depend on the power, so ``detect`` builds
 them once and decides every amplitude of a power sweep from them.
 
+A use that sends point p[x1] on codeword x0 has signal = v[:, x0] p[x1]
+with v = W^H H F (``transmit``), so d takes only B*M values per
+realization.  ``detect`` builds them once per realization, as a table
+with a row per sent index x0 M + x1 that occurs and a column per
+hypothesis c M + s: Re d, Im d and |d|^2, and per row the bound's h*
+and slack (below).  Per use remain nu, the bound's threshold and, for
+the uses it searches, 2 Re(conj(n) d) and |n|^2.  Each table entry comes
+from the same float operations on the same values as a per-use array
+would, in array operations only: numpy's array complex multiply rounds
+alike at every position, its scalar multiply does not.
+
 Most of those decisions need no search, as in sphere decoding.  Let h*
 be the first hypothesis of least |d|, d1 <= d2 the two least |d| of a
-use and nu = max_c |n_c|.  By the triangle inequality every h != h* has
-|n + a d_h| >= L = a d2 - nu and h* has |n + a d_h*| <= a d1 + nu, so
-wherever
+row and nu = max_c |n_c| of a use.  By the triangle inequality every
+h != h* has |n + a d_h| >= L = a d2 - nu and h* has |n + a d_h*| <=
+a d1 + nu, so wherever
 
     a (d2 - d1) - 2 nu > tau (a d2 + nu),    tau = SETTLE_TOLERANCE,
 
@@ -96,35 +107,32 @@ def psk_constellation(m: int) -> np.ndarray:
 
 
 def transmit(beamformers: np.ndarray, combiners: np.ndarray, h: np.ndarray,
-             x0: np.ndarray, symbols: np.ndarray,
              noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Signal and combined noise of T channel uses through beamformers F
-    (..., N_t, B) and combiners W (..., N_r, B) over channels h
-    (..., N_r, N_t).
+    """Effective channel and combined noise of T channel uses through
+    beamformers F (..., N_t, B) and combiners W (..., N_r, B) over
+    channels h (..., N_r, N_t).
 
-    Use t sends PSK point ``symbols[..., t]`` on codeword ``x0[..., t]``;
     ``noise`` is a white (..., T, B) branch-space draw z with the
-    per-antenna noise variance.  Returns the unit-amplitude signal
-    (W^H H F)[:, x0[t]] symbols[t] and the combined noise z[:, :k] @ R^*,
-    where W = QR and R is (k, B) with k = min(N_r, B), each (..., T, B).
-    Since n @ W^* = (n @ Q^*) @ R^* and n @ Q^* is white, this is
-    distributed as the antenna noise n (T, N_r) combined by W.  At
-    amplitude a = sqrt(P) G_t G_r the combined receive vectors are
-    z = a * signal + combined noise.
+    per-antenna noise variance.  Returns v = W^H H F, (..., B, B), and
+    the combined noise z[:, :k] @ R^*, (..., T, B), where W = QR and R is
+    (k, B) with k = min(N_r, B).  Since n @ W^* = (n @ Q^*) @ R^* and
+    n @ Q^* is white, this is distributed as the antenna noise n (T, N_r)
+    combined by W.  A use that sends PSK point s on codeword x0 has the
+    unit-amplitude signal v[:, x0] s, so at amplitude a = sqrt(P) G_t G_r
+    its combined receive vector is z = a v[:, x0] s + combined noise.
 
     Leading axes, the same on every argument, stack independent
     realizations; a single realization has none.  Each realization's
     results are bit-identical to a call on it alone.
     """
     v = combiners.conj().mT @ h @ beamformers                  # (..., B, B)
-    expected = x0.shape + v.shape[-1:]
-    if noise.shape != expected:
-        raise ValueError(f"noise must be (T, B) = {expected}, "
-                         f"got {noise.shape}")
+    if (noise.ndim != v.ndim or noise.shape[:-2] != v.shape[:-2]
+            or noise.shape[-1] != v.shape[-1]):
+        raise ValueError(f"noise must be (T, B) with B = {v.shape[-1]} "
+                         f"behind the leading axes {v.shape[:-2]}, got "
+                         f"{noise.shape}")
     r = np.linalg.qr(combiners, mode="r")
-    signal = np.take_along_axis(v.mT, x0[..., None], axis=-2)
-    return (signal * symbols[..., None],
-            noise[..., :r.shape[-2]] @ r.conj())
+    return v, noise[..., :r.shape[-2]] @ r.conj()
 
 
 def branch_amplitudes(cb: CimCodebook, h: np.ndarray) -> np.ndarray:
@@ -132,21 +140,22 @@ def branch_amplitudes(cb: CimCodebook, h: np.ndarray) -> np.ndarray:
     return ((cb.combiners.conj().T @ h) * cb.beamformers.T).sum(axis=1)
 
 
-def decision_bound(distance: np.ndarray, noise: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray]:
+def decision_bound(distance: np.ndarray, rows: np.ndarray,
+                   noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per channel use, the hypothesis h* that the distance bound picks and
     the amplitude above which it is the exhaustive search's decision.
 
-    ``distance`` (U, B M) holds the float |d|^2 of every hypothesis and
-    ``noise`` (U, B) the combined noise of U uses.  h* is the first
-    argmin of |d|^2; d1 <= d2 are the two smallest |d| and nu = max_c
-    |n_c|.  The threshold is the least a with a (d2 - d1) - 2 nu =
-    SETTLE_TOLERANCE (a d2 + nu), and infinite where d2 - d1 is too small
-    for any a, exact ties included.  ``distance`` is read only (its h*
-    entries are overwritten and restored).
+    ``distance`` (R, B M) is a table of the float |d|^2 of every
+    hypothesis for R sent signals, ``rows`` (U,) the table row of each of
+    U uses and ``noise`` (U, B) their combined noise.  Per table row, h*
+    is the first argmin of |d|^2 and d1 <= d2 are the two smallest |d|;
+    per use, nu = max_c |n_c|.  The threshold is the least a with
+    a (d2 - d1) - 2 nu = SETTLE_TOLERANCE (a d2 + nu), and infinite where
+    d2 - d1 is too small for any a, exact ties included.  ``distance`` is
+    read only (its h* entries are overwritten and restored).
     """
-    # one buffer for the reads and the writes below, also where reshape
-    # has to copy
+    # per table row: one buffer for the reads and the writes below, also
+    # where reshape has to copy
     entries = distance.reshape(-1)
     distance = entries.reshape(distance.shape)
     starts = np.arange(0, entries.size, distance.shape[1])
@@ -155,89 +164,117 @@ def decision_bound(distance: np.ndarray, noise: np.ndarray
     entries[at] = np.inf
     d2 = entries[starts + distance.argmin(axis=1)]
     entries[at] = d1
-    # max_c |n_c|^2 column by column: a reduction along short rows is slower
-    nu = np.sqrt(reduce(np.maximum, (noise.real ** 2 + noise.imag ** 2).T))
     slack = (1.0 - SETTLE_TOLERANCE) * np.sqrt(d2) - np.sqrt(d1)
+    # per use: max_c |n_c|^2 column by column (a reduction along short rows
+    # is slower)
+    nu = np.sqrt(reduce(np.maximum, (noise.real ** 2 + noise.imag ** 2).T))
+    slack = slack[rows]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         threshold = np.where(slack > 0.0,
                              (2.0 + SETTLE_TOLERANCE) * nu / slack, np.inf)
-    return at - starts, threshold
+    return (at - starts)[rows], threshold
 
 
-def detect(signal: np.ndarray, noise: np.ndarray, amplitudes: np.ndarray,
-           hyp: np.ndarray, points: np.ndarray,
+def detect(v: np.ndarray, sent: np.ndarray, noise: np.ndarray,
+           amplitudes: np.ndarray, hyp: np.ndarray, points: np.ndarray,
            workspace: np.ndarray | None = None) -> np.ndarray:
     """Joint ML (cluster, symbol) decisions of T channel uses at P
     amplitudes, (..., P, T): the hypothesis index h = c M + s of each, in
     the smallest unsigned integer dtype that holds B M - 1.
 
-    ``signal`` and ``noise`` are the unit-amplitude signal and combined
-    noise of ``transmit``, (..., T, B); at amplitude a the decision is
-    the argmin over the B*M hypotheses of |a signal(c) + noise(c) -
-    a hyp[c] points[s]|^2, where ``hyp`` (..., B) holds the branch
-    amplitudes; ties go to the lowest cluster, then symbol.  Leading
-    axes stack realizations as in ``transmit``.  The metric's terms are
-    built in a float (4, ..., T, B, M) ``workspace``, allocated here
-    unless given: a caller that detects block after block passes one.
+    ``v`` (..., B, B) and ``noise`` (..., T, B) are the effective channel
+    and combined noise of ``transmit``, and ``sent`` (..., T) the index
+    x0 M + x1 that each use sends, so its unit-amplitude signal is
+    v[:, x0] points[x1].  At amplitude a the decision is the argmin over
+    the B*M hypotheses of |a v[c, x0] points[x1] + noise(c) - a hyp[c]
+    points[s]|^2, where ``hyp`` (..., B) holds the branch amplitudes;
+    ties go to the lowest cluster, then symbol.  Leading axes stack
+    realizations as in ``transmit``.  The metric's terms are built in a
+    float (4, ..., T, B, M) ``workspace``, allocated here unless given: a
+    caller that detects block after block passes one.
 
-    A use whose ``decision_bound`` threshold lies below a takes h*
-    without a search (see the module docstring).  The uses are ranked by
-    falling threshold, and the terms of those some amplitude cannot
-    settle are gathered into a prefix of the workspace; each amplitude
-    searches the part of that prefix above it with the same float
-    operations on the same values as the exhaustive search, so every
-    decision, ties included, is the exhaustive search's bit for bit."""
-    shape = signal.shape + points.shape                    # (..., T, B, M)
-    uses = math.prod(signal.shape[:-1])
-    work = (np.empty((4, uses, shape[-2] * shape[-1])) if workspace is None
+    Per realization, d and the distance bound's h* and slack are built
+    once per sent index that occurs, as the rows of a table (at most
+    min(T, B M) per realization); a use reads its row.  A use whose
+    ``decision_bound`` threshold lies below a takes h* without a search
+    (see the module docstring).  The uses are ranked by falling
+    threshold, and the rows of those some amplitude cannot settle are
+    gathered into a prefix of the workspace; each amplitude searches the
+    part of that prefix above it with the same float operations on the
+    same values as the exhaustive search, so every decision, ties
+    included, is the exhaustive search's bit for bit."""
+    branches = v.shape[-1]
+    hypotheses = branches * points.size
+    draws = math.prod(v.shape[:-2])
+    uses = sent.size
+    # the table's rows: the (realization, sent index) pairs that occur, in
+    # that order, and the row of each use
+    ids = (np.arange(0, draws * hypotheses, hypotheses)[:, None]
+           + sent.reshape(draws, -1)).reshape(-1)
+    present = np.zeros(draws * hypotheses, dtype=bool)
+    present[ids] = True
+    table = np.flatnonzero(present)
+    use_rows = (np.cumsum(present) - 1)[ids]
+    draw, index = np.divmod(table, hypotheses)
+    x0, x1 = np.divmod(index, points.size)
+    work = (np.empty((4, uses, hypotheses)) if workspace is None
             else workspace.reshape(4, uses, -1))           # (4, U, B M)
-    real, imag, distance, spare = (slot.reshape(shape) for slot in work)
-    # d = signal - hyp points, and its |d|^2
-    hp = hyp[..., None, :, None] * points
-    np.subtract(signal.real[..., None], hp.real, out=real)
-    np.subtract(signal.imag[..., None], hp.imag, out=imag)
+    real, imag, distance, spare = (
+        slot[:table.size].reshape(table.size, branches, points.size)
+        for slot in work)
+    # d = v[c, x0] points[x1] - hyp[c] points[s] of each row, and |d|^2:
+    # array multiplies only, whose bits do not depend on the position
+    signal = v.reshape(draws, branches, branches).mT[draw, x0] \
+        * points[x1, None]
+    hp = hyp.reshape(draws, branches)[..., None] * points
+    for part, out in ((np.real, real), (np.imag, imag)):
+        np.take(part(hp), draw, axis=0, out=spare, mode="clip")
+        np.subtract(part(signal)[..., None], spare, out=out)
     np.square(imag, out=distance)
     distance += np.square(real, out=spare)
-    noise = noise.reshape(uses, -1)
-    best, threshold = decision_bound(work[2], noise)
+    noise = noise.reshape(uses, branches)
+    best, threshold = decision_bound(work[2, :table.size], use_rows, noise)
 
     # uses by falling threshold: amplitude a searches the first
     # ``searched`` of them and settles the rest
-    order = np.argsort(threshold)[::-1]
-    searched = uses - np.searchsorted(threshold[order[::-1]], amplitudes)
+    ranked = np.argsort(threshold)[::-1]
+    searched = uses - np.searchsorted(threshold[ranked[::-1]], amplitudes)
     count = searched.max(initial=0)
-    rows = order[:count]
-    # gather |d|^2, Im d and Re d of those rows one slot down (mode="clip"
-    # writes ``out`` unbuffered; every index is in range)
+    rows = ranked[:count]
+    # gather |d|^2, Im d and Re d of those uses' table rows one slot down
+    # (mode="clip" writes ``out`` unbuffered; every index is in range)
     for source in (2, 1, 0):
-        np.take(work[source], rows, axis=0, out=work[source + 1][:count],
-                mode="clip")
+        np.take(work[source], use_rows[rows], axis=0,
+                out=work[source + 1][:count], mode="clip")
     cross, metric, noise_power, distance = work[:, :count]
     # metric holds Re d and noise_power Im d until 2 Re(conj(n) d) and |n|^2
     # (repeated over the symbols: a broadcast add in the loop is slower)
     # are formed, on (use, branch, symbol) views of the gathered rows
-    c, re_d, im_d = (a.reshape((count,) + shape[-2:])
+    c, re_d, im_d = (a.reshape(count, branches, points.size)
                      for a in (cross, metric, noise_power))
     gathered = noise[rows][..., None]
     np.multiply(gathered.real, re_d, out=c)
     c += np.multiply(gathered.imag, im_d, out=im_d)
     c *= 2.0
     im_d[...] = gathered.real ** 2 + gathered.imag ** 2
-    index = np.min_scalar_type(shape[-2] * shape[-1] - 1)
-    flat = np.tile(best.astype(index), (len(amplitudes), 1))
+    flat = np.tile(best.astype(np.min_scalar_type(hypotheses - 1)),
+                   (len(amplitudes), 1))
     for decided, a, n in zip(flat, amplitudes, searched.tolist()):
+        if not n:           # every use settles at this amplitude
+            continue
         m = metric[:n]
         np.multiply(distance[:n], a, out=m)
         m += cross[:n]
         m *= a
         m += noise_power[:n]
         decided[rows[:n]] = m.argmin(axis=1)
-    return np.moveaxis(flat.reshape((len(amplitudes),) + signal.shape[:-1]),
-                       0, -2)
+    return np.moveaxis(flat.reshape((len(amplitudes),) + sent.shape), 0, -2)
 
 
 def count_bit_errors(sent: np.ndarray, decided: np.ndarray) -> np.ndarray:
     """Spatial plus constellation bit errors of T channel uses: decided
     hypothesis indices c M + s (..., T) against the sent ones, broadcast
-    against them, give one count per leading index, shape (...)."""
-    return np.bitwise_count(sent ^ decided).sum(axis=-1, dtype=np.int64)
+    against them, give one count per leading index, shape (...).  The XOR
+    runs in the decisions' dtype, which holds every index."""
+    return np.bitwise_count(sent.astype(decided.dtype) ^ decided).sum(
+        axis=-1, dtype=np.int64)

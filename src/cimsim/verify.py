@@ -147,11 +147,10 @@ def check_noiseless_detection(
         for order in orders:
             cb = build_codebook(realization, order)
             sent = np.arange(order * points.size)
-            x0, x1 = np.divmod(sent, points.size)
-            signal, noise = transmit(cb.beamformers, cb.combiners,
-                                     realization.matrix, x0, points[x1],
-                                     np.zeros((x0.size, order)))
-            decided = detect(signal, noise, np.array([amplitude]),
+            v, noise = transmit(cb.beamformers, cb.combiners,
+                                realization.matrix,
+                                np.zeros((sent.size, order)))
+            decided = detect(v, sent, noise, np.array([amplitude]),
                              branch_amplitudes(cb, realization.matrix),
                              points)
             failures += np.count_nonzero(decided != sent)
@@ -185,9 +184,11 @@ def check_detection_matches_exhaustive() -> CheckResult:
         x1 = rng.integers(0, m, uses)
         white = sigma * (rng.standard_normal((uses, order))
                          + 1j * rng.standard_normal((uses, order)))
-        signal, noise = transmit(f, w, h, x0, points[x1], white)
+        v, noise = transmit(f, w, h, white)
         amplitudes = sigma / np.abs(hyp).mean() * np.logspace(-2, 3, 11)
-        decided = detect(signal, noise, amplitudes, hyp, points)
+        decided = detect(v, x0 * m + x1, noise, amplitudes, hyp, points)
+        # the unit-amplitude signal v[:, x0] points[x1] of each use
+        signal = v[:, x0].T * points[x1, None]
         for a, index in zip(amplitudes, decided):
             z = a * signal + noise
             metric = np.abs(z[:, :, None] - a * hyp[:, None] * points) ** 2
@@ -195,7 +196,8 @@ def check_detection_matches_exhaustive() -> CheckResult:
                 index != metric.reshape(uses, -1).argmin(axis=1))
         d = signal[:, :, None] - hyp[:, None] * points
         _, threshold = decision_bound(
-            (d.imag ** 2 + d.real ** 2).reshape(uses, -1), noise)
+            (d.imag ** 2 + d.real ** 2).reshape(uses, -1), np.arange(uses),
+            noise)
         settled += np.count_nonzero(amplitudes[:, None] > threshold)
         decisions += decided.size
     searched = decisions - settled

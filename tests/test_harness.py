@@ -222,6 +222,7 @@ class TestSimConfig:
         dict(powers_dbm=(-10.0, 0.0, -10.0)),
         dict(powers_dbm=(0.0, -0.0)),
         *(dict([case]) for case in WRONG_TYPES),
+        dict(signalings=((1, 1),)),                # one hypothesis, no bits
     ])
     def test_invalid_configs_raise(self, kwargs):
         with pytest.raises(ValueError):
@@ -1063,6 +1064,7 @@ class TestConfigFile:
         ("hardware = HE8, OP, he(8)", r"hardware repeats 'he\(8\)'"),
         ("powers_dbm = -10, 0, -10", "powers_dbm repeats -10.0"),
         ("hardware = HE2000", "hardware HE2000: 2000 fixed phase shifters"),
+        ("signalings = 1x1", "signalings 1x1 carries no bits"),
     ])
     def test_bad_value_names_key_and_line(self, tmp_path, line, message):
         path = tmp_path / "bad.cfg"

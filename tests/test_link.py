@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,12 +31,18 @@ def all_hypotheses(order, m):
 def noiseless_decisions(realization, cb, amplitude, x0, x1, m=4):
     points = psk_constellation(m)
     h = realization.matrix
-    signal, noise = transmit(cb.beamformers, cb.combiners, h, x0,
-                             points[x1],
-                             np.zeros((x0.size, cb.combiners.shape[1])))
-    c_hat, s_hat = np.divmod(detect(signal, noise, np.array([amplitude]),
+    v, noise = transmit(cb.beamformers, cb.combiners, h,
+                        np.zeros((x0.size, cb.combiners.shape[1])))
+    c_hat, s_hat = np.divmod(detect(v, x0 * m + x1, noise,
+                                    np.array([amplitude]),
                                     branch_amplitudes(cb, h), points), m)
     return c_hat[0], s_hat[0]
+
+
+def use_signal(v, sent, points):
+    """The unit-amplitude signal v[:, x0] points[x1] of each use, (T, B)."""
+    x0, x1 = np.divmod(sent, points.size)
+    return v[:, x0].T * points[x1, None]
 
 
 def receive_noise(rng, shape, sigma):
@@ -84,10 +91,9 @@ class TestTransmitAndReceive:
         realization, cb, amplitude = make_link(order=1)
         points = psk_constellation(4)
         h = realization.matrix
-        signal, noise = transmit(cb.beamformers, cb.combiners, h,
-                                 np.array([0]), points[[3]],
-                                 np.zeros((1, 1)))
-        z = amplitude * signal + noise
+        v, noise = transmit(cb.beamformers, cb.combiners, h,
+                            np.zeros((1, 1)))
+        z = amplitude * use_signal(v, np.array([3]), points) + noise
         w = cb.combiners[:, 0]
         f = cb.beamformers[:, 0]
         expected = amplitude * (w.conj() @ h @ f) * points[3]
@@ -104,8 +110,7 @@ class TestTransmitAndReceive:
         noise = rng.normal(0.0, sigma, (draws, 2)) \
             + 1j * rng.normal(0.0, sigma, (draws, 2))
         _, combined = transmit(cb.beamformers, cb.combiners,
-                               realization.matrix, np.zeros(draws, int),
-                               np.ones(draws, complex), noise)
+                               realization.matrix, noise)
         measured = np.mean(np.abs(combined) ** 2, axis=0)
         np.testing.assert_allclose(measured, noise_w, rtol=0.03)
 
@@ -113,7 +118,6 @@ class TestTransmitAndReceive:
         realization, cb, _ = make_link()
         with pytest.raises(ValueError):
             transmit(cb.beamformers, cb.combiners, realization.matrix[:, :4],
-                     np.array([0]), psk_constellation(4)[:1],
                      np.zeros((1, 2)))
 
     def test_branch_amplitudes_are_per_branch_projections(self):
@@ -152,9 +156,7 @@ class TestBranchNoise:
             # columns past min(N_r, B) must not reach the output
             branch = receive_noise(rng, (30, order), 1.0)
             branch[:, :q.shape[1]] = antenna @ q.conj()
-            _, combined = transmit(cb.beamformers, cb.combiners, h,
-                                   np.zeros(30, int), np.ones(30, complex),
-                                   branch)
+            _, combined = transmit(cb.beamformers, cb.combiners, h, branch)
             expected = antenna @ cb.combiners.conj()
             assert (np.linalg.norm(combined - expected)
                     <= 1e-12 * np.linalg.norm(expected))
@@ -167,9 +169,7 @@ class TestBranchNoise:
         for h, cb in self.codebooks()[:3]:
             order = cb.combiners.shape[1]
             branch = receive_noise(rng, (draws, order), np.sqrt(noise_w / 2))
-            _, combined = transmit(cb.beamformers, cb.combiners, h,
-                                   np.zeros(draws, int),
-                                   np.ones(draws, complex), branch)
+            _, combined = transmit(cb.beamformers, cb.combiners, h, branch)
             measured = combined.conj().T @ combined / draws
             gram = cb.combiners.conj().T @ cb.combiners
             # each entry's sampling SD is at most sigma^2 max|w_c|^2 / sqrt(n)
@@ -181,7 +181,6 @@ class TestBranchNoise:
         realization, cb, _ = make_link(order=2)
         with pytest.raises(ValueError, match=r"noise must be \(T, B\)"):
             transmit(cb.beamformers, cb.combiners, realization.matrix,
-                     np.array([0]), psk_constellation(4)[:1],
                      np.zeros((1, 8)))
 
 
@@ -205,9 +204,8 @@ class TestMlDetect:
             beamformers=cb.beamformers[:, ::-1],
             combiners=cb.combiners[:, ::-1],
             effective_gains=cb.effective_gains[::-1])
-        y = (h @ cb.beamformers[:, 0]) * points[1]
-        signal = (swapped.combiners.conj().T @ y)[None, :]
-        decided = detect(signal, np.zeros((1, 2), complex),
+        v = swapped.combiners.conj().T @ h @ cb.beamformers
+        decided = detect(v, np.array([1]), np.zeros((1, 2), complex),
                          np.array([amplitude]),
                          branch_amplitudes(swapped, h), points)
         c_hat, s_hat = np.divmod(decided, points.size)
@@ -220,21 +218,21 @@ class TestMlDetect:
         points = psk_constellation(4)
         h = realization.matrix
         rng = np.random.default_rng(3)
-        signal, combined = transmit(cb.beamformers, cb.combiners, h,
-                                    np.array([2]), points[[1]],
-                                    receive_noise(rng, (1, 4),
-                                                  np.sqrt(1e-9 / 2)))
+        v, combined = transmit(cb.beamformers, cb.combiners, h,
+                               receive_noise(rng, (1, 4), np.sqrt(1e-9 / 2)))
         hyp = branch_amplitudes(cb, h)
         amplitudes = np.array([amplitude])
-        det_a = detect(signal, combined, amplitudes, hyp, points)
-        det_b = detect(signal, 2.0 * combined, 2.0 * amplitudes, hyp, points)
+        sent = np.array([2 * 4 + 1])
+        det_a = detect(v, sent, combined, amplitudes, hyp, points)
+        det_b = detect(v, sent, 2.0 * combined, 2.0 * amplitudes, hyp,
+                       points)
         assert np.array_equal(det_a, det_b)
 
     def test_wrong_length_rejected(self):
         realization, cb, amplitude = make_link(order=2)
         with pytest.raises(ValueError):
-            detect(np.zeros((1, 3), complex), np.zeros((1, 3), complex),
-                   np.array([amplitude]),
+            detect(np.zeros((3, 3), complex), np.zeros(1, int),
+                   np.zeros((1, 3), complex), np.array([amplitude]),
                    branch_amplitudes(cb, realization.matrix),
                    psk_constellation(4))
 
@@ -243,6 +241,7 @@ class TestMlDetect:
         # hypothesis ties, at every amplitude
         points = psk_constellation(4)
         c_hat, s_hat = np.divmod(detect(np.zeros((2, 2), complex),
+                                        np.zeros(2, int),
                                         np.zeros((2, 2), complex),
                                         np.array([1.0, 0.5, 3.0]),
                                         np.ones(2, complex), points),
@@ -266,15 +265,14 @@ class TestMlDetect:
         points = psk_constellation(m)
         h = realization.matrix
         rng = np.random.default_rng(seed)
-        signal, combined = transmit(cb.beamformers, cb.combiners, h, x0,
-                                    points[x1],
-                                    receive_noise(rng, (x0.size, order),
-                                                  1e-6))
+        v, combined = transmit(cb.beamformers, cb.combiners, h,
+                               receive_noise(rng, (x0.size, order), 1e-6))
         hyp = branch_amplitudes(cb, h)
         amplitudes = amplitude * np.array([0.1, 1.0, 30.0])
         scale = 2.0 ** exponent
-        base = detect(signal, combined, amplitudes, hyp, points)
-        scaled = detect(signal, scale * combined, scale * amplitudes, hyp,
+        sent = x0 * m + x1
+        base = detect(v, sent, combined, amplitudes, hyp, points)
+        scaled = detect(v, sent, scale * combined, scale * amplitudes, hyp,
                         points)
         assert np.array_equal(base, scaled)
 
@@ -298,9 +296,10 @@ class TestMlDetect:
         x1 = rng.integers(0, m, uses)
         sigma = 1e-6
         he_weights = np.stack([cb.beamformers, cb.combiners])
-        signal, noise = transmit(*quantize_weights(he_weights, FpsBank(n_f)),
-                                 h, x0, points[x1],
-                                 receive_noise(rng, (uses, order), sigma))
+        v, noise = transmit(*quantize_weights(he_weights, FpsBank(n_f)), h,
+                            receive_noise(rng, (uses, order), sigma))
+        sent = x0 * m + x1
+        signal = use_signal(v, sent, points)
         hyp = branch_amplitudes(cb, h)
         amplitudes = (sigma / np.abs(hyp).mean()
                       * 10.0 ** np.array(snr_exponents))
@@ -312,8 +311,8 @@ class TestMlDetect:
                             - a * hyp[None, :, None] * points) ** 2
             return np.divmod(metric.reshape(uses, -1).argmin(axis=1), m)
 
-        every = np.divmod(detect(signal, noise, amplitudes, hyp, points), m)
-        some = np.divmod(detect(signal, noise, amplitudes[subset], hyp,
+        every = np.divmod(detect(v, sent, noise, amplitudes, hyp, points), m)
+        some = np.divmod(detect(v, sent, noise, amplitudes[subset], hyp,
                                 points), m)
         for p, a in enumerate(amplitudes):
             c_ref, s_ref = oracle(a)
@@ -324,9 +323,10 @@ class TestMlDetect:
             assert np.array_equal(some[1][row], every[1][p])
 
 
-def exhaustive(signal, noise, amplitudes, hyp, points):
+def exhaustive(v, sent, noise, amplitudes, hyp, points):
     """Brute-force (cluster, symbol) argmin of |z - a hyp s|^2 per power,
     each (P, T)."""
+    signal = use_signal(v, sent, points)
     decisions = []
     for a in amplitudes:
         z = a * signal + noise
@@ -335,26 +335,28 @@ def exhaustive(signal, noise, amplitudes, hyp, points):
     return np.divmod(np.array(decisions), points.size)
 
 
-def thresholds(signal, noise, hyp, points):
+def thresholds(v, sent, noise, hyp, points):
     """The amplitude above which each use settles without a search."""
-    d = signal[:, :, None] - hyp[:, None] * points
+    d = use_signal(v, sent, points)[:, :, None] - hyp[:, None] * points
     return decision_bound((d.imag ** 2 + d.real ** 2).reshape(len(d), -1),
-                          noise)[1]
+                          np.arange(len(d)), noise)[1]
 
 
-def assert_exhaustive(signal, noise, amplitudes, hyp, points):
-    got = np.divmod(detect(signal, noise, amplitudes, hyp, points),
+def assert_exhaustive(v, sent, noise, amplitudes, hyp, points):
+    got = np.divmod(detect(v, sent, noise, amplitudes, hyp, points),
                     points.size)
-    expected = exhaustive(signal, noise, amplitudes, hyp, points)
+    expected = exhaustive(v, sent, noise, amplitudes, hyp, points)
     assert np.array_equal(got[0], expected[0])
     assert np.array_equal(got[1], expected[1])
     return got
 
 
 def noisy_link(seed=2, order=4, m=4, uses=60, n_f=None, sigma=1e-6):
-    """Signal, combined noise, hypothesis values and points of a noisy
-    link, on an HE``n_f``-quantized signal path unless ``n_f`` is None."""
-    realization, cb, _ = make_link(seed=seed, order=order)
+    """Effective channel, sent indices, combined noise, hypothesis values
+    and points of a noisy link, on an HE``n_f``-quantized signal path
+    unless ``n_f`` is None."""
+    realization, cb, _ = make_link(seed=seed, clusters=max(order, 4),
+                                   order=order)
     points = psk_constellation(m)
     h = realization.matrix
     rng = np.random.default_rng(seed)
@@ -363,9 +365,8 @@ def noisy_link(seed=2, order=4, m=4, uses=60, n_f=None, sigma=1e-6):
     weights = np.stack([cb.beamformers, cb.combiners])
     if n_f is not None:
         weights = quantize_weights(weights, FpsBank(n_f))
-    signal, noise = transmit(*weights, h, x0, points[x1],
-                             receive_noise(rng, (uses, order), sigma))
-    return signal, noise, branch_amplitudes(cb, h), points
+    v, noise = transmit(*weights, h, receive_noise(rng, (uses, order), sigma))
+    return v, x0 * m + x1, noise, branch_amplitudes(cb, h), points
 
 
 class TestDistanceBound:
@@ -373,9 +374,9 @@ class TestDistanceBound:
     exhaustive search's, and so must the searched ones."""
 
     def test_one_hypothesis_settles_above_zero(self):
-        signal, noise, hyp, points = noisy_link(order=1, m=1)
-        assert np.all(thresholds(signal, noise, hyp, points) == 0.0)
-        c_hat, s_hat = assert_exhaustive(signal, noise,
+        v, sent, noise, hyp, points = noisy_link(order=1, m=1)
+        assert np.all(thresholds(v, sent, noise, hyp, points) == 0.0)
+        c_hat, s_hat = assert_exhaustive(v, sent, noise,
                                          np.array([0.0, 1e-9, 1.0]), hyp,
                                          points)
         assert not c_hat.any() and not s_hat.any()
@@ -388,11 +389,12 @@ class TestDistanceBound:
         points = psk_constellation(4)
         j = np.abs(points - 1j).argmin()
         noise = 0.5 * points[j] * np.array([[1.0, 1.0], [0.0, 1.0]])
-        signal = np.zeros((2, 2), complex)
+        v = np.zeros((2, 2), complex)
+        sent = np.zeros(2, int)
         hyp = np.ones(2, complex)
-        assert np.all(thresholds(signal, noise, hyp, points) == np.inf)
+        assert np.all(thresholds(v, sent, noise, hyp, points) == np.inf)
         amplitudes = np.array([0.0, 0.3, 1.0, 1e6])
-        c_hat, s_hat = assert_exhaustive(signal, noise, amplitudes, hyp,
+        c_hat, s_hat = assert_exhaustive(v, sent, noise, amplitudes, hyp,
                                          points)
         assert c_hat[1:].tolist() == [[0, 1]] * 3
         assert s_hat[1:].tolist() == [[j, j]] * 3
@@ -402,32 +404,33 @@ class TestDistanceBound:
         points = psk_constellation(8)
         h = realization.matrix
         x0, x1 = all_hypotheses(4, 8)
-        signal, noise = transmit(cb.beamformers, cb.combiners, h, x0,
-                                 points[x1], np.zeros((x0.size, 4)))
+        v, noise = transmit(cb.beamformers, cb.combiners, h,
+                            np.zeros((x0.size, 4)))
+        sent = x0 * 8 + x1
         hyp = branch_amplitudes(cb, h)
-        assert np.all(thresholds(signal, noise, hyp, points) == 0.0)
+        assert np.all(thresholds(v, sent, noise, hyp, points) == 0.0)
         c_hat, s_hat = assert_exhaustive(
-            signal, noise, amplitude * np.array([1e-6, 1.0, 1e6]), hyp,
+            v, sent, noise, amplitude * np.array([1e-6, 1.0, 1e6]), hyp,
             points)
         assert np.all(c_hat == x0) and np.all(s_hat == x1)
 
     def test_amplitude_zero_searches_every_use(self):
-        signal, noise, hyp, points = noisy_link()
-        assert np.all(thresholds(signal, noise, hyp, points) > 0.0)
-        c_hat, s_hat = assert_exhaustive(signal, noise, np.array([0.0]),
+        v, sent, noise, hyp, points = noisy_link()
+        assert np.all(thresholds(v, sent, noise, hyp, points) > 0.0)
+        c_hat, s_hat = assert_exhaustive(v, sent, noise, np.array([0.0]),
                                          hyp, points)
         # only |n_c|^2 is left: the quietest branch, lowest symbol
         assert np.array_equal(c_hat[0], np.abs(noise).argmin(axis=1))
         assert not s_hat.any()
 
     def test_amplitude_exactly_at_a_threshold(self):
-        signal, noise, hyp, points = noisy_link(n_f=4)
-        threshold = thresholds(signal, noise, hyp, points)
+        v, sent, noise, hyp, points = noisy_link(n_f=4)
+        threshold = thresholds(v, sent, noise, hyp, points)
         finite = np.sort(threshold[np.isfinite(threshold)])
         at = finite[len(finite) // 2]
         amplitudes = np.array([np.nextafter(at, 0.0), at,
                                np.nextafter(at, np.inf)])
-        assert_exhaustive(signal, noise, amplitudes, hyp, points)
+        assert_exhaustive(v, sent, noise, amplitudes, hyp, points)
 
     @settings(max_examples=25, deadline=None, derandomize=True,
               database=None)
@@ -440,13 +443,80 @@ class TestDistanceBound:
                                                  snr_exponents):
         # amplitudes put the mean branch amplitude at 1e-2 to 1e4 times
         # the noise SD, plus one point at each end of that range
-        signal, noise, hyp, points = noisy_link(seed, order, m, 40, n_f)
+        v, sent, noise, hyp, points = noisy_link(seed, order, m, 40, n_f)
         exponents = np.array(snr_exponents + [-2.0, 4.0])
         amplitudes = 1e-6 / np.abs(hyp).mean() * 10.0 ** exponents
-        settled = amplitudes[:, None] > thresholds(signal, noise, hyp,
+        settled = amplitudes[:, None] > thresholds(v, sent, noise, hyp,
                                                    points)
         assert settled.any() and not settled.all()
-        assert_exhaustive(signal, noise, amplitudes, hyp, points)
+        assert_exhaustive(v, sent, noise, amplitudes, hyp, points)
+
+
+def stacked_links(seeds, order, m, uses, n_f=None):
+    """``noisy_link`` of each seed, stacked on a leading realization axis."""
+    links = [noisy_link(seed, order, m, uses, n_f) for seed in seeds]
+    v, sent, noise, hyp = (np.stack(parts)
+                           for parts in zip(*(link[:4] for link in links)))
+    return v, sent, noise, hyp, links[0][4]
+
+
+class TestSentSignalTable:
+    """``detect`` builds d and the bound's distance part once per sent
+    index of a realization and reads it per use; the decisions must not
+    show it."""
+
+    def test_fewer_uses_than_hypotheses(self):
+        # 8x16 at T = 3: 128 hypotheses, at most 3 rows per realization;
+        # indices repeat within and across realizations
+        v, _, noise, hyp, points = stacked_links((1, 2, 3), 8, 16, 3, n_f=4)
+        sent = np.array([[5, 5, 100], [5, 77, 127], [0, 5, 5]])
+        amplitudes = 1e-6 / np.abs(hyp).mean() * np.logspace(-2, 4, 13)
+        decided = np.divmod(detect(v, sent, noise, amplitudes, hyp, points),
+                            points.size)
+        settled = 0
+        for i in range(len(v)):
+            expected = exhaustive(v[i], sent[i], noise[i], amplitudes,
+                                  hyp[i], points)
+            assert np.array_equal(decided[0][i], expected[0])
+            assert np.array_equal(decided[1][i], expected[1])
+            settled += np.count_nonzero(amplitudes[:, None] > thresholds(
+                v[i], sent[i], noise[i], hyp[i], points))
+        assert 0 < settled < decided[0].size
+
+    def test_permuting_the_uses_permutes_the_decisions(self):
+        v, sent, noise, hyp, points = noisy_link(seed=5, m=8, uses=60, n_f=4)
+        amplitudes = 1e-6 / np.abs(hyp).mean() * np.logspace(-2, 4, 7)
+        decided = detect(v, sent, noise, amplitudes, hyp, points)
+        permutation = np.random.default_rng(5).permutation(sent.size)
+        permuted = detect(v, sent[permutation], noise[permutation],
+                          amplitudes, hyp, points)
+        assert np.array_equal(permuted, decided[:, permutation])
+
+    @pytest.mark.parametrize("order, m, uses", [(8, 64, 10), (4, 8, 500),
+                                                (2, 4, 8), (2, 2, 1)])
+    def test_table_stays_inside_the_workspace(self, order, m, uses):
+        # every hypothesis sent where T >= B M, so the table is as large
+        # as it gets: it must fit the (4, K, T, B, M) workspace and leave
+        # the rest of a larger buffer alone.  A full (B M)^2 table would
+        # take 6 MB per realization at 8x64; where the workspace is large
+        # enough for array headers not to count, ``detect`` must allocate
+        # less than half of it
+        v, sent, noise, hyp, points = stacked_links((1, 2), order, m, uses)
+        sent[:, :order * m] = np.arange(min(uses, order * m))
+        amplitudes = 1e-6 / np.abs(hyp).mean() * np.logspace(-2, 4, 7)
+        buffer = np.full((4, 3, uses, order, m), np.nan)
+        expected = detect(v, sent, noise, amplitudes, hyp, points)
+        tracemalloc.start()
+        try:
+            decided = detect(v, sent, noise, amplitudes, hyp, points,
+                             buffer[:, :2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(decided, expected)
+        assert np.isnan(buffer[:, 2]).all()
+        if buffer[:, :2].nbytes >= 100_000:
+            assert peak < buffer[:, :2].nbytes / 2
 
 
 class TestStackedRealizations:
@@ -476,24 +546,26 @@ class TestStackedRealizations:
         # mean branch amplitude 0.1 to 100 times the noise SD
         amplitudes = sigma / np.abs(hyp).mean() * np.array([0.1, 1.0, 100.0])
 
-        signal, combined = transmit(*weights, h, x0, points[x1], noise)
-        c_hat, s_hat = np.divmod(detect(signal, combined, amplitudes, hyp,
+        v, combined = transmit(*weights, h, noise)
+        sent = x0 * points.size + x1
+        c_hat, s_hat = np.divmod(detect(v, sent, combined, amplitudes, hyp,
                                         points), points.size)
         assert c_hat.shape == s_hat.shape == (len(links), 3, uses)
         # the sweep passes a slice of a larger workspace, reused dirty
         workspace = np.full((4, len(links) + 2, uses, order, points.size),
                             np.nan)
-        reused = np.divmod(detect(signal, combined, amplitudes, hyp, points,
-                                  workspace[:, :len(links)]), points.size)
+        reused = np.divmod(detect(v, sent, combined, amplitudes, hyp,
+                                  points, workspace[:, :len(links)]),
+                           points.size)
         assert np.array_equal(reused[0], c_hat)
         assert np.array_equal(reused[1], s_hat)
         for i in range(len(links)):
-            one = transmit(weights[0, i], weights[1, i], h[i], x0[i],
-                           points[x1[i]], noise[i])
-            assert np.array_equal(signal[i], one[0])
+            one = transmit(weights[0, i], weights[1, i], h[i], noise[i])
+            assert np.array_equal(v[i], one[0])
             assert np.array_equal(combined[i], one[1])
-            c_one, s_one = np.divmod(detect(*one, amplitudes, hyp[i],
-                                            points), points.size)
+            c_one, s_one = np.divmod(detect(one[0], sent[i], one[1],
+                                            amplitudes, hyp[i], points),
+                                     points.size)
             assert np.array_equal(c_hat[i], c_one)
             assert np.array_equal(s_hat[i], s_one)
         assert np.any(c_hat != x0[:, None]) and np.any(c_hat == x0[:, None])
@@ -503,8 +575,7 @@ class TestStackedRealizations:
         stack = np.stack([cb.beamformers, cb.beamformers])
         with pytest.raises(ValueError, match=r"noise must be \(T, B\)"):
             transmit(stack, np.stack([cb.combiners] * 2),
-                     np.stack([realization.matrix] * 2), np.zeros((2, 3), int),
-                     np.ones((2, 3), complex), np.zeros((3, 3, 2)))
+                     np.stack([realization.matrix] * 2), np.zeros((3, 3, 2)))
 
 
 class TestBitAccounting:
@@ -549,11 +620,11 @@ class TestBitAccounting:
         # every hypothesis, the last one included, decides its own index
         points = psk_constellation(m)
         sent = np.arange(order * m)
-        x0, x1 = np.divmod(sent, m)
-        signal = np.zeros((sent.size, order), complex)
-        signal[sent, x0] = points[x1]        # unit hypothesis values
-        decided = detect(signal, np.zeros_like(signal), np.array([1.0, 1e3]),
-                         np.ones(order, complex), points)
+        # v[:, x0] points[x1] = points[x1] on branch x0, unit hypothesis
+        # values
+        decided = detect(np.eye(order, dtype=complex), sent,
+                         np.zeros((sent.size, order), complex),
+                         np.array([1.0, 1e3]), np.ones(order, complex), points)
         assert decided.dtype == dtype
         assert np.array_equal(decided, [sent, sent])
         assert count_bit_errors(sent, decided).tolist() == [0, 0]
@@ -571,9 +642,8 @@ class TestBitAccounting:
         noise = rng.normal(0, sigma, (trials, 2)) \
             + 1j * rng.normal(0, sigma, (trials, 2))
         h = realization.matrix
-        signal, combined = transmit(cb.beamformers, cb.combiners, h, x0,
-                                    points[x1], noise)
-        decided = detect(signal, combined, np.array([amplitude]),
+        v, combined = transmit(cb.beamformers, cb.combiners, h, noise)
+        decided = detect(v, x0 * 4 + x1, combined, np.array([amplitude]),
                          branch_amplitudes(cb, h), points)
         (ber,) = count_bit_errors(x0 * 4 + x1, decided) / (3 * trials)
         assert ber < 1e-3
