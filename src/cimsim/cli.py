@@ -138,7 +138,10 @@ def cmd_codebook(args: argparse.Namespace) -> int:
     bank = FpsBank(args.nf) if args.nf is not None else None
     realization = sample_realization(draw_paths(ChannelConfig(), args.seed),
                                      spec.positions)
-    cb = build_codebook(realization, args.order)
+    try:
+        cb = build_codebook(realization, args.order)
+    except ValueError as exc:
+        raise ValueError(f"--order {args.order}: {exc}") from None
     print(f"geometry={spec.kind.value} N={spec.n_elements} "
           f"order={cb.order} seed={args.seed}")
     print(f"shadowing = {realization.shadow_db:+.2f} dB, "

@@ -136,10 +136,9 @@ def build_codebook(realization: ChannelRealization, order: int) -> CimCodebook:
     maximizing |w^H H f|^2 in cluster c (lowest wins ties), for every c.
     """
     c_count, l_count = realization.gains.shape
-    if order > c_count:
-        raise ValueError("codebook order exceeds cluster count")
-    if order < 1 or (order & (order - 1)) != 0:
-        raise ValueError("codebook order must be a power of two")
+    if not 1 <= order <= c_count or order & (order - 1):
+        raise ValueError(f"codebook order must be a power of two up to the "
+                         f"cluster count {c_count}, got {order}")
 
     path_gains = _per_path_gains(realization)
     best_paths = np.argmax(path_gains, axis=1)

@@ -16,18 +16,19 @@ channel uses and ``BLOCK_CHANNEL_ELEMENTS`` its channel matrices at the
 task's largest element count.  Per hardware model, one
 ``quantize_weights`` and one ``transmit`` call over a leading
 realization axis take a pair's whole block, and ``detect`` and
-``count_bit_errors`` take it in chunks whose detector workspace stays
-within ``BLOCK_ELEMENTS``; together they count the block at every power
-point of the pair live at its start.  The early stop is then replayed
-realization by realization: a point takes realization r's counts only
-while it is still below ``error_limit``.  Realization r's counts depend
-only on (seed, r), so this gives exactly the rows of a loop over single
-realizations, whatever the block and chunk sizes or the pairs a task
-holds.  A block is drawn only if some point of the task is live at its
-start, realized on a geometry only if one of its pairs' points is, and
-counted for a pair only if one of the pair's points is, so at most
-K - 1 realizations are drawn and selected past a pair's last stop, and
-none is counted.  No draw outlives its block.
+``count_bit_errors`` take it in chunks that keep the detector's metric
+entries (T B M per realization) within ``BLOCK_ELEMENTS``; together they
+count the block at every power point of the pair live at its start.
+The early stop is then replayed realization by realization: a point
+takes realization r's counts only while it is still below
+``error_limit``.  Realization r's counts depend only on (seed, r), so
+this gives exactly the rows of a loop over single realizations, whatever
+the block and chunk sizes or the pairs a task holds.  A block is drawn
+only if some point of the task is live at its start, realized on a
+geometry only if one of its pairs' points is, and counted for a pair
+only if one of the pair's points is, so at most K - 1 realizations are
+drawn and selected past a pair's last stop, and none is counted.  No
+draw outlives its block.
 
 Receive noise is drawn in branch space, at the noise floor ``NOISE_DBM``:
 one white (T, B) block per realization, which ``transmit`` maps through
@@ -95,9 +96,9 @@ NOISE_DBM = -90.0
 # realization) within BLOCK_USES and its stacked channel matrices (n^2
 # entries each at the task's largest element count n, 16 MiB in all)
 # within BLOCK_CHANNEL_ELEMENTS, and no more than the sweep's realizations.
-# The detector takes a block in chunks of as many realizations as keep its
-# metric (T B M entries per realization, 4 float slots: 1 MiB) within
-# BLOCK_ELEMENTS.
+# The detector takes a block in chunks of as many realizations (at least
+# one) as keep its metric entries (T B M per realization) within
+# BLOCK_ELEMENTS; ``detect`` allocates about four floats per entry, 1 MiB.
 BLOCK_USES = 2048
 BLOCK_CHANNEL_ELEMENTS = 1 << 20
 BLOCK_ELEMENTS = 32768
@@ -284,25 +285,12 @@ class _Pair:
         self.squares = np.zeros(shape)
         self.used = np.zeros_like(self.errors)
 
-    def chunk_shape(self, cfg: SimConfig, size: int) -> tuple[int, ...]:
-        """Detector workspace shape of this pair's chunks of a block of
-        ``size`` realizations, (4, chunk, T, B, M)."""
-        per_realization = (cfg.symbols_per_realization
-                           * self.signaling[0] * self.signaling[1])
-        chunk = max(1, min(size, BLOCK_ELEMENTS // per_realization))
-        return (4, chunk, cfg.symbols_per_realization) + self.signaling
-
-    def bind(self, cfg: SimConfig, size: int,
-             workspace: np.ndarray) -> None:
-        """Allocate the selections of a block of ``size`` realizations and
-        view the task's flat detector ``workspace`` for this pair's
-        chunks."""
+    def bind(self, size: int) -> None:
+        """Allocate the selections of a block of ``size`` realizations."""
         n = len(self.positions)
         order = self.signaling[0]
         self.weights = np.empty((2, size, n, order), dtype=complex)   # F, W
         self.hyp = np.empty((size, order), dtype=complex)
-        shape = self.chunk_shape(cfg, size)
-        self.workspace = workspace[:math.prod(shape)].reshape(shape)
 
     def live(self, cfg: SimConfig) -> bool:
         return bool((self.errors < cfg.error_limit).any())
@@ -319,15 +307,16 @@ class _Pair:
                     channels: np.ndarray,
                     payload: tuple[np.ndarray, ...]) -> None:
         """Count the block's selected realizations over ``channels`` and
-        the first rows of ``payload`` at every point live at the block's
-        start, the detector taking them chunk by chunk; their counts are
-        then added in realization order while each point stays below
-        ``error_limit``."""
+        their ``payload`` (``_draw_payload``) at every point live at the
+        block's start, the detector taking them in chunks sized by
+        ``BLOCK_ELEMENTS``; their counts are then added in realization
+        order while each point stays below ``error_limit``."""
         live = self.errors < cfg.error_limit
         k = len(channels)
-        x0, x1, noise = (a[:k] for a in payload)
+        x0, x1, noise = payload
         sent = x0 * self.points.size + x1
-        chunk = self.workspace.shape[1]
+        chunk = max(1, BLOCK_ELEMENTS // (cfg.symbols_per_realization
+                                          * math.prod(self.signaling)))
         # counts of the points live at the block's start, (k, hardware, P)
         counts = np.zeros((k,) + self.errors.shape, dtype=np.int64)
         for h, bank in enumerate(banks):
@@ -342,8 +331,7 @@ class _Pair:
                 part = slice(start, min(start + chunk, k))
                 decided = detect(v[part], sent[part], combined_noise[part],
                                  self.amplitudes[active], self.hyp[part],
-                                 self.points,
-                                 self.workspace[:, :part.stop - start])
+                                 self.points)
                 counts[part, h, active] = count_bit_errors(sent[part, None],
                                                            decided)
 
@@ -376,20 +364,22 @@ class _Pair:
 
 
 def _draw_payload(cfg: SimConfig, signaling: tuple[int, int], start: int,
-                  out: tuple[np.ndarray, ...]) -> None:
-    """Codeword indices, PSK indices and white branch-space noise of
-    realizations ``start``, ``start + 1``, ... into the rows of ``out``."""
+                  k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Codeword indices (k, T), PSK indices (k, T) and white branch-space
+    noise (k, T, B) of realizations ``start`` to ``start + k - 1``."""
     order, constellation = signaling
     t_symbols = cfg.symbols_per_realization
     sigma = np.sqrt(dbm_to_watt(NOISE_DBM) / 2.0)
-    x0, x1, noise = out
-    for i in range(len(x0)):
+    x0, x1 = np.empty((2, k, t_symbols), dtype=np.int64)
+    noise = np.empty((k, t_symbols, order), dtype=complex)
+    for i in range(k):
         payload_rng = np.random.default_rng(
             np.random.SeedSequence([cfg.seed, start + i, 1]))
         x0[i] = payload_rng.integers(0, order, t_symbols)
         x1[i] = payload_rng.integers(0, constellation, t_symbols)
         noise[i].real = payload_rng.normal(0.0, sigma, (t_symbols, order))
         noise[i].imag = payload_rng.normal(0.0, sigma, (t_symbols, order))
+    return x0, x1, noise
 
 
 def _run_task(cfg: SimConfig,
@@ -401,20 +391,12 @@ def _run_task(cfg: SimConfig,
     started = time.perf_counter()
     banks = [parse_hardware(token) for token in cfg.hardware]
     group = [_Pair(cfg, geometry, signaling) for geometry, signaling in pairs]
-    t_symbols = cfg.symbols_per_realization
     n = max(len(pair.positions) for pair in group)
-    size = max(1, min(BLOCK_USES // t_symbols,
+    size = max(1, min(BLOCK_USES // cfg.symbols_per_realization,
                       BLOCK_CHANNEL_ELEMENTS // (n * n), cfg.realizations))
     channel_buffer = np.empty(size * n * n, dtype=complex)
-    workspace = np.empty(max(math.prod(pair.chunk_shape(cfg, size))
-                             for pair in group))
     for pair in group:
-        pair.bind(cfg, size, workspace)
-    payloads = {signaling: (np.empty((size, t_symbols), dtype=np.int64),
-                            np.empty((size, t_symbols), dtype=np.int64),
-                            np.empty((size, t_symbols, signaling[0]),
-                                     dtype=complex))
-                for signaling in dict.fromkeys(p.signaling for p in group)}
+        pair.bind(size)
 
     label = ", ".join(pair.label for pair in group)
     try:
@@ -426,9 +408,8 @@ def _run_task(cfg: SimConfig,
             k = min(size, cfg.realizations - start)
             paths = [draw_paths(cfg.channel, [cfg.seed, r, 0])
                      for r in range(start, start + k)]
-            for signaling in dict.fromkeys(pair.signaling for pair in live):
-                _draw_payload(cfg, signaling, start,
-                              tuple(a[:k] for a in payloads[signaling]))
+            payloads = {s: _draw_payload(cfg, s, start, k)
+                        for s in {pair.signaling for pair in live}}
             # live pairs of one geometry are adjacent: the pairs are
             # geometry-major
             for _, same in groupby(live, key=attrgetter("geometry")):

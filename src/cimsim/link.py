@@ -176,8 +176,8 @@ def decision_bound(distance: np.ndarray, rows: np.ndarray,
 
 
 def detect(v: np.ndarray, sent: np.ndarray, noise: np.ndarray,
-           amplitudes: np.ndarray, hyp: np.ndarray, points: np.ndarray,
-           workspace: np.ndarray | None = None) -> np.ndarray:
+           amplitudes: np.ndarray, hyp: np.ndarray,
+           points: np.ndarray) -> np.ndarray:
     """Joint ML (cluster, symbol) decisions of T channel uses at P
     amplitudes, (..., P, T): the hypothesis index h = c M + s of each, in
     the smallest unsigned integer dtype that holds B M - 1.
@@ -189,20 +189,19 @@ def detect(v: np.ndarray, sent: np.ndarray, noise: np.ndarray,
     the B*M hypotheses of |a v[c, x0] points[x1] + noise(c) - a hyp[c]
     points[s]|^2, where ``hyp`` (..., B) holds the branch amplitudes;
     ties go to the lowest cluster, then symbol.  Leading axes stack
-    realizations as in ``transmit``.  The metric's terms are built in a
-    float (4, ..., T, B, M) ``workspace``, allocated here unless given: a
-    caller that detects block after block passes one.
+    realizations as in ``transmit``.
 
     Per realization, d and the distance bound's h* and slack are built
     once per sent index that occurs, as the rows of a table (at most
     min(T, B M) per realization); a use reads its row.  A use whose
     ``decision_bound`` threshold lies below a takes h* without a search
     (see the module docstring).  The uses are ranked by falling
-    threshold, and the rows of those some amplitude cannot settle are
-    gathered into a prefix of the workspace; each amplitude searches the
-    part of that prefix above it with the same float operations on the
-    same values as the exhaustive search, so every decision, ties
-    included, is the exhaustive search's bit for bit."""
+    threshold, and those some amplitude cannot settle get copies of their
+    table rows; each amplitude searches the part of them above it with
+    the same float operations on the same values as the exhaustive
+    search, so every decision, ties included, is the exhaustive search's
+    bit for bit.  It allocates 3 floats per table entry (row, hypothesis)
+    and 4 per searched (use, hypothesis): the table, copies and metric."""
     branches = v.shape[-1]
     hypotheses = branches * points.size
     draws = math.prod(v.shape[:-2])
@@ -217,46 +216,39 @@ def detect(v: np.ndarray, sent: np.ndarray, noise: np.ndarray,
     use_rows = (np.cumsum(present) - 1)[ids]
     draw, index = np.divmod(table, hypotheses)
     x0, x1 = np.divmod(index, points.size)
-    work = (np.empty((4, uses, hypotheses)) if workspace is None
-            else workspace.reshape(4, uses, -1))           # (4, U, B M)
-    real, imag, distance, spare = (
-        slot[:table.size].reshape(table.size, branches, points.size)
-        for slot in work)
-    # d = v[c, x0] points[x1] - hyp[c] points[s] of each row, and |d|^2:
-    # array multiplies only, whose bits do not depend on the position
+    # d = v[c, x0] points[x1] - hyp[c] points[s] of each row, (R, B, M), and
+    # |d|^2: array multiplies only, whose bits do not depend on the position
     signal = v.reshape(draws, branches, branches).mT[draw, x0] \
         * points[x1, None]
     hp = hyp.reshape(draws, branches)[..., None] * points
-    for part, out in ((np.real, real), (np.imag, imag)):
-        np.take(part(hp), draw, axis=0, out=spare, mode="clip")
-        np.subtract(part(signal)[..., None], spare, out=out)
+    terms = np.empty((3, table.size, branches, points.size))
+    real, imag, distance = terms
+    np.subtract(signal.real[..., None], hp.real[draw], out=real)
+    np.subtract(signal.imag[..., None], hp.imag[draw], out=imag)
     np.square(imag, out=distance)
-    distance += np.square(real, out=spare)
+    distance += np.square(real)
     noise = noise.reshape(uses, branches)
-    best, threshold = decision_bound(work[2, :table.size], use_rows, noise)
+    best, threshold = decision_bound(distance.reshape(table.size, -1),
+                                     use_rows, noise)
 
     # uses by falling threshold: amplitude a searches the first
     # ``searched`` of them and settles the rest
     ranked = np.argsort(threshold)[::-1]
     searched = uses - np.searchsorted(threshold[ranked[::-1]], amplitudes)
-    count = searched.max(initial=0)
-    rows = ranked[:count]
-    # gather |d|^2, Im d and Re d of those uses' table rows one slot down
-    # (mode="clip" writes ``out`` unbuffered; every index is in range)
-    for source in (2, 1, 0):
-        np.take(work[source], use_rows[rows], axis=0,
-                out=work[source + 1][:count], mode="clip")
-    cross, metric, noise_power, distance = work[:, :count]
-    # metric holds Re d and noise_power Im d until 2 Re(conj(n) d) and |n|^2
-    # (repeated over the symbols: a broadcast add in the loop is slower)
-    # are formed, on (use, branch, symbol) views of the gathered rows
-    c, re_d, im_d = (a.reshape(count, branches, points.size)
-                     for a in (cross, metric, noise_power))
+    rows = ranked[:searched.max(initial=0)]
+    # copies of those uses' table rows in one block, which glibc's malloc
+    # keeps for the next call (three smaller ones go back to the OS)
+    terms = np.take(terms, use_rows[rows], axis=1)
+    real, imag, distance = terms
+    # 2 Re(conj(n) d) into the copies of Re d and |n|^2 (repeated over the
+    # symbols: a broadcast add in the loop is slower) into those of Im d
     gathered = noise[rows][..., None]
-    np.multiply(gathered.real, re_d, out=c)
-    c += np.multiply(gathered.imag, im_d, out=im_d)
-    c *= 2.0
-    im_d[...] = gathered.real ** 2 + gathered.imag ** 2
+    cross = np.multiply(gathered.real, real, out=real)
+    cross += np.multiply(gathered.imag, imag, out=imag)
+    cross *= 2.0
+    noise_power = imag
+    noise_power[...] = gathered.real ** 2 + gathered.imag ** 2
+    metric = np.empty_like(distance)
     flat = np.tile(best.astype(np.min_scalar_type(hypotheses - 1)),
                    (len(amplitudes), 1))
     for decided, a, n in zip(flat, amplitudes, searched.tolist()):
@@ -267,7 +259,7 @@ def detect(v: np.ndarray, sent: np.ndarray, noise: np.ndarray,
         m += cross[:n]
         m *= a
         m += noise_power[:n]
-        decided[rows[:n]] = m.argmin(axis=1)
+        decided[rows[:n]] = m.reshape(n, -1).argmin(axis=1)
     return np.moveaxis(flat.reshape((len(amplitudes),) + sent.shape), 0, -2)
 
 

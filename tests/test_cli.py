@@ -119,6 +119,18 @@ def _case(number, argv, message):
           "powers_dbm range '10:0:1' is empty"),
     _case(50, ["ber", "--power-range", "0:10:2:x"],
           "powers_dbm range must be lo:hi:step, got '0:10:2:x'"),
+    _case(51, ["codebook", "--order", "16"],
+          "--order 16: codebook order must be a power of two up to the "
+          "cluster count 8, got 16"),
+    _case(52, ["codebook", "--order", "0"],
+          "--order 0: codebook order must be a power of two up to the "
+          "cluster count 8, got 0"),
+    _case(53, ["codebook", "--order", "3"],
+          "--order 3: codebook order must be a power of two up to the "
+          "cluster count 8, got 3"),
+    _case(54, ["codebook", "--order", "-2"],
+          "--order -2: codebook order must be a power of two up to the "
+          "cluster count 8, got -2"),
 ])
 def test_bad_input_is_one_line_error(tmp_path, capsys, argv, message):
     cfg = tmp_path / "bad.cfg"

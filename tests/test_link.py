@@ -432,6 +432,25 @@ class TestDistanceBound:
                                np.nextafter(at, np.inf)])
         assert_exhaustive(v, sent, noise, amplitudes, hyp, points)
 
+    def test_leaves_its_distance_table_bit_identical(self):
+        # h*'s entries are overwritten and restored: in place where the
+        # table is contiguous, in a copy where it is a strided view, whose
+        # buffer's other columns must stay untouched too
+        v, sent, noise, hyp, points = noisy_link(n_f=4)
+        d = use_signal(v, sent, points)[:, :, None] - hyp[:, None] * points
+        table = (d.imag ** 2 + d.real ** 2).reshape(len(d), -1)
+        rows = np.arange(len(d))
+        wide = np.arange(2.0 * table.size).reshape(len(table), -1)
+        wide[:, ::2] = table
+        view = wide[:, ::2]
+        assert not view.flags.c_contiguous
+        expected = decision_bound(table.copy(), rows, noise)
+        for distance, buffer in ((table, table), (view, wide)):
+            before = buffer.copy()
+            got = decision_bound(distance, rows, noise)
+            assert buffer.tobytes() == before.tobytes()
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
     @settings(max_examples=25, deadline=None, derandomize=True,
               database=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), order=st.sampled_from([1, 2, 4]),
@@ -494,29 +513,29 @@ class TestSentSignalTable:
 
     @pytest.mark.parametrize("order, m, uses", [(8, 64, 10), (4, 8, 500),
                                                 (2, 4, 8), (2, 2, 1)])
-    def test_table_stays_inside_the_workspace(self, order, m, uses):
+    def test_detect_allocation_is_bounded(self, order, m, uses):
         # every hypothesis sent where T >= B M, so the table is as large
-        # as it gets: it must fit the (4, K, T, B, M) workspace and leave
-        # the rest of a larger buffer alone.  A full (B M)^2 table would
-        # take 6 MB per realization at 8x64; where the workspace is large
-        # enough for array headers not to count, ``detect`` must allocate
-        # less than half of it
+        # as it gets.  The decisions must be the exhaustive search's, and
+        # where 4 floats per metric entry (32 U B M bytes for U uses) are
+        # large enough for array headers not to count, ``detect`` must
+        # allocate less than twice that: a full (B M)^2 table would take
+        # 6 MB per realization at 8x64
         v, sent, noise, hyp, points = stacked_links((1, 2), order, m, uses)
         sent[:, :order * m] = np.arange(min(uses, order * m))
         amplitudes = 1e-6 / np.abs(hyp).mean() * np.logspace(-2, 4, 7)
-        buffer = np.full((4, 3, uses, order, m), np.nan)
-        expected = detect(v, sent, noise, amplitudes, hyp, points)
         tracemalloc.start()
         try:
-            decided = detect(v, sent, noise, amplitudes, hyp, points,
-                             buffer[:, :2])
+            decided = detect(v, sent, noise, amplitudes, hyp, points)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.array_equal(decided, expected)
-        assert np.isnan(buffer[:, 2]).all()
-        if buffer[:, :2].nbytes >= 100_000:
-            assert peak < buffer[:, :2].nbytes / 2
+        for i in range(len(v)):
+            c_hat, s_hat = exhaustive(v[i], sent[i], noise[i], amplitudes,
+                                      hyp[i], points)
+            assert np.array_equal(decided[i], c_hat * m + s_hat)
+        four_floats = 32 * sent.size * order * m
+        if four_floats >= 100_000:
+            assert peak < 2 * four_floats
 
 
 class TestStackedRealizations:
@@ -551,14 +570,6 @@ class TestStackedRealizations:
         c_hat, s_hat = np.divmod(detect(v, sent, combined, amplitudes, hyp,
                                         points), points.size)
         assert c_hat.shape == s_hat.shape == (len(links), 3, uses)
-        # the sweep passes a slice of a larger workspace, reused dirty
-        workspace = np.full((4, len(links) + 2, uses, order, points.size),
-                            np.nan)
-        reused = np.divmod(detect(v, sent, combined, amplitudes, hyp,
-                                  points, workspace[:, :len(links)]),
-                           points.size)
-        assert np.array_equal(reused[0], c_hat)
-        assert np.array_equal(reused[1], s_hat)
         for i in range(len(links)):
             one = transmit(weights[0, i], weights[1, i], h[i], noise[i])
             assert np.array_equal(v[i], one[0])
